@@ -26,16 +26,26 @@ The reduced equation these operators satisfy — checked numerically by
 
     d/dt ( v - B2(v)/6 + B3(v)/18 )_k  =  i*v_k*|v_k|^2/(6k) + (i/18)*B4(v)_k .
 
-All operators are evaluated by direct summation over the support of v (no
-FFT factorization): quadratic, cubic, and quartic loop complexity is the
-price of auditability, and the intended support for verification runs is
-|k| <= 32. Outputs are truncated to the storage range of the input field.
-Summation order is fixed, so results are bit-reproducible.
+Every phase in the chain is ``K^3 - sum k_i^3`` at output mode K (the cube
+identity turns ``3*k*k1*k2``, ``p3`` and ``psi`` into this form), so each
+operator is conjugate to its t = 0 value by a diagonal phase:
+
+    Bn(v, t)_K = exp(i*K^3*t) * Bn(exp(-i*k^3*t) * v, 0)_K .
+
+``b2``, ``b3`` and ``b4`` are therefore each written once, as a t = 0
+kernel that sums over index grids on the support of v (no FFT
+factorization; the quartic sum collapses to a cubic one over the pair sum
+k3 + k4), and time enters only through that identity. :func:`rhs_v` and
+:func:`b4_split` keep explicit per-term phases as independent oracles. The
+intended support for verification runs is |k| <= 32. Outputs are truncated
+to the storage range of the input field. Summation order is fixed, so
+results are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -179,10 +189,25 @@ def _accumulate(out: np.ndarray, idx: np.ndarray, contrib: np.ndarray, cutoff: i
 
 
 def _phases(exponent: np.ndarray, t: float) -> np.ndarray | float:
-    """``exp(i*t*exponent)`` with the t = 0 fast path (census evaluations)."""
+    """``exp(i*t*exponent)`` with the t = 0 fast path (the per-term oracles)."""
     if t == 0.0:
         return 1.0
     return np.exp(1j * t * exponent.astype(float))
+
+
+def _at_time(
+    kernel: Callable[[FourierField], FourierField], v: FourierField, t: float
+) -> FourierField:
+    """A t = 0 operator kernel evaluated at time t by the diagonal phase.
+
+    ``B(v, t)_K = exp(i*K^3*t) * B(exp(-i*k^3*t) * v, 0)_K``; the rotation
+    keeps the support of v, so the kernel sums over the same index set. At
+    t = 0 the kernel runs on v itself.
+    """
+    if t == 0.0:
+        return kernel(v)
+    phase = np.exp(1j * t * v.wavenumbers().astype(float) ** 3)
+    return FourierField(phase * kernel(FourierField(np.conj(phase) * v.coeffs)).coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -218,15 +243,18 @@ def b2(v: FourierField, t: float) -> FourierField:
     k = 0 output mode is generally nonzero (e.g. ``-2|c|^2`` for a single
     conjugate pair with amplitude c).
     """
+    return _at_time(_b2_time_zero, v, t)
+
+
+def _b2_time_zero(v: FourierField) -> FourierField:
+    """B2 at t = 0: ``sum_{k1+k2=k} v1*v2/(k1*k2)``."""
     ks, vals = _support(v)
     cutoff = v.cutoff
     out = np.zeros(2 * cutoff + 1, dtype=np.complex128)
     for i in range(ks.size):
         k1 = int(ks[i])
-        ktot = k1 + ks
         contrib = (vals[i] * vals) / (k1 * ks).astype(float)
-        contrib = contrib * _phases(3 * ktot * k1 * ks, t)
-        _accumulate(out, ktot, contrib, cutoff)
+        _accumulate(out, k1 + ks, contrib, cutoff)
     return FourierField(out)
 
 
@@ -237,6 +265,11 @@ def b3(v: FourierField, t: float) -> FourierField:
     over ``k1+k2+k3 = k``, where ``p3 = 3*(k1+k2)*(k2+k3)*(k3+k1)`` and the
     star skips every triple with a vanishing denominator factor.
     """
+    return _at_time(_b3_time_zero, v, t)
+
+
+def _b3_time_zero(v: FourierField) -> FourierField:
+    """B3 at t = 0: the starred triple sum with unit phases."""
     ks, vals = _support(v)
     cutoff = v.cutoff
     out = np.zeros(2 * cutoff + 1, dtype=np.complex128)
@@ -252,51 +285,21 @@ def b3(v: FourierField, t: float) -> FourierField:
         if not np.any(valid):
             continue
         ktot = (k1 + s23)[valid]
-        expo = 3 * ((k1 + k2g) * s23 * (k3g + k1))[valid]
         contrib = (vals[i] * v23[valid]) / denom[valid].astype(float)
-        contrib = contrib * _phases(expo, t)
         _accumulate(out, ktot, contrib, cutoff)
     return FourierField(out)
 
 
-def _b4_terms(v: FourierField, t: float):
-    """Iterate the starred quartic index set in fixed order.
+def b4(v: FourierField, t: float) -> FourierField:
+    """Third-level boundary operator (quartic), combined single-sum form.
 
-    Yields, per outer index k1, the tuple of flattened arrays
-    ``(ktot, phase, quad, denom, numer_combined, numer_split)`` needed by
-    the combined form and both constituents; the star is
-    ``k_i != 0`` (support), ``k1+k2 != 0``, ``k1+k3+k4 != 0``,
-    ``k2+k3+k4 != 0``, and ``k3+k4 != 0``.
+    ``B4(v)_k = (1/2) sum* exp(i*psi*t) * (2*k3+2*k4+k1) * v1*v2*v3*v4 /
+    (k1*(k1+k2)*(k1+k3+k4)*(k2+k3+k4))`` with
+    ``psi = (k1+k2+k3+k4)^3 - sum k_i^3``; the starred set additionally
+    excludes ``k3+k4 = 0`` (resonant channel). Equal to
+    ``(1/2)*part1 + part2`` of :func:`b4_split` term by term.
     """
-    ks, vals = _support(v)
-    if ks.size == 0:
-        return
-    k2g, k3g, k4g = np.meshgrid(ks, ks, ks, indexing="ij")
-    v234 = (
-        vals[:, None, None] * vals[None, :, None] * vals[None, None, :]
-    )
-    s34 = k3g + k4g
-    s234 = k2g + s34
-    cube_sum = k2g**3 + k3g**3 + k4g**3
-    for i in range(ks.size):
-        k1 = int(ks[i])
-        d12 = k1 + k2g
-        d134 = k1 + s34
-        denom = k1 * d12 * d134 * s234
-        valid = (denom != 0) & (s34 != 0)
-        if not np.any(valid):
-            continue
-        ktot = (k1 + s234)[valid]
-        psi = ktot.astype(np.int64) ** 3 - k1**3 - cube_sum[valid]
-        quad = vals[i] * v234[valid]
-        yield (
-            ktot,
-            _phases(psi, t),
-            quad,
-            denom[valid].astype(float),
-            (2 * s34[valid] + k1).astype(float),
-            (k1, s34[valid].astype(float), (d12 * d134 * s234)[valid].astype(float)),
-        )
+    return _at_time(_b4_time_zero, v, t)
 
 
 def _b4_time_zero(v: FourierField) -> FourierField:
@@ -305,8 +308,9 @@ def _b4_time_zero(v: FourierField) -> FourierField:
     With unit phases every term depends on (k3, k4) only through
     ``s = k3 + k4``, so the quadruple sum reduces to a triple sum against
     the pair convolution ``W(s) = sum_{k3+k4=s} v3*v4`` (s = 0 excluded by
-    the star). Roughly thirty times cheaper than the generic path on a
-    support-32 field; the loop-based :func:`b4_split` cross-checks it.
+    the star): O(n^3) work on a support of n modes instead of O(n^4). The
+    phase conjugation carries this to every t; the per-term loop in
+    :func:`b4_split` cross-checks it.
     """
     ks, vals = _support(v)
     cutoff = v.cutoff
@@ -335,44 +339,39 @@ def _b4_time_zero(v: FourierField) -> FourierField:
     return FourierField(out)
 
 
-def b4(v: FourierField, t: float) -> FourierField:
-    """Third-level boundary operator (quartic), combined single-sum form.
-
-    ``B4(v)_k = (1/2) sum* exp(i*psi*t) * (2*k3+2*k4+k1) * v1*v2*v3*v4 /
-    (k1*(k1+k2)*(k1+k3+k4)*(k2+k3+k4))`` with
-    ``psi = (k1+k2+k3+k4)^3 - sum k_i^3``; the starred set additionally
-    excludes ``k3+k4 = 0`` (resonant channel). Equal to
-    ``(1/2)*part1 + part2`` of :func:`b4_split` term by term.
-    """
-    if t == 0.0:
-        return _b4_time_zero(v)
-    cutoff = v.cutoff
-    out = np.zeros(2 * cutoff + 1, dtype=np.complex128)
-    for ktot, phase, quad, denom, numer, _split in _b4_terms(v, t):
-        contrib = 0.5 * numer * phase * quad / denom
-        _accumulate(out, ktot, contrib, cutoff)
-    return FourierField(out)
-
-
 def b4_split(v: FourierField, t: float) -> tuple[FourierField, FourierField]:
     """The two quartic constituents before combination (internal cross-check).
 
-    Returns ``(part1, part2)`` over the same starred index set and phase as
-    :func:`b4`:
+    Returns ``(part1, part2)`` over the same starred index set as :func:`b4`,
+    each term carrying its own phase ``exp(i*psi*t)``:
 
     * ``part1``: ``v1..v4 / ((k1+k2)*(k1+k3+k4)*(k2+k3+k4))``
     * ``part2``: ``(k3+k4) * v1..v4 / (k1*(k1+k2)*(k1+k3+k4)*(k2+k3+k4))``
 
     so that ``b4 = (1/2)*part1 + part2`` holds term by term.
     """
+    ks, vals = _support(v)
     cutoff = v.cutoff
     out1 = np.zeros(2 * cutoff + 1, dtype=np.complex128)
     out2 = np.zeros(2 * cutoff + 1, dtype=np.complex128)
-    for ktot, phase, quad, _denom, _numer, split in _b4_terms(v, t):
-        k1, s34, d_rest = split
-        base = phase * quad / d_rest
+    if ks.size == 0:
+        return FourierField(out1), FourierField(out2)
+    k2g, k3g, k4g = np.meshgrid(ks, ks, ks, indexing="ij")
+    v234 = vals[:, None, None] * vals[None, :, None] * vals[None, None, :]
+    s34 = k3g + k4g
+    s234 = k2g + s34
+    cube_sum = k2g**3 + k3g**3 + k4g**3
+    for i in range(ks.size):
+        k1 = int(ks[i])
+        d_rest = (k1 + k2g) * (k1 + s34) * s234
+        valid = (d_rest != 0) & (s34 != 0)  # k1 != 0 on the support
+        if not np.any(valid):
+            continue
+        ktot = (k1 + s234)[valid]
+        psi = ktot**3 - k1**3 - cube_sum[valid]
+        base = _phases(psi, t) * (vals[i] * v234[valid]) / d_rest[valid].astype(float)
         _accumulate(out1, ktot, base, cutoff)
-        _accumulate(out2, ktot, base * (s34 / k1), cutoff)
+        _accumulate(out2, ktot, base * (s34[valid].astype(float) / k1), cutoff)
     return FourierField(out1), FourierField(out2)
 
 

@@ -1,9 +1,12 @@
 """Resonance algebra, the B-operator chain, and the reduced-equation residual."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdvtorus.errors import TruncationError, UndefinedRatioError
 from kdvtorus.fields import FourierField, l2_norm, random_real_field, sobolev_norm
@@ -151,14 +154,64 @@ class TestOperatorStructure:
         assert (1j * b4(v, t)).reality_defect() < 1e-13
         assert (1j * resonant_term(v)).reality_defect() < 1e-13
 
-    @pytest.mark.parametrize("t", [0.0, 0.29])
-    def test_quartic_split_recombines(self, t):
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        support=st.integers(1, 6),
+        t=st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+        s=st.floats(0.25, 4.0),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_homogeneity_and_reality_at_any_time(self, seed, support, t, s):
+        """B2/B3/B4 are homogeneous of degree 2/3/4; B2, B3 and i*B4 are real."""
+        v = random_real_field(seed, support=support, cutoff=4 * support)
+        for op, deg, unit in ((b2, 2, 1.0), (b3, 3, 1.0), (b4, 4, 1j)):
+            out = op(v, t)
+            scale = max(1.0, l2_norm(out))
+            assert l2_norm(op(s * v, t) - (s**deg) * out) < 1e-12 * (s**deg) * scale
+            assert (unit * out).reality_defect() < 1e-13 * scale
+
+    def test_time_dependent_b2_b3_match_per_term_phases(self):
+        """B2 and B3 at t != 0 against dict loops with explicit phases.
+
+        The operators carry time only through the diagonal phase
+        conjugation; the oracle evaluates exp(3i*k*k1*k2*t) and
+        exp(3i*cubic_phase(k1, k2, k3)*t) term by term.
+        """
+        v = random_real_field(13, support=5, cutoff=20)
+        t = 0.83
+        support = v.support()
+        want2: dict[int, complex] = {}
+        want3: dict[int, complex] = {}
+        for k1 in support:
+            for k2 in support:
+                k = k1 + k2
+                term = v.mode(k1) * v.mode(k2) / (k1 * k2)
+                want2[k] = want2.get(k, 0.0) + cmath.exp(3j * k * k1 * k2 * t) * term
+                for k3 in support:
+                    denom = k1 * (k1 + k2) * (k1 + k3) * (k2 + k3)
+                    if denom == 0:
+                        continue
+                    term = v.mode(k1) * v.mode(k2) * v.mode(k3) / denom
+                    phase = cmath.exp(3j * cubic_phase(k1, k2, k3) * t)
+                    want3[k + k3] = want3.get(k + k3, 0.0) + phase * term
+        for op, want in ((b2, want2), (b3, want3)):
+            ref = FourierField.from_modes(want, cutoff=20)
+            assert l2_norm(op(v, t) - ref) < 1e-13 * l2_norm(ref)
+
+    @pytest.mark.parametrize(
+        "t, support",
+        [(0.0, 4), (0.29, 4), (0.0, 16), (0.29, 16)],
+        ids=["0.0", "0.29", "0.0-support16", "0.29-support16"],
+    )
+    def test_quartic_split_recombines(self, t, support):
         """b4 equals half the first split part plus the second, at any time.
 
-        At t = 0 this also cross-checks the collapsed fast path against the
-        term-by-term loop, which is the only route b4_split takes.
+        The term-by-term loop in b4_split, with a phase per term, is the
+        oracle for the collapsed kernel and, at t != 0, for the diagonal
+        phase conjugation. Support 16 checks the kernels at a size the tool
+        runs, beyond the hand-sized support 4.
         """
-        v = random_real_field(3, support=4, cutoff=16)
+        v = random_real_field(3, support=support, cutoff=4 * support)
         part1, part2 = b4_split(v, t)
         combined = 0.5 * part1 + part2
         whole = b4(v, t)
@@ -204,11 +257,13 @@ class TestResidual:
         scale = l2_norm(resonant_term(v)) / 6.0 + l2_norm(b4(v, 0.0)) / 18.0
         assert normal_form_residual(v, 0.0, 1e-5) < 1e-6 * scale
 
-    def test_wrong_sign_in_the_chain_leaves_a_floor(self):
-        """Flipping the cubic correction's sign must not look convergent.
+    @pytest.mark.parametrize("flipped", ["b2", "b3", "resonant", "b4"])
+    def test_wrong_sign_in_the_chain_leaves_a_floor(self, flipped):
+        """Flipping any one coefficient's sign must not look convergent.
 
         Rebuilds the centered difference from public pieces (an oracle for
-        the library routine at sign +1) and flips the B3 coefficient.
+        the library routine with every sign right) and flips the sign of
+        one coefficient: B2, B3, the resonant term or B4.
         """
         v = random_real_field(4, support=4, cutoff=16)
         v = v * (1.0 / l2_norm(v))
@@ -221,21 +276,31 @@ class TestResidual:
             s4 = rhs_v(w + h * s3, t0 + h)
             return w + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
 
-        def residual(sign, dt):
+        def residual(flip, dt):
+            names = ("b2", "b3", "resonant", "b4")
+            sign = {name: -1 if name == flip else 1 for name in names}
+
             def comb(w, tau):
-                return w - (1 / 6) * b2(w, tau) + sign * (1 / 18) * b3(w, tau)
+                return (
+                    w
+                    - sign["b2"] * (1 / 6) * b2(w, tau)
+                    + sign["b3"] * (1 / 18) * b3(w, tau)
+                )
 
             lhs = (1.0 / (2.0 * dt)) * (
                 comb(rk4(v, t, dt), t + dt) - comb(rk4(v, t, -dt), t - dt)
             )
-            rhs = (-1j / 6) * resonant_term(v) + (1j / 18) * b4(v, t)
+            rhs = (
+                sign["resonant"] * (-1j / 6) * resonant_term(v)
+                + sign["b4"] * (1j / 18) * b4(v, t)
+            )
             return l2_norm(lhs - rhs)
 
         for dt in (1e-3, 2.5e-4):
-            assert residual(+1, dt) == pytest.approx(
+            assert residual(None, dt) == pytest.approx(
                 normal_form_residual(v, t, dt), rel=1e-9
             )
-        floors = [residual(-1, dt) for dt in (1e-3, 2.5e-4)]
+        floors = [residual(flipped, dt) for dt in (1e-3, 2.5e-4)]
         assert min(floors) > 1e-3
         assert floors[0] / floors[1] < 1.5  # not shrinking like O(dt^2)
 
