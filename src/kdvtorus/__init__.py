@@ -47,8 +47,6 @@ from .integrator import (
     linear_propagator,
     nonlinear_term,
     paper_params,
-    step_fornberg_whitham,
-    step_if_rk4,
     to_interaction_picture,
 )
 from .normal_form import (
@@ -78,7 +76,6 @@ from .experiments import (
     TailAliasWarning,
     epsilon_sweep,
     hermite_initial,
-    near_linearity_error,
     near_linearity_report,
     pullback_comparison,
     return_experiment,
@@ -107,8 +104,8 @@ __all__ = [
     "write_field_csv", "read_field_csv",
     # integrator
     "Scheme", "KdvParams", "TrajectoryRecord", "desk_params", "paper_params",
-    "evolve", "step_if_rk4", "step_fornberg_whitham", "linear_propagator",
-    "to_interaction_picture", "from_interaction_picture", "nonlinear_term",
+    "evolve", "linear_propagator", "to_interaction_picture",
+    "from_interaction_picture", "nonlinear_term",
     # normal form
     "ResonanceClass", "AprioriRatios", "classify_resonance", "cubic_phase",
     "quartic_phase", "rhs_v", "b2", "b3", "b4", "b4_split", "resonant_term",
@@ -116,7 +113,7 @@ __all__ = [
     "check_cube_identity", "check_factorization_identity",
     # experiments
     "HermiteSpec", "TailAliasWarning", "hermite_initial",
-    "NearLinearityReport", "near_linearity_report", "near_linearity_error",
+    "NearLinearityReport", "near_linearity_report",
     "ReturnReport", "return_experiment", "PullbackReport",
     "pullback_comparison", "SweepResult", "epsilon_sweep",
     # shallow water

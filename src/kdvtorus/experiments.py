@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,7 +39,6 @@ __all__ = [
     "hermite_initial",
     "NearLinearityReport",
     "near_linearity_report",
-    "near_linearity_error",
     "ReturnReport",
     "return_experiment",
     "PullbackReport",
@@ -171,11 +169,6 @@ def near_linearity_report(
         record=record,
         initial=phi_run,
     )
-
-
-def near_linearity_error(phi: FourierField, p: KdvParams, sample_times):
-    """Deviation-from-linear-flow series only (see near_linearity_report)."""
-    return list(near_linearity_report(phi, p, sample_times).errors)
 
 
 @dataclass(frozen=True)
@@ -326,17 +319,15 @@ def epsilon_sweep(epsilons, p: KdvParams, t_final: float) -> SweepResult:
 
     For each width the odd-Gaussian data is rescaled to unit coefficient
     norm, so its H^{-1/2} norm (which shrinks as the width does) is the
-    only moving part.  Runs execute concurrently; assembly is ordered by
-    decreasing epsilon, so results are deterministic regardless of
-    completion order.
+    only moving part.  Runs execute one after another in order of
+    decreasing epsilon.
     """
     eps_sorted = tuple(sorted({float(e) for e in epsilons}, reverse=True))
     if len(eps_sorted) < 3:
         raise ValueError(
             f"need at least 3 distinct widths for a meaningful fit, got {len(eps_sorted)}"
         )
-    with ThreadPoolExecutor(max_workers=min(4, len(eps_sorted))) as pool:
-        rows = list(pool.map(lambda e: _sweep_single(e, p, t_final), eps_sorted))
+    rows = [_sweep_single(e, p, t_final) for e in eps_sorted]
     hm_norms = tuple(r[0] for r in rows)
     errors = tuple(r[1] for r in rows)
     drifts = tuple(r[2] for r in rows)

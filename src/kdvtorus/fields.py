@@ -19,7 +19,6 @@ so fields are safe to share across threads.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -41,8 +40,6 @@ __all__ = [
     "convolve_exact",
     "write_field_csv",
     "read_field_csv",
-    "field_to_json_records",
-    "field_from_json_records",
     "random_real_field",
 ]
 
@@ -445,32 +442,6 @@ def read_field_csv(path) -> FourierField:
         raise ValueError("field CSV contains no rows")
     cutoff = max(abs(k) for k in modes)
     return FourierField.from_modes(modes, cutoff=max(cutoff, 1))
-
-
-def field_to_json_records(fld: FourierField) -> list[dict]:
-    """Field as a JSON-ready list of ``{"k": ..., "re": ..., "im": ...}``."""
-    return [
-        {
-            "k": k,
-            "re": float(fld.coeffs[k + fld.cutoff].real),
-            "im": float(fld.coeffs[k + fld.cutoff].imag),
-        }
-        for k in range(-fld.cutoff, fld.cutoff + 1)
-    ]
-
-
-def field_from_json_records(records) -> FourierField:
-    """Inverse of :func:`field_to_json_records`."""
-    modes = {int(r["k"]): float(r["re"]) + 1j * float(r["im"]) for r in records}
-    if not modes:
-        raise ValueError("empty record list")
-    cutoff = max(abs(k) for k in modes)
-    return FourierField.from_modes(modes, cutoff=max(cutoff, 1))
-
-
-def field_to_json(fld: FourierField) -> str:
-    """Compact JSON string of the record list (stable key order)."""
-    return json.dumps(field_to_json_records(fld), separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,11 @@ classical four-stage Runge-Kutta rule to the interaction-picture variable
 ``v_k = u_k * exp(i*a*k^3*t)``, whose evolution contains no stiff linear part;
 it is fourth-order accurate and the preferred scheme for desk-scale runs.
 
-Leapfrog caveat: the first step is bootstrapped with one integrating-factor
-RK4 step, and no Robert-Asselin filter is applied, so the scheme's weak
-computational mode is left undamped — prefer the RK4 scheme for very long
-runs.
+Both schemes share one RK4 step (``_Workspace.rk4_v_step``): the leapfrog
+scheme bootstraps its first step with it, so one step of either scheme gives
+the same state. No Robert-Asselin filter is applied, so the leapfrog scheme's
+weak computational mode is left undamped — prefer the RK4 scheme for very
+long runs.
 
 One ``evolve`` call is strictly sequential; distinct calls share no mutable
 state and may run concurrently.
@@ -47,8 +48,6 @@ __all__ = [
     "to_interaction_picture",
     "from_interaction_picture",
     "nonlinear_term",
-    "step_fornberg_whitham",
-    "step_if_rk4",
     "evolve",
 ]
 
@@ -198,38 +197,6 @@ class TrajectoryRecord:
             return math.nan
         return float(np.max(np.abs(self.momentum_series)))
 
-    def write_csv(self, path) -> None:
-        """One row per sample: t, energy, momentum."""
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "energy", "momentum"])
-            for t, e, mom in zip(self.times, self.energy_series, self.momentum_series):
-                writer.writerow([repr(float(t)), repr(float(e)), repr(float(mom))])
-
-    def to_json_dict(self) -> dict:
-        """JSON-ready summary (parameters, series, drift diagnostics)."""
-        return {
-            "times": [float(t) for t in self.times],
-            "requested_times": [float(t) for t in self.requested_times],
-            "energy_series": [float(e) for e in self.energy_series],
-            "momentum_series": [float(p) for p in self.momentum_series],
-            "energy_drift": float(self.energy_drift()),
-            "max_momentum": float(self.max_momentum()),
-            "dt_effective": float(self.dt_effective),
-            "steps_total": int(self.steps_total),
-            "params": {
-                "a": self.params.a,
-                "b": self.params.b,
-                "dt": self.params.dt,
-                "t_final": self.params.t_final,
-                "m": self.params.m,
-                "scheme": self.params.scheme.value,
-                "dealias": self.params.dealias,
-            },
-        }
-
 
 # ---------------------------------------------------------------------------
 # pointwise mode operations
@@ -351,23 +318,13 @@ class _Workspace:
         s = np.fft.irfft(A * self.mask, n=self.m)
         return self.ikb2 * np.fft.rfft(s * s)
 
-    def rk4_u_step(self, A: np.ndarray) -> np.ndarray:
-        """One integrating-factor RK4 step of u (stage phases relative)."""
-        h = self.dt
-        na = self.nl(A)
-        nb = self.nl(self.E * (A + (0.5 * h) * na))
-        nc = self.nl(self.E * A + (0.5 * h) * nb)
-        nd = self.nl(self.E2 * A + h * (self.E * nc))
-        return self.E2 * A + (h / 6.0) * (
-            self.E2 * na + 2.0 * (self.E * (nb + nc)) + nd
-        )
-
     def rk4_v_step(self, v: np.ndarray, t: float) -> np.ndarray:
         """One RK4 step of the interaction-picture state v at absolute time t.
 
-        Algebraically identical to ``rk4_u_step`` conjugated by the phase
-        ``exp(-i*a*k^3*t)``; kept in v-form so the linear flow contributes no
-        per-step rounding (for b = 0 the state is bitwise constant).
+        The only RK4 step in the package: the IF-RK4 scheme takes every step
+        with it and the leapfrog scheme its bootstrap step. Kept in v-form so
+        the linear flow contributes no per-step rounding (for b = 0 the state
+        is bitwise constant).
         """
         P = np.exp(-1j * t * self.k3a)
         u = P * v
@@ -391,39 +348,6 @@ class _Workspace:
         """Coefficient-scale energy sum |u_k|^2 over the symmetric range."""
         total = abs(A[0]) ** 2 + 2.0 * float(np.sum(np.abs(A[1:]) ** 2))
         return total / (self.m * self.m)
-
-
-# ---------------------------------------------------------------------------
-# public single-step operations
-# ---------------------------------------------------------------------------
-
-
-def step_if_rk4(cur: FourierField, t: float, p: KdvParams) -> FourierField:
-    """One integrating-factor RK4 step of length ``p.dt`` from state ``cur``.
-
-    The step applies classical RK4 to the interaction-picture system and
-    maps back; because the stage phases are relative, the result does not
-    depend on the absolute time t (it is kept for interface symmetry).
-    Local error O(dt^5); exact linear propagation when b = 0.
-    """
-    del t  # stage phases cancel the absolute time; see docstring
-    ws = _Workspace(m=p.m, a=p.a, b=p.b, dealias=p.dealias, dt=p.dt)
-    return field_from_half_spectrum(ws.rk4_u_step(half_spectrum(cur, p.m)), p.m)
-
-
-def step_fornberg_whitham(
-    prev: FourierField, cur: FourierField, p: KdvParams
-) -> FourierField:
-    """One leapfrog step: states at t - dt and t produce the state at t + dt.
-
-    The linear term uses the exact two-step relation
-    ``u^{n+1} = u^{n-1} - 2i*sin(a*k^3*dt)*u^n`` (exact for b = 0 at every
-    dt); the quadratic term enters as ``2*dt*(i*k*b/2)*F(u_n^2)``.
-    """
-    ws = _Workspace(m=p.m, a=p.a, b=p.b, dealias=p.dealias, dt=p.dt)
-    return field_from_half_spectrum(
-        ws.fw_step(half_spectrum(prev, p.m), half_spectrum(cur, p.m)), p.m
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +448,7 @@ def evolve(phi: FourierField, p: KdvParams, sample_times) -> TrajectoryRecord:
     else:
         A_prev = A0.copy()
         record_due(0, lambda: A_prev)
-        A_cur = ws.rk4_u_step(A_prev)  # leapfrog bootstrap
+        A_cur = ws.u_of_v(ws.rk4_v_step(A_prev, 0.0), dt_eff)  # bootstrap
         check_blowup(A_cur, 1)
         record_due(1, lambda: A_cur)
         for i in range(1, n_steps):

@@ -34,6 +34,8 @@ from kdvtorus.normal_form import (
 )
 from kdvtorus.shallow_water import PhysicalParams, dimensionless, mismatch
 
+pytestmark = pytest.mark.gate
+
 TWO_PI = 2.0 * math.pi
 
 

@@ -8,17 +8,17 @@ import pytest
 
 from kdvtorus.baselines import baseline_value, within_window
 from kdvtorus.experiments import (
+    _DEGENERATE_ERROR,
     HermiteSpec,
     TailAliasWarning,
     epsilon_sweep,
     hermite_initial,
-    near_linearity_error,
     near_linearity_report,
     pullback_comparison,
     return_experiment,
 )
 from kdvtorus.fields import l2_norm, synthesize
-from kdvtorus.integrator import KdvParams, linear_propagator
+from kdvtorus.integrator import KdvParams, desk_params, linear_propagator
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi) / 2.0
 
@@ -81,7 +81,7 @@ class TestNearLinearity:
         """With b = 0 the interaction-picture state is frozen to rounding."""
         phi = hermite_initial(HermiteSpec(0.4), m=128)
         p = KdvParams(a=1.0, b=0.0, dt=1e-3, t_final=1.0, m=128)
-        errors = near_linearity_error(phi, p, [0.0, 0.5, 1.0])
+        errors = near_linearity_report(phi, p, [0.0, 0.5, 1.0]).errors
         assert errors[0] == 0.0
         assert max(errors) < 1e-12
 
@@ -166,9 +166,25 @@ class TestEpsilonSweep:
         assert not res.degenerate
         assert res.identity_defect_max <= 1e-12
 
-    def test_linear_flow_is_flagged_degenerate(self):
+    @pytest.mark.parametrize(
+        "p, widths, t_final",
+        [
+            pytest.param(
+                KdvParams(a=1.0, b=0.0, dt=1e-3, t_final=1.0, m=256),
+                (0.4, 0.3, 0.2),
+                0.5,
+                id="m256",
+            ),
+            # the desk profile's size, where per-step rounding of the linear
+            # flow would otherwise pile up above the degeneracy threshold
+            pytest.param(
+                desk_params(b=0.0, t_final=0.1), (0.4, 0.2, 0.1), 0.1, id="desk"
+            ),
+        ],
+    )
+    def test_linear_flow_is_flagged_degenerate(self, p, widths, t_final):
         """No nonlinearity, no signal: the fit must refuse, not extrapolate."""
-        p = KdvParams(a=1.0, b=0.0, dt=1e-3, t_final=1.0, m=256)
-        res = epsilon_sweep([0.4, 0.3, 0.2], p, t_final=0.5)
+        res = epsilon_sweep(widths, p, t_final=t_final)
         assert res.degenerate
         assert math.isnan(res.fitted_slope)
+        assert all(err <= _DEGENERATE_ERROR for err in res.errors_at_t)

@@ -12,8 +12,6 @@ from kdvtorus.fields import (
     analyze,
     convolve_exact,
     field_from_half_spectrum,
-    field_from_json_records,
-    field_to_json_records,
     half_spectrum,
     l2_norm,
     physical_l2_norm,
@@ -196,11 +194,6 @@ class TestSerialization:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
             read_field_csv(path)
-
-    def test_json_records_round_trip(self):
-        f = FourierField.from_modes({1: 1 + 2j, -1: 1 - 2j}, cutoff=3)
-        g = field_from_json_records(field_to_json_records(f))
-        assert np.array_equal(g.coeffs, f.coeffs)
 
 
 class TestRandomRealField:
