@@ -43,7 +43,6 @@ from .integrator import (
     TrajectoryRecord,
     desk_params,
     evolve,
-    from_interaction_picture,
     linear_propagator,
     nonlinear_term,
     paper_params,
@@ -104,8 +103,7 @@ __all__ = [
     "write_field_csv", "read_field_csv",
     # integrator
     "Scheme", "KdvParams", "TrajectoryRecord", "desk_params", "paper_params",
-    "evolve", "linear_propagator", "to_interaction_picture",
-    "from_interaction_picture", "nonlinear_term",
+    "evolve", "linear_propagator", "to_interaction_picture", "nonlinear_term",
     # normal form
     "ResonanceClass", "AprioriRatios", "classify_resonance", "cubic_phase",
     "quartic_phase", "rhs_v", "b2", "b3", "b4", "b4_split", "resonant_term",

@@ -1,6 +1,8 @@
 """Command-line driver: subcommands, config files, and artifact emission.
 
-Precedence for every numeric knob: built-in defaults < profile < config
+Every key is declared once, in ``_KEYS`` (parser or choices, help); its flag
+is ``--`` plus the key with dashes, and config-file values go through the
+same parser. Precedence for every key: built-in defaults < profile < config
 file < explicit flags. Artifacts (CSV/JSON/SVG plus a manifest) land in
 --out, or under $KDVTORUS_OUTPUT_ROOT/<subcommand> when --out is absent.
 CSV payloads are byte-identical across reruns of the same configuration;
@@ -29,8 +31,8 @@ from .experiments import (
     pullback_comparison,
     return_experiment,
 )
-from .fields import Grid, FourierField, l2_norm, random_real_field, synthesize, write_field_csv
-from .integrator import KdvParams, Scheme
+from .fields import Grid, l2_norm, random_real_field, synthesize, write_field_csv
+from .integrator import KdvParams, Scheme, desk_params, paper_params
 from .normal_form import (
     CENSUS_SEED,
     check_cube_identity,
@@ -47,11 +49,63 @@ ENV_OUTPUT_ROOT = "KDVTORUS_OUTPUT_ROOT"
 
 #: Scheme/step presets; "paper" reproduces the reference runs (slow).
 PROFILES = {
-    "desk": {"scheme": "if-rk4", "dt": 1.0e-5},
-    "paper": {"scheme": "fornberg-whitham", "dt": 1.0e-7},
+    name: {"scheme": p.scheme.value, "dt": p.dt}
+    for name, p in (("desk", desk_params()), ("paper", paper_params()))
 }
 
-# Per-subcommand defaults; also the authority on config-key names and types.
+
+def _parse_float_list(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {text!r} as a comma-separated float list") from exc
+
+
+def _parse_bool(text: str) -> bool:
+    low = text.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"cannot parse {text!r} as a boolean")
+
+
+# Every key once: (parser, or tuple of choices; help). _parse_bool keys
+# become --key/--no-key flags.
+_KEYS: dict[str, tuple] = {
+    "profile": (tuple(sorted(PROFILES)), "scheme/step preset"),
+    "epsilon": (float, "odd-Gaussian width, in (0, 1]"),
+    "amplitude": (float, "odd-Gaussian amplitude"),
+    "epsilons": (_parse_float_list, "comma-separated widths, e.g. 0.4,0.2,0.1"),
+    "a": (float, "dispersion coefficient"),
+    "b": (float, "nonlinearity coefficient"),
+    "m": (int, "grid size (power of two)"),
+    "t_final": (float, "final time"),
+    "dt": (float, "time step (overrides profile)"),
+    "scheme": (tuple(s.value for s in Scheme), "time stepper (overrides profile)"),
+    "dealias": (_parse_bool, "2/3-rule dealiasing of the quadratic term"),
+    "samples": (int, "number of sample times"),
+    "support": (int, "residual-probe field support"),
+    "cutoff": (int, "residual-probe field cutoff"),
+    "seed": (int, "residual-probe field seed"),
+    "t": (float, "residual-probe time"),
+    "dts": (_parse_float_list, "comma-separated residual-probe steps"),
+    "small_dt": (float, "step of the small-step residual"),
+    "census_count": (int, "ratio-census field count"),
+    "census_support": (int, "ratio-census field support"),
+    "identity_limit": (int, "identity checks cover |k| <= this"),
+    "limit": (int, "identity checks cover |k| <= this"),
+    "delta": (float, "balanced smallness parameter"),
+    "eps": (float, "width parameter, in (0, 1]"),
+    "threshold": (float, "upper bound on alpha_eps and beta_eps"),
+    "a_phys": (float, "amplitude (m)"),
+    "h0": (float, "rest depth (m)"),
+    "l": (float, "wavelength (m)"),
+    "g": (float, "gravity (m/s^2)"),
+    "emit_json": (_parse_bool, "write regime.json"),
+}
+
+# Per-subcommand keys and defaults; dt/scheme come from the profile.
 _DEFAULTS: dict[str, dict] = {
     "simulate": {
         "profile": "desk", "epsilon": 0.4, "amplitude": 1.0, "a": 1.0, "b": 1.0,
@@ -85,43 +139,25 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
+def _parse_value(key: str, raw: str):
+    """Parse a config-file value the way its flag is parsed."""
+    kind = _KEYS[key][0]
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise ConfigError(f"config key {key}: {raw!r} is not one of {list(kind)}")
+        return raw
     try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
+        return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {text!r} as a comma-separated float list") from exc
+        raise ConfigError(f"config key {key}: {exc}") from exc
 
 
-def _coerce(key: str, raw: str, template):
-    """Parse a config-file value to the type of its default."""
-    if isinstance(template, bool):
-        low = raw.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"config key {key}: cannot parse {raw!r} as a boolean")
-    if isinstance(template, int) and not isinstance(template, bool):
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key}: cannot parse {raw!r} as an integer") from exc
-    if isinstance(template, tuple):
-        return _parse_float_list(raw)
-    if isinstance(template, float) or template is None:
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key}: cannot parse {raw!r} as a number") from exc
-    return raw.strip()
-
-
-def load_config(path, allowed: dict | None = None) -> dict:
+def load_config(path, allowed=None) -> dict:
     """Parse a flat key=value config file (# comments, blank lines allowed).
 
-    With an `allowed` template dict, keys are validated against it and
-    values coerced to the template types; unknown keys raise ConfigError
-    naming the key.
+    With `allowed` (the subcommand's key names), unknown keys raise
+    ConfigError naming the key and each value is parsed like its flag;
+    without it, values stay strings.
     """
     cfg: dict = {}
     try:
@@ -137,51 +173,35 @@ def load_config(path, allowed: dict | None = None) -> dict:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if allowed is not None:
-            if key == "profile":
-                cfg[key] = raw
-                continue
-            if key not in allowed:
-                raise ConfigError(f"unknown config key: {key}")
-            cfg[key] = _coerce(key, raw, allowed[key])
-        else:
+        if allowed is None:
             cfg[key] = raw
+        elif key not in allowed:
+            raise ConfigError(f"unknown config key: {key}")
+        else:
+            cfg[key] = _parse_value(key, raw)
     return cfg
 
 
 def _resolve(command: str, args: argparse.Namespace) -> dict:
     """Merge defaults, profile, config file, and explicit flags."""
     defaults = _DEFAULTS[command]
-    cfg = dict(defaults)
-    file_cfg = {}
-    if getattr(args, "config", None):
-        file_cfg = load_config(args.config, allowed=defaults)
+    file_cfg = load_config(args.config, allowed=defaults) if args.config else {}
     flag_cfg = {
         key: value
         for key, value in vars(args).items()
         if key in defaults and value is not None
     }
-    profile = None
+    cfg = dict(defaults)
     if "profile" in defaults:
-        profile = flag_cfg.get("profile") or file_cfg.get("profile") or defaults["profile"]
-        if profile not in PROFILES:
-            raise ConfigError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
+        profile = flag_cfg.get("profile") or file_cfg.get("profile") or cfg["profile"]
         cfg.update(PROFILES[profile])
-        cfg["profile"] = profile
-    for key, value in file_cfg.items():
-        if key != "profile":
-            cfg[key] = value
-    for key, value in flag_cfg.items():
-        if key != "profile":
-            cfg[key] = value
-    missing = [k for k, v in cfg.items() if v is None and k in ("dt", "scheme")]
-    if missing:
-        raise ConfigError(f"unresolved config keys: {missing}")
+    cfg.update(file_cfg)
+    cfg.update(flag_cfg)
     return cfg
 
 
 def _outdir(args: argparse.Namespace, command: str) -> Path:
-    if getattr(args, "out", None):
+    if args.out:
         path = Path(args.out)
     else:
         root = os.environ.get(ENV_OUTPUT_ROOT, "kdvtorus-runs")
@@ -232,18 +252,19 @@ def _kdv_params(cfg: dict, t_final: float) -> KdvParams:
     )
 
 
-def _physical_series(label: str, fld: FourierField, m: int) -> LineSeries:
-    xs = Grid(m).points
-    return LineSeries(label=label, xs=tuple(xs), ys=tuple(synthesize(fld, m)))
-
-
-def _spectrum_series(label: str, fld: FourierField) -> LineSeries:
-    ks = range(1, fld.cutoff + 1)
-    return LineSeries(
-        label=label,
-        xs=tuple(float(k) for k in ks),
-        ys=tuple(abs(fld.mode(k)) for k in ks),
-    )
+def _plot_fields(path: Path, fields, title: str, m: int | None = None) -> None:
+    """Plot (label, field) pairs: profiles u(x) on an m-point grid, or |u_k| without m."""
+    if m is None:
+        series = [
+            LineSeries(label, tuple(np.arange(1.0, fld.cutoff + 1)),
+                       tuple(np.abs(fld.coeffs[fld.cutoff + 1:])))
+            for label, fld in fields
+        ]
+        write_line_plot(path, series, title=title, xlabel="k", ylabel="|u_k|", logy=True)
+    else:
+        xs = tuple(Grid(m).points)
+        series = [LineSeries(label, xs, tuple(synthesize(fld, m))) for label, fld in fields]
+        write_line_plot(path, series, title=title, xlabel="x", ylabel="u(x)")
 
 
 # ---------------------------------------------------------------------------
@@ -268,22 +289,9 @@ def _cmd_simulate(cfg: dict, outdir: Path):
         title="Deviation from the free flow",
         xlabel="t", ylabel="l2 deviation",
     )
-    write_line_plot(
-        outdir / "physical.svg",
-        [
-            _physical_series("initial", report.initial, cfg["m"]),
-            _physical_series(f"t = {record.times[-1]:.4g}", record.snapshots[-1], cfg["m"]),
-        ],
-        title="Physical-space profiles", xlabel="x", ylabel="u(x)",
-    )
-    write_line_plot(
-        outdir / "spectrum.svg",
-        [
-            _spectrum_series("initial", report.initial),
-            _spectrum_series(f"t = {record.times[-1]:.4g}", record.snapshots[-1]),
-        ],
-        title="Mode amplitudes", xlabel="k", ylabel="|u_k|", logy=True,
-    )
+    pair = [("initial", report.initial), (f"t = {record.times[-1]:.4g}", record.snapshots[-1])]
+    _plot_fields(outdir / "physical.svg", pair, "Physical-space profiles", cfg["m"])
+    _plot_fields(outdir / "spectrum.svg", pair, "Mode amplitudes")
     results = {
         "terminal_deviation": report.errors[-1],
         "identity_defect_max": report.identity_defect_max,
@@ -309,25 +317,12 @@ def _cmd_return_test(cfg: dict, outdir: Path):
     write_field_csv(report.initial, outdir / "spectrum_initial.csv")
     write_field_csv(report.final, outdir / "spectrum_final.csv")
     write_field_csv(report.snapshot, outdir / "spectrum_snapshot.csv")
-    write_line_plot(
-        outdir / "spectrum_pair.svg",
-        [_spectrum_series("initial", report.initial),
-         _spectrum_series("after one period", report.final)],
-        title="Mode amplitudes: initial vs one period",
-        xlabel="k", ylabel="|u_k|", logy=True,
-    )
-    write_line_plot(
-        outdir / "physical_pair.svg",
-        [_physical_series("initial", report.initial, cfg["m"]),
-         _physical_series("after one period", report.final, cfg["m"])],
-        title="Return after one linear period", xlabel="x", ylabel="u(x)",
-    )
-    write_line_plot(
-        outdir / "physical_snapshot.svg",
-        [_physical_series("initial", report.initial, cfg["m"]),
-         _physical_series(f"t = {report.snapshot_time:.4g}", report.snapshot, cfg["m"])],
-        title="Short-time dispersion", xlabel="x", ylabel="u(x)",
-    )
+    pair = [("initial", report.initial), ("after one period", report.final)]
+    _plot_fields(outdir / "spectrum_pair.svg", pair, "Mode amplitudes: initial vs one period")
+    _plot_fields(outdir / "physical_pair.svg", pair, "Return after one linear period", cfg["m"])
+    _plot_fields(outdir / "physical_snapshot.svg",
+                 [pair[0], (f"t = {report.snapshot_time:.4g}", report.snapshot)],
+                 "Short-time dispersion", cfg["m"])
     write_line_plot(
         outdir / "deviation_vs_t.svg",
         [LineSeries("|v(t) - v(0)|", report.sample_times, report.nl_errors)],
@@ -357,20 +352,11 @@ def _cmd_pullback(cfg: dict, outdir: Path):
     write_field_csv(report.initial, outdir / "spectrum_initial.csv")
     write_field_csv(report.evolved, outdir / "spectrum_evolved.csv")
     write_field_csv(report.pulled_back, outdir / "spectrum_pulled_back.csv")
-    write_line_plot(
-        outdir / "physical_pullback.svg",
-        [_physical_series("initial", report.initial, cfg["m"]),
-         _physical_series("pulled back", report.pulled_back, cfg["m"]),
-         _physical_series(f"evolved (t = {report.t_final:.4g})", report.evolved, cfg["m"])],
-        title="Reverse-linear pullback", xlabel="x", ylabel="u(x)",
-    )
-    write_line_plot(
-        outdir / "spectrum_pullback.svg",
-        [_spectrum_series("initial", report.initial),
-         _spectrum_series("pulled back", report.pulled_back)],
-        title="Mode amplitudes: initial vs pulled back",
-        xlabel="k", ylabel="|u_k|", logy=True,
-    )
+    pair = [("initial", report.initial), ("pulled back", report.pulled_back)]
+    _plot_fields(outdir / "physical_pullback.svg",
+                 pair + [(f"evolved (t = {report.t_final:.4g})", report.evolved)],
+                 "Reverse-linear pullback", cfg["m"])
+    _plot_fields(outdir / "spectrum_pullback.svg", pair, "Mode amplitudes: initial vs pulled back")
     results = {
         "discrepancy_rel": report.discrepancy_rel,
         "energy_drift": report.energy_drift,
@@ -525,98 +511,39 @@ def _cmd_shallow_water(cfg: dict, outdir: Path):
     return 0, artifacts, {}, results
 
 
-_HANDLERS = {
-    "simulate": _cmd_simulate,
-    "return-test": _cmd_return_test,
-    "pullback": _cmd_pullback,
-    "sweep": _cmd_sweep,
-    "normalform-check": _cmd_normalform_check,
-    "identities": _cmd_identities,
-    "shallow-water": _cmd_shallow_water,
+_COMMANDS = {
+    "simulate": (_cmd_simulate, "evolve odd-Gaussian data, track the deviation"),
+    "return-test": (_cmd_return_test, "one full linear period, return error"),
+    "pullback": (_cmd_pullback, "reverse-linear pullback comparison"),
+    "sweep": (_cmd_sweep, "deviation scaling across profile widths"),
+    "normalform-check": (_cmd_normalform_check, "operator identity diagnostics"),
+    "identities": (_cmd_identities, "exhaustive integer identity checks"),
+    "shallow-water": (_cmd_shallow_water, "physical-to-KdV regime report"),
 }
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value config file")
-    sub.add_argument("--out", "-o", help="output directory (default: "
-                     f"${ENV_OUTPUT_ROOT}/<subcommand>)")
-
-
-def _add_run_options(sub: argparse.ArgumentParser, with_t_final: bool = True) -> None:
-    sub.add_argument("--profile", choices=sorted(PROFILES))
-    sub.add_argument("--a", type=float, help="dispersion coefficient")
-    sub.add_argument("--b", type=float, help="nonlinearity coefficient")
-    sub.add_argument("--m", type=int, help="grid size (power of two)")
-    sub.add_argument("--dt", type=float, help="time step (overrides profile)")
-    sub.add_argument("--scheme", choices=[s.value for s in Scheme],
-                     help="time stepper (overrides profile)")
-    sub.add_argument("--dealias", action=argparse.BooleanOptionalAction, default=None,
-                     help="2/3-rule dealiasing of the quadratic term")
-    if with_t_final:
-        sub.add_argument("--t-final", dest="t_final", type=float)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command; its flags are generated from _DEFAULTS and _KEYS."""
     parser = argparse.ArgumentParser(
         prog="kdvtorus",
         description="Spectral simulation and verification toolkit for periodic KdV.",
     )
     parser.add_argument("--version", action="version", version=f"kdvtorus {__version__}")
     subs = parser.add_subparsers(dest="command")
-
-    sim = subs.add_parser("simulate", help="evolve odd-Gaussian data, track the deviation")
-    _add_common(sim)
-    _add_run_options(sim)
-    sim.add_argument("--epsilon", type=float)
-    sim.add_argument("--amplitude", type=float)
-    sim.add_argument("--samples", type=int, help="number of sample times")
-
-    ret = subs.add_parser("return-test", help="one full linear period, return error")
-    _add_common(ret)
-    _add_run_options(ret, with_t_final=False)
-    ret.add_argument("--epsilon", type=float)
-    ret.add_argument("--amplitude", type=float)
-
-    pull = subs.add_parser("pullback", help="reverse-linear pullback comparison")
-    _add_common(pull)
-    _add_run_options(pull)
-    pull.add_argument("--epsilon", type=float)
-    pull.add_argument("--amplitude", type=float)
-
-    sweep = subs.add_parser("sweep", help="deviation scaling across profile widths")
-    _add_common(sweep)
-    _add_run_options(sweep)
-    sweep.add_argument("--epsilons", type=_parse_float_list,
-                       help="comma-separated widths, e.g. 0.4,0.2,0.1")
-
-    nf = subs.add_parser("normalform-check", help="operator identity diagnostics")
-    _add_common(nf)
-    nf.add_argument("--support", type=int)
-    nf.add_argument("--cutoff", type=int)
-    nf.add_argument("--seed", type=int)
-    nf.add_argument("--t", type=float)
-    nf.add_argument("--dts", type=_parse_float_list)
-    nf.add_argument("--small-dt", dest="small_dt", type=float)
-    nf.add_argument("--census-count", dest="census_count", type=int)
-    nf.add_argument("--census-support", dest="census_support", type=int)
-    nf.add_argument("--identity-limit", dest="identity_limit", type=int)
-
-    ids = subs.add_parser("identities", help="exhaustive integer identity checks")
-    _add_common(ids)
-    ids.add_argument("--limit", type=int)
-
-    sw = subs.add_parser("shallow-water", help="physical-to-KdV regime report")
-    _add_common(sw)
-    sw.add_argument("--delta", type=float)
-    sw.add_argument("--eps", type=float)
-    sw.add_argument("--threshold", type=float)
-    sw.add_argument("--a-phys", dest="a_phys", type=float, help="amplitude (m)")
-    sw.add_argument("--h0", type=float, help="rest depth (m)")
-    sw.add_argument("--l", type=float, help="wavelength (m)")
-    sw.add_argument("--g", type=float, help="gravity (m/s^2)")
-    sw.add_argument("--emit-json", dest="emit_json",
-                    action=argparse.BooleanOptionalAction, default=None)
-
+    for command, (_, command_help) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=command_help)
+        sub.add_argument("--config", help="flat key=value config file")
+        sub.add_argument("--out", "-o", help="output directory (default: "
+                         f"${ENV_OUTPUT_ROOT}/<subcommand>)")
+        for key in _DEFAULTS[command]:
+            kind, key_help = _KEYS[key]
+            if kind is _parse_bool:
+                option = {"action": argparse.BooleanOptionalAction}
+            elif isinstance(kind, tuple):
+                option = {"choices": kind}
+            else:
+                option = {"type": kind}
+            sub.add_argument("--" + key.replace("_", "-"), help=key_help, **option)
     return parser
 
 
@@ -638,7 +565,7 @@ def run(argv) -> int:
         cfg = _resolve(args.command, args)
         outdir = _outdir(args, args.command)
         started = time.perf_counter()
-        code, artifacts, seeds, results = _HANDLERS[args.command](cfg, outdir)
+        code, artifacts, seeds, results = _COMMANDS[args.command][0](cfg, outdir)
         wall = time.perf_counter() - started
         _manifest(outdir, args.command, cfg, seeds, artifacts, wall, results)
         return code

@@ -46,7 +46,6 @@ __all__ = [
     "paper_params",
     "linear_propagator",
     "to_interaction_picture",
-    "from_interaction_picture",
     "nonlinear_term",
     "evolve",
 ]
@@ -124,33 +123,13 @@ class KdvParams:
 
 
 def desk_params(**overrides) -> KdvParams:
-    """Desk profile: IF-RK4 at dt = 1e-5, m = 2**9 (minutes per run)."""
-    base = dict(
-        a=1.0,
-        b=1.0,
-        dt=1.0e-5,
-        t_final=1.0,
-        m=512,
-        scheme=Scheme.INTEGRATING_FACTOR_RK4,
-        dealias=True,
-    )
-    base.update(overrides)
-    return KdvParams(**base)
+    """Desk profile, the ``KdvParams`` defaults: IF-RK4 at dt = 1e-5 (minutes per run)."""
+    return KdvParams(**overrides)
 
 
 def paper_params(**overrides) -> KdvParams:
     """Full-fidelity profile: leapfrog at dt = 1e-7 (hours per run)."""
-    base = dict(
-        a=1.0,
-        b=1.0,
-        dt=1.0e-7,
-        t_final=1.0,
-        m=512,
-        scheme=Scheme.FORNBERG_WHITHAM,
-        dealias=True,
-    )
-    base.update(overrides)
-    return KdvParams(**base)
+    return KdvParams(**{"scheme": Scheme.FORNBERG_WHITHAM, "dt": 1.0e-7, **overrides})
 
 
 @dataclass
@@ -218,13 +197,11 @@ def linear_propagator(fld: FourierField, t: float, a: float) -> FourierField:
 
 
 def to_interaction_picture(u: FourierField, t: float, a: float) -> FourierField:
-    """Change of variable ``v_k = u_k * exp(+i*a*k^3*t)`` removing the linear flow."""
+    """Change of variable ``v_k = u_k * exp(+i*a*k^3*t)`` removing the linear flow.
+
+    Its inverse is :func:`linear_propagator` at the same t.
+    """
     return FourierField(u.coeffs * _phase_array(u, t, a, +1.0))
-
-
-def from_interaction_picture(v: FourierField, t: float, a: float) -> FourierField:
-    """Inverse of :func:`to_interaction_picture`."""
-    return FourierField(v.coeffs * _phase_array(v, t, a, -1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,91 @@ class TestConfigFile:
             load_config(cfg, allowed={"delta": 0.01})
 
 
+# Every key of every subcommand, each with a small run's non-default value.
+KEY_VALUES = {
+    "simulate": {
+        "profile": "paper", "epsilon": 0.3, "amplitude": 0.5, "a": 0.5, "b": 0.5,
+        "m": 64, "t_final": 0.01, "dt": 1e-3, "scheme": "if-rk4", "dealias": False,
+        "samples": 2,
+    },
+    "return-test": {
+        "profile": "desk", "epsilon": 0.3, "amplitude": 0.5, "a": 1.0, "b": 0.5,
+        "m": 32, "dt": 2e-3, "scheme": "fornberg-whitham", "dealias": False,
+    },
+    "pullback": {
+        "profile": "paper", "epsilon": 0.3, "amplitude": 0.5, "a": 0.5, "b": 1.0,
+        "m": 64, "t_final": 0.01, "dt": 1e-3, "scheme": "fornberg-whitham",
+        "dealias": True,
+    },
+    "sweep": {
+        "profile": "paper", "epsilons": (0.4, 0.3, 0.2), "a": 0.5, "b": 0.5,
+        "m": 64, "t_final": 0.01, "dt": 1e-3, "scheme": "if-rk4", "dealias": False,
+    },
+    "normalform-check": {
+        "support": 3, "cutoff": 12, "seed": 1, "t": 0.2,
+        "dts": (1e-3, 5e-4, 2.5e-4), "small_dt": 2e-5,
+        "census_count": 2, "census_support": 8, "identity_limit": 6,
+    },
+    "identities": {"limit": 6},
+    "shallow-water": {
+        "delta": 0.02, "eps": 0.5, "threshold": 0.2,
+        "a_phys": 1.0, "h0": 100.0, "l": 1000.0, "g": 9.8, "emit_json": False,
+    },
+}
+
+
+def as_text(value):
+    if isinstance(value, tuple):
+        return ",".join(repr(v) for v in value)
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+class TestKeySources:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command", sorted(KEY_VALUES))
+    def test_every_key_lands_in_the_manifest(self, command, source, tmp_path):
+        """A key set by flag or by config file is parsed the same way."""
+        values = KEY_VALUES[command]
+        argv = [command, "--out", str(tmp_path / "out")]
+        if source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("".join(f"{k} = {as_text(v)}\n" for k, v in values.items()))
+            argv += ["--config", str(cfg)]
+        else:
+            for key, value in values.items():
+                flag = key.replace("_", "-")
+                if isinstance(value, bool):
+                    argv.append(f"--{flag}" if value else f"--no-{flag}")
+                else:
+                    argv += [f"--{flag}", as_text(value)]
+        assert run(argv) == 0
+        params = read_manifest(tmp_path / "out")["parameters"]
+        assert params == {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+
+    @pytest.mark.parametrize("command", ["identities", "normalform-check", "shallow-water"])
+    def test_profile_is_unknown_without_profiles(self, command, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("profile = paper\n")
+        assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert "unknown config key: profile" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("scheme = euler", "config key scheme: 'euler' is not one of"),
+            ("profile = nonsense", "config key profile: 'nonsense' is not one of"),
+            ("dealias = maybe", "config key dealias: cannot parse 'maybe' as a boolean"),
+            ("m = 1e3", "config key m:"),
+        ],
+        ids=["scheme", "profile", "dealias", "m"],
+    )
+    def test_bad_values_are_rejected(self, line, message, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+        assert message in capsys.readouterr().err
+
+
 class TestSimulate:
     def test_small_run_produces_the_full_artifact_set(self, tmp_path):
         rc = run([

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdvtorus.errors import CorruptFieldError, GridError
 from kdvtorus.fields import (
@@ -138,6 +140,64 @@ class TestHalfSpectrum:
         f = random_real_field(rng, support=6, cutoff=15)
         back = field_from_half_spectrum(half_spectrum(f, 32), 32)
         assert l2_norm(back - f) < 1e-13
+
+
+@st.composite
+def real_fields(draw):
+    """A real field: any cutoff, support, scale and real mean."""
+    cutoff = draw(st.integers(1, 40))
+    support = draw(st.integers(1, cutoff))
+    f = draw(st.floats(1e-3, 1e3)) * random_real_field(
+        draw(st.integers(0, 2**32 - 1)), support=support, cutoff=cutoff
+    )
+    return f.with_mode(0, draw(st.floats(-10.0, 10.0)))
+
+
+def grid_for(cutoff, extra):
+    """The smallest power-of-two grid holding the cutoff, doubled `extra` times."""
+    m = 4
+    while m < 2 * cutoff + 2:
+        m *= 2
+    return m << extra
+
+
+class TestRoundTripProperties:
+    """The transform pairs keep reality and zero mean on any real input."""
+
+    @given(f=real_fields(), extra=st.integers(0, 2))
+    @settings(deadline=None, max_examples=80)
+    def test_synthesis_then_analysis(self, f, extra):
+        m = grid_for(f.cutoff, extra)
+        samples = synthesize(f, m)
+        assert samples.dtype == np.float64
+        g = analyze(samples)
+        assert g.mean_mode() == 0 and g.reality_defect() == 0.0
+        assert l2_norm(g - f.zero_mean().with_cutoff(g.cutoff)) <= 1e-13 * l2_norm(f)
+
+    @given(
+        samples=st.integers(2, 7).flatmap(
+            lambda p: st.lists(st.floats(-1e3, 1e3), min_size=2**p, max_size=2**p)
+        )
+    )
+    @settings(deadline=None, max_examples=80)
+    def test_analysis_of_any_samples(self, samples):
+        """Analysis drops the mean (and the Nyquist mode) and is idempotent."""
+        g = analyze(samples)
+        assert g.mean_mode() == 0 and g.reality_defect() == 0.0
+        back = synthesize(g, len(samples))
+        scale = 1.0 + float(np.max(np.abs(samples)))
+        assert abs(float(np.mean(back))) <= 1e-12 * scale
+        assert l2_norm(analyze(back) - g) <= 1e-12 * scale
+
+    @given(f=real_fields(), extra=st.integers(0, 2))
+    @settings(deadline=None, max_examples=80)
+    def test_half_spectrum_then_field(self, f, extra):
+        m = grid_for(f.cutoff, extra)
+        half = half_spectrum(f, m)
+        assert half[0] == m * f.mean_mode() and half[-1] == 0
+        g = field_from_half_spectrum(half, m)
+        assert g.mean_mode() == 0 and g.reality_defect() == 0.0
+        assert l2_norm(g - f.zero_mean().with_cutoff(g.cutoff)) <= 1e-15 * l2_norm(f)
 
 
 class TestNorms:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdvtorus.errors import GridError, InstabilityError
 from kdvtorus.fields import FourierField, convolve_exact, l2_norm, random_real_field
@@ -12,7 +14,6 @@ from kdvtorus.integrator import (
     Scheme,
     desk_params,
     evolve,
-    from_interaction_picture,
     linear_propagator,
     nonlinear_term,
     paper_params,
@@ -67,7 +68,7 @@ class TestLinearPropagator:
     def test_interaction_picture_maps_are_mutually_inverse(self):
         f = random_real_field(5, support=6, cutoff=8)
         v = to_interaction_picture(f, 0.7, a=1.0)
-        assert l2_norm(from_interaction_picture(v, 0.7, a=1.0) - f) < 1e-14
+        assert l2_norm(linear_propagator(v, 0.7, a=1.0) - f) < 1e-14
 
 
 class TestNonlinearTerm:
@@ -90,6 +91,27 @@ class TestNonlinearTerm:
             for k in range(-out.cutoff, out.cutoff + 1):
                 want = 0.5j * k * 1.3 * conv.mode(k) if abs(k) <= kc else 0.0
                 assert out.mode(k) == pytest.approx(want, abs=1e-12)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cutoff=st.integers(2, 24),
+        data=st.data(),
+        b=st.floats(-3.0, 3.0),
+    )
+    @settings(deadline=None, max_examples=60)
+    def test_matches_the_exact_convolution_on_the_dealiased_range(self, seed, cutoff, data, b):
+        """Any support up to the cutoff K: the 2/3 rule keeps |k| <= 2K/3 exact."""
+        u = random_real_field(seed, support=data.draw(st.integers(1, cutoff)), cutoff=cutoff)
+        kc = (2 * cutoff) // 3
+        conv = convolve_exact(u.with_cutoff(kc), u.with_cutoff(kc))
+        want = FourierField.from_modes(
+            {k: 0.5j * k * b * conv.mode(k) for k in range(-kc, kc + 1)}, cutoff=cutoff
+        )
+        out = nonlinear_term(u, b=b)
+        assert out.mean_mode() == 0
+        scale = (1.0 + abs(b)) * cutoff * l2_norm(u) ** 2
+        assert l2_norm(out - want) <= 1e-14 * scale
+        assert out.reality_defect() <= 1e-14 * scale
 
     def test_output_is_reality_respecting(self):
         u = random_real_field(13, support=10, cutoff=15)
