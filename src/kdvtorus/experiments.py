@@ -142,14 +142,19 @@ def near_linearity_report(
     rather than returning corrupt diagnostics.  Momentum is checked against
     its structural zero.
     """
-    record = evolve(phi, p, sample_times)
-    phi_run = phi.with_cutoff(p.m // 2 - 1).zero_mean()
+    return _audit(evolve(phi, p, sample_times), phi)
+
+
+def _audit(record: TrajectoryRecord, phi: FourierField) -> NearLinearityReport:
+    """Deviation series of phi's evolution, with the identity and momentum checks."""
+    a = record.params.a
+    phi_run = phi.with_cutoff(record.params.cutoff).zero_mean()
     errors = []
     defect_max = 0.0
     for t, u in zip(record.times, record.snapshots):
-        v = to_interaction_picture(u, t, p.a)
+        v = to_interaction_picture(u, t, a)
         err_ip = l2_norm(v - phi_run)
-        err_phys = l2_norm(u - linear_propagator(phi_run, t, p.a))
+        err_phys = l2_norm(u - linear_propagator(phi_run, t, a))
         defect = abs(err_ip - err_phys)
         defect_max = max(defect_max, defect)
         if defect > _IDENTITY_TOLERANCE:
@@ -301,37 +306,29 @@ class SweepResult:
 _DEGENERATE_ERROR = 1.0e-13
 
 
-def _sweep_single(eps: float, p: KdvParams, t_final: float):
-    phi_raw = hermite_initial(HermiteSpec(epsilon=eps), p.m)
-    phi = (1.0 / l2_norm(phi_raw)) * phi_raw
-    p_run = replace(p, t_final=t_final)
-    report = near_linearity_report(phi, p_run, [0.0, t_final])
-    return (
-        sobolev_norm(report.initial, -0.5),
-        report.errors[-1],
-        report.record.energy_drift(),
-        report.identity_defect_max,
-    )
-
-
 def epsilon_sweep(epsilons, p: KdvParams, t_final: float) -> SweepResult:
     """Probe the deviation-vs-frequency-content scaling law.
 
     For each width the odd-Gaussian data is rescaled to unit coefficient
     norm, so its H^{-1/2} norm (which shrinks as the width does) is the
-    only moving part.  Runs execute one after another in order of
-    decreasing epsilon.
+    only moving part.  The widths are stepped together in one batched
+    ``evolve``, in order of decreasing epsilon.
     """
     eps_sorted = tuple(sorted({float(e) for e in epsilons}, reverse=True))
     if len(eps_sorted) < 3:
         raise ValueError(
             f"need at least 3 distinct widths for a meaningful fit, got {len(eps_sorted)}"
         )
-    rows = [_sweep_single(e, p, t_final) for e in eps_sorted]
-    hm_norms = tuple(r[0] for r in rows)
-    errors = tuple(r[1] for r in rows)
-    drifts = tuple(r[2] for r in rows)
-    defect = max(r[3] for r in rows)
+    fields = []
+    for eps in eps_sorted:
+        phi_raw = hermite_initial(HermiteSpec(epsilon=eps), p.m)
+        fields.append((1.0 / l2_norm(phi_raw)) * phi_raw)
+    batch = evolve(fields, replace(p, t_final=t_final), [0.0, t_final])
+    reports = [_audit(record, phi) for record, phi in zip(batch, fields)]
+    hm_norms = tuple(sobolev_norm(r.initial, -0.5) for r in reports)
+    errors = tuple(r.errors[-1] for r in reports)
+    drifts = tuple(r.record.energy_drift() for r in reports)
+    defect = max(r.identity_defect_max for r in reports)
     degenerate = any(err <= _DEGENERATE_ERROR for err in errors)
     if degenerate:
         slope = float("nan")

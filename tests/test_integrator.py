@@ -219,3 +219,49 @@ class TestEvolveBookkeeping:
         p = KdvParams(m=32, dt=1e-2, t_final=0.1)
         with pytest.raises(GridError, match="beyond the grid cutoff"):
             evolve(phi, p, sample_times=[0.1])
+
+
+class TestEvolveBatch:
+    @given(
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+        support=st.integers(1, 20),
+        amplitude=st.floats(0.01, 1.0),
+        a=st.floats(0.5, 1.5),
+        b=st.floats(-2.0, 2.0),
+        scheme=st.sampled_from(list(Scheme)),
+        times=st.lists(st.floats(0.0, 0.002), min_size=1, max_size=5).map(sorted),
+    )
+    @settings(deadline=None, max_examples=30)
+    def test_each_row_is_the_field_evolved_alone(
+        self, seeds, support, amplitude, a, b, scheme, times
+    ):
+        """Bitwise: batching changes no digit; momentum stays at its zero."""
+        fields = [amplitude * random_real_field(s, support, cutoff=31) for s in seeds]
+        p = KdvParams(a=a, b=b, dt=2e-5, t_final=0.002, m=64, scheme=scheme)
+        batch = evolve(fields, p, times)
+        assert len(batch) == len(fields)
+        assert batch.steps_total == len(fields) * 100
+        for phi, rec in zip(fields, batch):
+            alone = evolve(phi, p, times)
+            assert np.array_equal(rec.times, alone.times)
+            for got, want in zip(rec.snapshots, alone.snapshots, strict=True):
+                assert np.array_equal(got.coeffs, want.coeffs)
+            assert np.array_equal(rec.energy_series, alone.energy_series)
+            assert np.array_equal(rec.momentum_series, alone.momentum_series)
+            assert np.all(np.abs(rec.momentum_series) <= 1e-14)
+        assert batch.max_momentum() <= 1e-14
+
+    def test_one_unstable_field_stops_the_batch(self):
+        """Each field is guarded against its own initial norm."""
+        phi = random_real_field(1, support=20, cutoff=30)
+        p = KdvParams(a=1e-6, b=50.0, dt=0.5, t_final=50.0, m=64)
+        evolve(1e-9 * phi, p, sample_times=[50.0])  # stable alone
+        with pytest.raises(InstabilityError, match="field 1 exceeded"):
+            evolve([1e-9 * phi, 5.0 * phi], p, sample_times=[50.0])
+
+    def test_grid_error_names_the_offending_field_and_modes(self):
+        ok = random_real_field(5, support=4, cutoff=8)
+        bad = FourierField.from_modes({30: 1.0, -30: 1.0}, cutoff=40)
+        p = KdvParams(m=32, dt=1e-2, t_final=0.1)
+        with pytest.raises(GridError, match=r"field 1 has nonzero modes \[-30, 30\]"):
+            evolve([ok, bad], p, sample_times=[0.1])
