@@ -46,7 +46,6 @@ from .integrator import (
     linear_propagator,
     nonlinear_term,
     paper_params,
-    to_interaction_picture,
 )
 from .normal_form import (
     AprioriRatios,
@@ -103,7 +102,7 @@ __all__ = [
     "write_field_csv", "read_field_csv",
     # integrator
     "Scheme", "KdvParams", "TrajectoryRecord", "desk_params", "paper_params",
-    "evolve", "linear_propagator", "to_interaction_picture", "nonlinear_term",
+    "evolve", "linear_propagator", "nonlinear_term",
     # normal form
     "ResonanceClass", "AprioriRatios", "classify_resonance", "cubic_phase",
     "quartic_phase", "rhs_v", "b2", "b3", "b4", "b4_split", "resonant_term",

@@ -152,12 +152,11 @@ def _parse_value(key: str, raw: str):
         raise ConfigError(f"config key {key}: {exc}") from exc
 
 
-def load_config(path, allowed=None) -> dict:
+def load_config(path, allowed) -> dict:
     """Parse a flat key=value config file (# comments, blank lines allowed).
 
-    With `allowed` (the subcommand's key names), unknown keys raise
-    ConfigError naming the key and each value is parsed like its flag;
-    without it, values stay strings.
+    `allowed` holds the subcommand's key names: unknown keys raise
+    ConfigError naming the key, and each value is parsed like its flag.
     """
     cfg: dict = {}
     try:
@@ -173,12 +172,9 @@ def load_config(path, allowed=None) -> dict:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if allowed is None:
-            cfg[key] = raw
-        elif key not in allowed:
+        if key not in allowed:
             raise ConfigError(f"unknown config key: {key}")
-        else:
-            cfg[key] = _parse_value(key, raw)
+        cfg[key] = _parse_value(key, raw)
     return cfg
 
 
@@ -273,6 +269,10 @@ def _plot_fields(path: Path, fields, title: str, m: int | None = None) -> None:
 
 
 def _cmd_simulate(cfg: dict, outdir: Path):
+    if cfg["samples"] < 2:
+        raise ConfigError(
+            f"samples must be at least 2 (t = 0 and t_final), got {cfg['samples']}"
+        )
     spec = HermiteSpec(epsilon=cfg["epsilon"], amplitude=cfg["amplitude"])
     params = _kdv_params(cfg, cfg["t_final"])
     phi = hermite_initial(spec, cfg["m"])
@@ -282,14 +282,15 @@ def _cmd_simulate(cfg: dict, outdir: Path):
     rows = zip(record.times, record.energy_series, record.momentum_series, report.errors)
     _write_csv(outdir / "trajectory.csv", ["t", "energy", "momentum", "deviation"], rows)
     write_field_csv(report.initial, outdir / "spectrum_initial.csv")
-    write_field_csv(record.snapshots[-1], outdir / "spectrum_final.csv")
+    final = record.snapshot(-1)
+    write_field_csv(final, outdir / "spectrum_final.csv")
     write_line_plot(
         outdir / "deviation_vs_t.svg",
         [LineSeries("|v(t) - v(0)|", tuple(record.times), report.errors)],
         title="Deviation from the free flow",
         xlabel="t", ylabel="l2 deviation",
     )
-    pair = [("initial", report.initial), (f"t = {record.times[-1]:.4g}", record.snapshots[-1])]
+    pair = [("initial", report.initial), (f"t = {record.times[-1]:.4g}", final)]
     _plot_fields(outdir / "physical.svg", pair, "Physical-space profiles", cfg["m"])
     _plot_fields(outdir / "spectrum.svg", pair, "Mode amplitudes")
     results = {

@@ -25,13 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import FourierField, Grid, analyze, l2_norm, sobolev_norm, synthesize
-from .integrator import (
-    KdvParams,
-    TrajectoryRecord,
-    evolve,
-    linear_propagator,
-    to_interaction_picture,
-)
+from .integrator import KdvParams, TrajectoryRecord, evolve, linear_propagator
 
 __all__ = [
     "TailAliasWarning",
@@ -142,19 +136,35 @@ def near_linearity_report(
     rather than returning corrupt diagnostics.  Momentum is checked against
     its structural zero.
     """
-    return _audit(evolve(phi, p, sample_times), phi)
+    record = evolve(phi, p, sample_times)
+    _check_momentum(record)
+    phi_run = phi.with_cutoff(p.cutoff).zero_mean()
+    errors, defect_max = _audit(record, record.coeffs, phi_run)
+    return NearLinearityReport(
+        errors=errors,
+        identity_defect_max=defect_max,
+        record=record,
+        initial=phi_run,
+    )
 
 
-def _audit(record: TrajectoryRecord, phi: FourierField) -> NearLinearityReport:
-    """Deviation series of phi's evolution, with the identity and momentum checks."""
+def _audit(
+    record: TrajectoryRecord, rows: np.ndarray, phi_run: FourierField
+) -> tuple[tuple[float, ...], float]:
+    """Deviation series of one field's sample rows, with the identity check.
+
+    ``rows`` is that field's ``(S, 2K+1)`` slice of ``record.coeffs``; one
+    row is processed at a time, so no second array of that size is formed.
+    Returns the deviations and the largest identity defect.
+    """
     a = record.params.a
-    phi_run = phi.with_cutoff(record.params.cutoff).zero_mean()
+    ks3 = np.arange(-phi_run.cutoff, phi_run.cutoff + 1).astype(float) ** 3
+    phi0 = phi_run.coeffs
     errors = []
     defect_max = 0.0
-    for t, u in zip(record.times, record.snapshots):
-        v = to_interaction_picture(u, t, a)
-        err_ip = l2_norm(v - phi_run)
-        err_phys = l2_norm(u - linear_propagator(phi_run, t, a))
+    for t, u in zip(record.times, rows):
+        err_ip = float(np.linalg.norm(u * np.exp(1j * a * ks3 * t) - phi0))
+        err_phys = float(np.linalg.norm(u - phi0 * np.exp(-1j * a * ks3 * t)))
         defect = abs(err_ip - err_phys)
         defect_max = max(defect_max, defect)
         if defect > _IDENTITY_TOLERANCE:
@@ -163,17 +173,15 @@ def _audit(record: TrajectoryRecord, phi: FourierField) -> NearLinearityReport:
                 f"|v-v0| = {err_ip:.6e} vs |u - S(t)phi| = {err_phys:.6e}"
             )
         errors.append(err_ip)
+    return tuple(errors), defect_max
+
+
+def _check_momentum(record: TrajectoryRecord) -> None:
     if record.max_momentum() > _MOMENTUM_TOLERANCE:
         raise RuntimeError(
             f"momentum mode drifted to {record.max_momentum():.3e}; "
             "the discretization conserves it identically"
         )
-    return NearLinearityReport(
-        errors=tuple(errors),
-        identity_defect_max=defect_max,
-        record=record,
-        initial=phi_run,
-    )
 
 
 @dataclass(frozen=True)
@@ -220,9 +228,9 @@ def return_experiment(spec: HermiteSpec, p: KdvParams) -> ReturnReport:
     report = near_linearity_report(phi, p_run, times)
     record = report.record
     phi_run = report.initial
-    final = record.snapshots[-1]
-    snap_pos = int(np.argmin(np.abs(np.asarray(record.times) - SNAPSHOT_TIME)))
-    snapshot = record.snapshots[snap_pos]
+    final = record.snapshot(-1)
+    snap_pos = int(np.argmin(np.abs(record.times - SNAPSHOT_TIME)))
+    snapshot = record.snapshot(snap_pos)
     norm0 = l2_norm(phi_run)
     return ReturnReport(
         spec=spec,
@@ -267,7 +275,7 @@ def pullback_comparison(spec: HermiteSpec, p: KdvParams, t_final: float) -> Pull
     report = near_linearity_report(phi, p_run, [0.0, t_final])
     record = report.record
     phi_run = report.initial
-    evolved = record.snapshots[-1]
+    evolved = record.snapshot(-1)
     pulled = linear_propagator(evolved, -record.times[-1], p.a)
     return PullbackReport(
         spec=spec,
@@ -322,13 +330,14 @@ def epsilon_sweep(epsilons, p: KdvParams, t_final: float) -> SweepResult:
     fields = []
     for eps in eps_sorted:
         phi_raw = hermite_initial(HermiteSpec(epsilon=eps), p.m)
-        fields.append((1.0 / l2_norm(phi_raw)) * phi_raw)
-    batch = evolve(fields, replace(p, t_final=t_final), [0.0, t_final])
-    reports = [_audit(record, phi) for record, phi in zip(batch, fields)]
-    hm_norms = tuple(sobolev_norm(r.initial, -0.5) for r in reports)
-    errors = tuple(r.errors[-1] for r in reports)
-    drifts = tuple(r.record.energy_drift() for r in reports)
-    defect = max(r.identity_defect_max for r in reports)
+        fields.append((1.0 / l2_norm(phi_raw)) * phi_raw)  # zero-mean, run cutoff
+    record = evolve(fields, replace(p, t_final=t_final), [0.0, t_final])
+    _check_momentum(record)
+    audits = [_audit(record, rows, phi) for rows, phi in zip(record.coeffs, fields)]
+    hm_norms = tuple(sobolev_norm(phi, -0.5) for phi in fields)
+    errors = tuple(errs[-1] for errs, _ in audits)
+    drifts = tuple(float(d) for d in record.energy_drift())
+    defect = max(d for _, d in audits)
     degenerate = any(err <= _DEGENERATE_ERROR for err in errors)
     if degenerate:
         slope = float("nan")

@@ -350,14 +350,23 @@ def field_from_half_spectrum(half: np.ndarray, m: int) -> FourierField:
         raise GridError(
             f"half spectrum must have length m//2 + 1 = {m // 2 + 1}, got {half.size}"
         )
+    return FourierField(_coeffs_from_half_spectrum(half, m))
+
+
+def _coeffs_from_half_spectrum(half: np.ndarray, m: int) -> np.ndarray:
+    """Array form of :func:`field_from_half_spectrum` over any leading axes.
+
+    Maps ``(..., m//2 + 1)`` half spectra to ``(..., m - 1)`` coefficient
+    rows (modes -K..K, K = m//2 - 1).
+    """
     cutoff = m // 2 - 1
     ks = np.arange(cutoff + 1)
-    pos = np.where(ks % 2 == 0, 1.0, -1.0) * half[: cutoff + 1] / m
-    out = np.zeros(2 * cutoff + 1, dtype=np.complex128)
-    out[cutoff:] = pos
-    out[:cutoff] = np.conj(pos[1:][::-1])
-    out[cutoff] = 0.0
-    return FourierField(out)
+    pos = np.where(ks % 2 == 0, 1.0, -1.0) * half[..., : cutoff + 1] / m
+    out = np.empty(half.shape[:-1] + (2 * cutoff + 1,), dtype=np.complex128)
+    out[..., cutoff:] = pos
+    out[..., :cutoff] = np.conj(pos[..., :0:-1])
+    out[..., cutoff] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------

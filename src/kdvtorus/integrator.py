@@ -20,8 +20,9 @@ long runs.
 
 State arrays may carry a leading batch axis: ``evolve`` steps several fields
 that share one ``KdvParams`` and one set of sample times as one
-``(B, m/2+1)`` state, with FFTs along the last axis. Each row comes out
-bitwise equal to stepping that field alone.
+``(B, m/2+1)`` state, with FFTs along the last axis, and returns one
+``TrajectoryRecord`` whose arrays carry the same leading axis. Each row comes
+out bitwise equal to stepping that field alone.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .fields import (
     FourierField,
     field_from_half_spectrum,
     half_spectrum,
+    _coeffs_from_half_spectrum,
     _is_power_of_two,
 )
 
@@ -47,7 +49,6 @@ __all__ = [
     "desk_params",
     "paper_params",
     "linear_propagator",
-    "to_interaction_picture",
     "nonlinear_term",
     "evolve",
 ]
@@ -138,71 +139,49 @@ def paper_params(**overrides) -> KdvParams:
 class TrajectoryRecord:
     """Sampled output of one ``evolve`` call.
 
-    ``times`` holds the actual sample instants (requested times snapped to
-    the nearest step); all sequences have equal length, one entry per
-    requested sample.
+    ``times`` holds the S actual sample instants (requested times snapped to
+    the nearest step). ``coeffs`` has shape ``(..., S, 2K+1)``: modes -K..K
+    at each sample, K the run grid's cutoff. ``energy_series`` and
+    ``momentum_series`` have shape ``(..., S)``. The leading ``...`` is empty
+    for one field and the field axis for a batch, where ``steps_total``
+    counts field-steps (the steps of every field, summed).
     """
 
     times: np.ndarray
-    requested_times: np.ndarray
-    snapshots: list
+    coeffs: np.ndarray
     energy_series: np.ndarray
     momentum_series: np.ndarray
-    dt_effective: float
     steps_total: int
     params: KdvParams
 
-    def __post_init__(self) -> None:
-        n = len(self.times)
-        if not (
-            len(self.requested_times)
-            == len(self.snapshots)
-            == len(self.energy_series)
-            == len(self.momentum_series)
-            == n
-        ):
-            raise ValueError("trajectory series must have equal lengths")
+    def snapshot(self, i) -> FourierField:
+        """The state at sample i; for a batch, i is a (field, sample) pair."""
+        return FourierField(self.coeffs[i])
 
-    def energy_drift(self) -> float:
-        """Max relative deviation of the energy series from its first entry."""
-        if len(self.energy_series) == 0:
+    def energy_drift(self):
+        """Max relative deviation of the energy series from its first entry.
+
+        A float for one field, an array with one entry per field for a batch;
+        NaN where there are no samples or the first entry is 0.
+        """
+        energy = self.energy_series
+        if energy.shape[-1] == 0:
             return math.nan
-        e0 = float(self.energy_series[0])
-        if e0 == 0.0:
-            return math.nan
-        return float(np.max(np.abs(self.energy_series - e0)) / abs(e0))
+        dev = np.max(np.abs(energy - energy[..., :1]), axis=-1)
+        with np.errstate(invalid="ignore"):  # a zero field stays zero: 0/0 = NaN
+            drift = dev / np.abs(energy[..., 0])
+        return drift if drift.ndim else float(drift)
 
     def max_momentum(self) -> float:
-        """Largest |momentum| over the samples (should be 0 for zero-mean data)."""
-        if len(self.momentum_series) == 0:
+        """Largest |momentum| over the samples of every field (0 for zero-mean data)."""
+        if self.momentum_series.size == 0:
             return math.nan
         return float(np.max(np.abs(self.momentum_series)))
-
-
-class TrajectoryBatch(tuple):
-    """The ``TrajectoryRecord`` of each field of one batched ``evolve`` call."""
-
-    @property
-    def times(self) -> np.ndarray:
-        return self[0].times
-
-    @property
-    def steps_total(self) -> int:
-        """Field-steps: the steps of every field, summed."""
-        return sum(rec.steps_total for rec in self)
-
-    def max_momentum(self) -> float:
-        return max(rec.max_momentum() for rec in self)
 
 
 # ---------------------------------------------------------------------------
 # pointwise mode operations
 # ---------------------------------------------------------------------------
-
-
-def _phase_array(fld: FourierField, t: float, a: float, sign: float) -> np.ndarray:
-    ks = fld.wavenumbers().astype(float)
-    return np.exp(sign * 1j * a * ks**3 * t)
 
 
 def linear_propagator(fld: FourierField, t: float, a: float) -> FourierField:
@@ -211,15 +190,8 @@ def linear_propagator(fld: FourierField, t: float, a: float) -> FourierField:
     An l2 isometry for any t; at a = 1, t = 2*pi it is the identity on
     integer modes (the linear evolution is 2*pi-periodic in time).
     """
-    return FourierField(fld.coeffs * _phase_array(fld, t, a, -1.0))
-
-
-def to_interaction_picture(u: FourierField, t: float, a: float) -> FourierField:
-    """Change of variable ``v_k = u_k * exp(+i*a*k^3*t)`` removing the linear flow.
-
-    Its inverse is :func:`linear_propagator` at the same t.
-    """
-    return FourierField(u.coeffs * _phase_array(u, t, a, +1.0))
+    ks = fld.wavenumbers().astype(float)
+    return FourierField(fld.coeffs * np.exp(-1j * a * ks**3 * t))
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +311,9 @@ class _Workspace:
         """Map interaction-picture state to u at absolute time t."""
         return np.exp(-1j * t * self.k3a) * v
 
-    def energy(self, A: np.ndarray) -> float:
-        """Coefficient-scale energy sum |u_k|^2 over the symmetric range."""
-        total = abs(A[0]) ** 2 + 2.0 * float(np.sum(np.abs(A[1:]) ** 2))
+    def energy(self, A: np.ndarray) -> np.ndarray:
+        """Coefficient-scale energy sum |u_k|^2 over the symmetric range, per row."""
+        total = np.abs(A[..., 0]) ** 2 + 2.0 * np.sum(np.abs(A[..., 1:]) ** 2, axis=-1)
         return total / (self.m * self.m)
 
 
@@ -353,10 +325,10 @@ class _Workspace:
 def evolve(phi, p: KdvParams, sample_times):
     """Integrate from ``phi`` to ``p.t_final``, sampling at the given times.
 
-    ``phi`` is one ``FourierField``, which returns a ``TrajectoryRecord``, or
-    a sequence of them, which are stepped together as one batch and return
-    a ``TrajectoryBatch`` holding each field's record (bitwise equal to
-    evolving that field alone).
+    ``phi`` is one ``FourierField`` or a sequence of them. A sequence is
+    stepped together as one batch: the returned ``TrajectoryRecord`` then
+    carries a leading field axis, each row bitwise equal to evolving that
+    field alone.
 
     The requested step is refined to ``dt_eff = t_final / n`` with
     ``n = ceil(t_final / dt)``, and each sample time is snapped to the
@@ -416,19 +388,16 @@ def evolve(phi, p: KdvParams, sample_times):
     if single:
         A0 = A0[0]  # a lone field steps as a 1-D state, free of broadcasting
 
-    times: list[float] = []
-    snapshots: list[list[FourierField]] = [[] for _ in fields]
-    energies: list[list[float]] = [[] for _ in fields]
-    momenta: list[list[float]] = [[] for _ in fields]
+    times = np.asarray(sample_idx, dtype=float) * dt_eff
+    series = A0.shape[:-1] + (len(sample_idx),)  # (..., S)
+    coeffs = np.empty(series + (2 * run_cutoff + 1,), dtype=np.complex128)
+    energies = np.empty(series)
+    momenta = np.empty(series)
 
-    def record(idx: int, A_u: np.ndarray) -> None:
-        times.append(idx * dt_eff)
-        for j, row in enumerate(A_u.reshape(len(fields), -1)):
-            fld = field_from_half_spectrum(row, p.m)
-            fld.require_real()  # structural, but asserted per snapshot
-            snapshots[j].append(fld)
-            energies[j].append(ws.energy(row))
-            momenta[j].append(float(row[0].real) / p.m)
+    def record(s: int, A_u: np.ndarray) -> None:
+        coeffs[..., s, :] = _coeffs_from_half_spectrum(A_u, p.m)
+        energies[..., s] = ws.energy(A_u)
+        momenta[..., s] = A_u[..., 0].real / p.m
 
     def check_blowup(A: np.ndarray, idx: int) -> None:
         for j, (row, limit) in enumerate(zip(A.reshape(len(fields), -1), limits)):
@@ -444,7 +413,7 @@ def evolve(phi, p: KdvParams, sample_times):
     def record_due(idx: int, state_to_u) -> None:
         nonlocal pointer
         while pointer < len(sample_idx) and sample_idx[pointer] == idx:
-            record(idx, state_to_u())
+            record(pointer, state_to_u())
             pointer += 1
 
     if p.scheme is Scheme.INTEGRATING_FACTOR_RK4:
@@ -465,17 +434,11 @@ def evolve(phi, p: KdvParams, sample_times):
             check_blowup(A_cur, i + 1)
             record_due(i + 1, lambda: A_cur)
 
-    records = [
-        TrajectoryRecord(
-            times=np.asarray(times),
-            requested_times=requested,
-            snapshots=snaps,
-            energy_series=np.asarray(energy),
-            momentum_series=np.asarray(momentum),
-            dt_effective=dt_eff,
-            steps_total=n_steps,
-            params=p,
-        )
-        for snaps, energy, momentum in zip(snapshots, energies, momenta)
-    ]
-    return records[0] if single else TrajectoryBatch(records)
+    return TrajectoryRecord(
+        times=times,
+        coeffs=coeffs,
+        energy_series=energies,
+        momentum_series=momenta,
+        steps_total=len(fields) * n_steps,
+        params=p,
+    )

@@ -228,6 +228,16 @@ class TestSimulate:
         for name in ("trajectory.csv", "spectrum_initial.csv", "spectrum_final.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_fewer_than_two_samples_is_a_config_error(self, tmp_path, capsys, samples):
+        rc = run([
+            "simulate", "--m", "32", "--dt", "1e-3", "--t-final", "0.01",
+            "--samples", samples, "--out", str(tmp_path),
+        ])
+        assert rc == 1
+        assert "error: samples must be at least 2" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # rejected before any stepping
+
 
 class TestNormalFormCheck:
     def test_small_probe_passes(self, tmp_path, capsys):

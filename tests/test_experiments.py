@@ -18,7 +18,7 @@ from kdvtorus.experiments import (
     return_experiment,
 )
 from kdvtorus.fields import l2_norm, synthesize
-from kdvtorus.integrator import KdvParams, desk_params, linear_propagator
+from kdvtorus.integrator import KdvParams, Scheme, desk_params, linear_propagator
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi) / 2.0
 
@@ -93,6 +93,18 @@ class TestNearLinearity:
         assert 0.0 < report.errors[1] < report.errors[2]
         assert report.identity_defect_max <= 1e-12
         assert report.record.max_momentum() == 0.0
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_audit_matches_the_field_formula_bitwise(self, scheme):
+        """Each deviation is |S(-t) u(t) - phi| of the sampled field, every digit."""
+        phi = hermite_initial(HermiteSpec(0.2), m=512)
+        p = KdvParams(a=1.0, b=1.0, dt=1e-6, t_final=3e-4, m=512, scheme=scheme)
+        report = near_linearity_report(phi, p, np.linspace(0.0, 3e-4, 7))
+        rec = report.record
+        assert report.errors[-1] > 0.0
+        for i, t in enumerate(rec.times):
+            pulled = linear_propagator(rec.snapshot(i), -t, p.a)
+            assert report.errors[i] == l2_norm(pulled - report.initial)
 
 
 class TestReturnExperiment:
