@@ -404,11 +404,19 @@ def _cmd_sweep(cfg: dict, outdir: Path):
 
 
 def _cmd_normalform_check(cfg: dict, outdir: Path):
+    dts = tuple(cfg["dts"])
+    if len(dts) < 2 or len(set(dts)) != len(dts):
+        raise ConfigError(f"dts must hold at least two distinct steps, got {list(dts)}")
+    if not all(d > 0.0 for d in dts + (cfg["small_dt"],)):
+        raise ConfigError(
+            f"steps must be positive, got dts = {list(dts)}, small_dt = {cfg['small_dt']}"
+        )
+    if cfg["census_count"] < 1:
+        raise ConfigError(f"census_count must be at least 1, got {cfg['census_count']}")
     rng = np.random.default_rng(int(cfg["seed"]))
     v = random_real_field(rng, int(cfg["support"]), cutoff=int(cfg["cutoff"]))
     v = (1.0 / l2_norm(v)) * v
     t = float(cfg["t"])
-    dts = tuple(cfg["dts"])
     residuals = [normal_form_residual(v, t, dt) for dt in dts]
     orders = [
         math.log(residuals[i] / residuals[i + 1]) / math.log(dts[i] / dts[i + 1])

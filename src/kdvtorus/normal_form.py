@@ -32,14 +32,20 @@ operator is conjugate to its t = 0 value by a diagonal phase:
 
     Bn(v, t)_K = exp(i*K^3*t) * Bn(exp(-i*k^3*t) * v, 0)_K .
 
-``b2``, ``b3`` and ``b4`` are therefore each written once, as a t = 0
-kernel that sums over index grids on the support of v (no FFT
-factorization; the quartic sum collapses to a cubic one over the pair sum
-k3 + k4), and time enters only through that identity. :func:`rhs_v` and
-:func:`b4_split` keep explicit per-term phases as independent oracles. The
-intended support for verification runs is |k| <= 32. Outputs are truncated
-to the storage range of the input field. Summation order is fixed, so
-results are bit-reproducible.
+``b2``, ``b3`` and ``b4`` are each one t = 0 kernel; time enters only
+through that identity. At output mode K, ``k1+k2 = K-k3``, ``k1+k3 = K-k2``
+and ``k2+k3 = K-k1``, so each kernel is a convolution read at K alone:
+
+    B2_K = (w * w)_K,   w_k = v_k/k
+    B3_K = sum_{k1+k2+k3=K} alpha(k1) beta(k2) beta(k3)
+    B4_K = sum_{k1+k2+s=K} (alpha(k1) s + beta(k1)/2) beta(k2) gamma(s)
+
+with ``beta(k) = v_k/(K-k)``, ``alpha(k) = beta(k)/k``, ``gamma(s) =
+W(s)/(K-s)``, ``W(s) = sum_{k3+k4=s} v3*v4`` and W(0) := 0; each is 0 where
+its index equals K, exactly the star's exclusions. B2 is one ``np.convolve``,
+B3 and B4 one FFT along the rows of a (K, n) array. :func:`rhs_v` and
+:func:`b4_split` keep per-term phases as independent oracles. Outputs are
+truncated to the storage range of v.
 """
 
 from __future__ import annotations
@@ -195,6 +201,38 @@ def _phases(exponent: np.ndarray, t: float) -> np.ndarray | float:
     return np.exp(1j * t * exponent.astype(float))
 
 
+def _dense_support(v: FourierField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Modes -M..M (M = max |k| on the support, 0 if none), v there, w = v/k (w_0 = 0)."""
+    ks, _vals = _support(v)
+    top = int(np.max(np.abs(ks), initial=0))
+    modes = np.arange(-top, top + 1)
+    vals = v.coeffs[v.cutoff - top : v.cutoff + top + 1]
+    return modes, vals, np.divide(vals, modes, out=np.zeros_like(vals), where=modes != 0)
+
+
+def _fft_length(span: int) -> int:
+    """Smallest 2*3*5-smooth integer >= span (a fast FFT length)."""
+    rest = span
+    for p in (2, 3, 5):
+        while rest % p == 0:
+            rest //= p
+    return span if rest == 1 else _fft_length(span + 1)
+
+
+def _row_spectra(big_k: np.ndarray, modes: np.ndarray, amps: np.ndarray, n: int,
+                 shift: np.ndarray | int = 0) -> np.ndarray:
+    """Length-n FFT of each row K of ``amps_k/(K-k)`` (0 at k = K), at ``k - shift`` mod n.
+
+    With one factor shifted by K, the mean of a product of spectra is the sum
+    over indices adding up to K; n >= the convolution's span avoids wrap-around.
+    """
+    gap = big_k - modes
+    rows = np.divide(amps, gap, out=np.zeros(gap.shape, dtype=np.complex128), where=gap != 0)
+    grid = np.zeros((big_k.size, n), dtype=np.complex128)
+    grid[np.arange(big_k.size)[:, None], (modes - shift) % n] = rows
+    return np.fft.fft(grid, axis=-1)
+
+
 def _at_time(
     kernel: Callable[[FourierField], FourierField], v: FourierField, t: float
 ) -> FourierField:
@@ -247,15 +285,9 @@ def b2(v: FourierField, t: float) -> FourierField:
 
 
 def _b2_time_zero(v: FourierField) -> FourierField:
-    """B2 at t = 0: ``sum_{k1+k2=k} v1*v2/(k1*k2)``."""
-    ks, vals = _support(v)
-    cutoff = v.cutoff
-    out = np.zeros(2 * cutoff + 1, dtype=np.complex128)
-    for i in range(ks.size):
-        k1 = int(ks[i])
-        contrib = (vals[i] * vals) / (k1 * ks).astype(float)
-        _accumulate(out, k1 + ks, contrib, cutoff)
-    return FourierField(out)
+    """B2 at t = 0: the self-convolution of ``w_k = v_k / k``."""
+    w = _dense_support(v)[2]
+    return FourierField(np.convolve(w, w)).with_cutoff(v.cutoff)
 
 
 def b3(v: FourierField, t: float) -> FourierField:
@@ -269,25 +301,14 @@ def b3(v: FourierField, t: float) -> FourierField:
 
 
 def _b3_time_zero(v: FourierField) -> FourierField:
-    """B3 at t = 0: the starred triple sum with unit phases."""
-    ks, vals = _support(v)
-    cutoff = v.cutoff
-    out = np.zeros(2 * cutoff + 1, dtype=np.complex128)
-    if ks.size == 0:
-        return FourierField(out)
-    k2g, k3g = np.meshgrid(ks, ks, indexing="ij")
-    v23 = np.outer(vals, vals)
-    s23 = k2g + k3g
-    for i in range(ks.size):
-        k1 = int(ks[i])
-        denom = k1 * (k1 + k2g) * (k1 + k3g) * s23
-        valid = denom != 0
-        if not np.any(valid):
-            continue
-        ktot = (k1 + s23)[valid]
-        contrib = (vals[i] * v23[valid]) / denom[valid].astype(float)
-        _accumulate(out, ktot, contrib, cutoff)
-    return FourierField(out)
+    """B3 at t = 0: ``(alpha_K * beta_K * beta_K)(K)`` for every output mode K."""
+    modes, vals, w = _dense_support(v)
+    top = min(v.cutoff, 3 * int(modes[-1]))
+    big_k = np.arange(-top, top + 1)[:, None]
+    n = _fft_length(3 * int(modes[-1]) + top + 1)
+    alpha = _row_spectra(big_k, modes, w, n, shift=big_k)
+    beta = _row_spectra(big_k, modes, vals, n)
+    return FourierField(np.mean(alpha * beta * beta, axis=-1)).with_cutoff(v.cutoff)
 
 
 def b4(v: FourierField, t: float) -> FourierField:
@@ -303,40 +324,21 @@ def b4(v: FourierField, t: float) -> FourierField:
 
 
 def _b4_time_zero(v: FourierField) -> FourierField:
-    """Quartic operator at t = 0, collapsed over the pair sum k3 + k4.
-
-    With unit phases every term depends on (k3, k4) only through
-    ``s = k3 + k4``, so the quadruple sum reduces to a triple sum against
-    the pair convolution ``W(s) = sum_{k3+k4=s} v3*v4`` (s = 0 excluded by
-    the star): O(n^3) work on a support of n modes instead of O(n^4). The
-    phase conjugation carries this to every t; the per-term loop in
-    :func:`b4_split` cross-checks it.
-    """
-    ks, vals = _support(v)
-    cutoff = v.cutoff
-    out = np.zeros(2 * cutoff + 1, dtype=np.complex128)
-    if ks.size == 0:
-        return FourierField(out)
-    maxk = int(np.max(np.abs(ks)))
-    pair_sum = (ks[:, None] + ks[None, :]).ravel()
-    pair_val = np.outer(vals, vals).ravel()
-    off = 2 * maxk
-    w = np.bincount(pair_sum + off, weights=pair_val.real, minlength=4 * maxk + 1)
-    w = w + 1j * np.bincount(pair_sum + off, weights=pair_val.imag, minlength=4 * maxk + 1)
-    svals = np.arange(-2 * maxk, 2 * maxk + 1, dtype=np.int64)
-    live = (svals != 0) & (w != 0.0)
-    svals, w = svals[live], w[live]
-    k1g = ks[:, None, None]
-    k2g = ks[None, :, None]
-    sg = svals[None, None, :]
-    denom = k1g * (k1g + k2g) * (k1g + sg) * (k2g + sg)
-    valid = denom != 0
-    quad = vals[:, None, None] * vals[None, :, None] * w[None, None, :]
-    contrib = np.where(valid, 0.5 * (2 * sg + k1g) * quad, 0.0)
-    contrib = contrib / np.where(valid, denom, 1).astype(float)
-    ktot = np.broadcast_to(k1g + k2g + sg, contrib.shape).ravel()
-    _accumulate(out, ktot, contrib.ravel(), cutoff)
-    return FourierField(out)
+    """B4 at t = 0: a cubic sum against the pair sums ``W(s)``, s = k3 + k4."""
+    modes, vals, w = _dense_support(v)
+    reach = int(modes[-1])
+    pair = np.convolve(vals, vals)
+    pair[2 * reach] = 0.0
+    pair_modes = np.arange(-2 * reach, 2 * reach + 1)
+    top = min(v.cutoff, 4 * reach)
+    big_k = np.arange(-top, top + 1)[:, None]
+    n = _fft_length(4 * reach + top + 1)
+    alpha = _row_spectra(big_k, modes, w, n)
+    beta = _row_spectra(big_k, modes, vals, n)
+    gamma = _row_spectra(big_k, pair_modes, pair, n, shift=big_k)
+    s_gamma = _row_spectra(big_k, pair_modes, pair_modes * pair, n, shift=big_k)
+    spectral = beta * (alpha * s_gamma + 0.5 * beta * gamma)
+    return FourierField(np.mean(spectral, axis=-1)).with_cutoff(v.cutoff)
 
 
 def b4_split(v: FourierField, t: float) -> tuple[FourierField, FourierField]:

@@ -255,6 +255,28 @@ class TestNormalFormCheck:
         census = payload["ratio_census"]
         assert set(census["maxima"]) == {"r1", "r2", "r3", "r4", "r5"}
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--dts", "1e-3"], "dts must hold at least two distinct steps"),
+            (["--dts", "1e-3,1e-3"], "dts must hold at least two distinct steps"),
+            (["--dts", "1e-3,5e-4,1e-3"], "dts must hold at least two distinct steps"),
+            (["--dts", "1e-3,0"], "steps must be positive"),
+            (["--dts", "1e-3,-5e-4"], "steps must be positive"),
+            (["--small-dt", "0"], "steps must be positive"),
+            (["--census-count", "0"], "census_count must be at least 1"),
+        ],
+        ids=["one-step", "repeated", "repeated-apart", "zero", "negative",
+             "zero-small-dt", "no-census"],
+    )
+    def test_bad_steps_and_census_are_config_errors(self, tmp_path, capsys, flags, message):
+        rc = run(["normalform-check", "--support", "3", "--cutoff", "12",
+                  "--census-count", "2", "--census-support", "8",
+                  "--identity-limit", "6", *flags, "--out", str(tmp_path)])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # rejected before any residual
+
 
 class TestOutputRoot:
     def test_environment_variable_sets_the_default_root(self, tmp_path, monkeypatch):

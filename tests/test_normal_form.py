@@ -13,6 +13,9 @@ from kdvtorus.fields import FourierField, l2_norm, random_real_field, sobolev_no
 from kdvtorus.normal_form import (
     CENSUS_SEED,
     ResonanceClass,
+    _accumulate,
+    _at_time,
+    _support,
     apriori_ratios,
     b2,
     b3,
@@ -33,6 +36,85 @@ from kdvtorus.normal_form import (
 def pair_field(c: complex, k: int = 1, cutoff: int = 8) -> FourierField:
     """A single conjugate pair: c at mode k, conj(c) at mode -k."""
     return FourierField.from_modes({k: c, -k: np.conj(c)}, cutoff=cutoff)
+
+
+# ---------------------------------------------------------------------------
+# index-grid oracles for the t = 0 kernels: each output mode accumulates its
+# terms directly, with the star's exclusions as explicit zero-denominator cuts
+# ---------------------------------------------------------------------------
+
+
+def b2_loop(v: FourierField) -> FourierField:
+    """B2 at t = 0: ``sum_{k1+k2=k} v1*v2/(k1*k2)``, one row of pairs per k1."""
+    ks, vals = _support(v)
+    cutoff = v.cutoff
+    out = np.zeros(2 * cutoff + 1, dtype=np.complex128)
+    for i in range(ks.size):
+        k1 = int(ks[i])
+        contrib = (vals[i] * vals) / (k1 * ks).astype(float)
+        _accumulate(out, k1 + ks, contrib, cutoff)
+    return FourierField(out)
+
+
+def b3_loop(v: FourierField) -> FourierField:
+    """B3 at t = 0: the starred triple sum, one (k2, k3) grid per k1."""
+    ks, vals = _support(v)
+    cutoff = v.cutoff
+    out = np.zeros(2 * cutoff + 1, dtype=np.complex128)
+    if ks.size == 0:
+        return FourierField(out)
+    k2g, k3g = np.meshgrid(ks, ks, indexing="ij")
+    v23 = np.outer(vals, vals)
+    s23 = k2g + k3g
+    for i in range(ks.size):
+        k1 = int(ks[i])
+        denom = k1 * (k1 + k2g) * (k1 + k3g) * s23
+        valid = denom != 0
+        if not np.any(valid):
+            continue
+        ktot = (k1 + s23)[valid]
+        contrib = (vals[i] * v23[valid]) / denom[valid].astype(float)
+        _accumulate(out, ktot, contrib, cutoff)
+    return FourierField(out)
+
+
+def b4_grid(v: FourierField) -> FourierField:
+    """B4 at t = 0 on a (k1, k2, s) grid against the pair sums ``W(s)``, s != 0."""
+    ks, vals = _support(v)
+    cutoff = v.cutoff
+    out = np.zeros(2 * cutoff + 1, dtype=np.complex128)
+    if ks.size == 0:
+        return FourierField(out)
+    maxk = int(np.max(np.abs(ks)))
+    pair_sum = (ks[:, None] + ks[None, :]).ravel()
+    pair_val = np.outer(vals, vals).ravel()
+    off = 2 * maxk
+    w = np.bincount(pair_sum + off, weights=pair_val.real, minlength=4 * maxk + 1)
+    w = w + 1j * np.bincount(pair_sum + off, weights=pair_val.imag, minlength=4 * maxk + 1)
+    svals = np.arange(-2 * maxk, 2 * maxk + 1, dtype=np.int64)
+    live = (svals != 0) & (w != 0.0)
+    svals, w = svals[live], w[live]
+    k1g = ks[:, None, None]
+    k2g = ks[None, :, None]
+    sg = svals[None, None, :]
+    denom = k1g * (k1g + k2g) * (k1g + sg) * (k2g + sg)
+    valid = denom != 0
+    quad = vals[:, None, None] * vals[None, :, None] * w[None, None, :]
+    contrib = np.where(valid, 0.5 * (2 * sg + k1g) * quad, 0.0)
+    contrib = contrib / np.where(valid, denom, 1).astype(float)
+    ktot = np.broadcast_to(k1g + k2g + sg, contrib.shape).ravel()
+    _accumulate(out, ktot, contrib.ravel(), cutoff)
+    return FourierField(out)
+
+
+ORACLES = {"b2": (b2, b2_loop), "b3": (b3, b3_loop), "b4": (b4, b4_grid)}
+
+
+def assert_matches_oracle(name: str, v: FourierField, t: float, tol: float = 1e-13):
+    """The kernel at time t against its oracle under the same diagonal phase."""
+    op, oracle = ORACLES[name]
+    want = _at_time(oracle, v, t)
+    assert l2_norm(op(v, t) - want) <= tol * l2_norm(want)
 
 
 class TestClassification:
@@ -216,6 +298,85 @@ class TestOperatorStructure:
         combined = 0.5 * part1 + part2
         whole = b4(v, t)
         assert l2_norm(combined - whole) < 1e-13 * l2_norm(whole)
+
+
+class TestKernelsAgainstOracles:
+    """The per-output-mode convolution kernels against the index-grid sums."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    @pytest.mark.parametrize("t", [0.0, 0.37])
+    @pytest.mark.parametrize("support", [1, 4, 16, 32])
+    def test_random_fields(self, name, t, support):
+        v = random_real_field(40 + support, support=support, cutoff=4 * support)
+        assert_matches_oracle(name, v, t)
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    @pytest.mark.parametrize("t", [0.0, 0.37])
+    def test_sparse_support(self, name, t):
+        modes = {3: 0.8 - 0.3j, 7: -0.4 + 1.1j, 20: 0.6 + 0.2j}
+        modes.update({-k: np.conj(c) for k, c in modes.items()})
+        assert_matches_oracle(name, FourierField.from_modes(modes, cutoff=80), t)
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    @pytest.mark.parametrize("t", [0.0, 0.37])
+    @pytest.mark.parametrize("cutoff", [10, 28])
+    def test_truncated_outputs(self, name, t, cutoff):
+        """Support 8: cutoff 10 truncates every operator, 28 only B4 (4M = 32)."""
+        assert_matches_oracle(name, random_real_field(5, support=8, cutoff=cutoff), t)
+
+    @pytest.mark.parametrize("name", sorted(ORACLES))
+    @pytest.mark.parametrize("t", [0.0, 0.37])
+    def test_non_real_field(self, name, t):
+        rng = np.random.default_rng(8)
+        coeffs = rng.standard_normal(49) + 1j * rng.standard_normal(49)
+        coeffs[24] = 0.0
+        v = FourierField(coeffs)
+        assert v.reality_defect() > 0.1
+        assert_matches_oracle(name, v, t)
+
+    @given(
+        modes=st.dictionaries(
+            st.integers(-20, 20).filter(lambda k: k != 0),
+            st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False),
+            min_size=1, max_size=12,
+        ),
+        extra=st.integers(0, 60),
+        t=st.sampled_from([0.0, 0.37]),
+    )
+    @settings(deadline=None, max_examples=40)
+    def test_any_support_and_cutoff(self, modes, extra, t):
+        """Arbitrary (possibly non-real) supports, cutoffs from max |k| up.
+
+        An output can vanish exactly (one mode whose sums all truncate), so
+        the rounding floor scales with the input as well: 1e-15 * |v|^deg.
+        """
+        top = max(abs(k) for k in modes)
+        v = FourierField.from_modes(modes, cutoff=top + extra)
+        for name, deg in (("b2", 2), ("b3", 3), ("b4", 4)):
+            op, oracle = ORACLES[name]
+            want = _at_time(oracle, v, t)
+            floor = 1e-15 * l2_norm(v) ** deg
+            assert l2_norm(op(v, t) - want) <= 1e-13 * l2_norm(want) + floor, name
+
+
+class TestFullGridField:
+    """Operators on a 255-mode field with cutoff 256, the size of an m = 512 run."""
+
+    def test_b2_matches_its_oracle(self):
+        v = random_real_field(512, support=255, cutoff=256)
+        assert_matches_oracle("b2", v, 0.0)
+
+    def test_b3_b4_are_real_and_homogeneous(self):
+        v = random_real_field(512, support=255, cutoff=256)
+        s = 0.7
+        for op, deg, unit in ((b3, 3, 1.0), (b4, 4, 1j)):
+            out = op(v, 0.0)
+            scale = max(1.0, l2_norm(out))
+            assert (unit * out).reality_defect() < 1e-13 * scale
+            assert l2_norm(op(s * v, 0.0) - (s**deg) * out) < 1e-12 * (s**deg) * scale
+
+    def test_b3_matches_its_oracle_at_support_64(self):
+        assert_matches_oracle("b3", random_real_field(64, support=64, cutoff=256), 0.0)
 
 
 class TestResonantSum:
