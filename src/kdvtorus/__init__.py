@@ -54,7 +54,6 @@ from .normal_form import (
     b2,
     b3,
     b4,
-    b4_split,
     check_cube_identity,
     check_factorization_identity,
     classify_resonance,
@@ -63,7 +62,6 @@ from .normal_form import (
     quartic_phase,
     ratio_census,
     resonant_term,
-    rhs_v,
 )
 from .experiments import (
     HermiteSpec,
@@ -105,7 +103,7 @@ __all__ = [
     "evolve", "linear_propagator", "nonlinear_term",
     # normal form
     "ResonanceClass", "AprioriRatios", "classify_resonance", "cubic_phase",
-    "quartic_phase", "rhs_v", "b2", "b3", "b4", "b4_split", "resonant_term",
+    "quartic_phase", "b2", "b3", "b4", "resonant_term",
     "normal_form_residual", "apriori_ratios", "ratio_census",
     "check_cube_identity", "check_factorization_identity",
     # experiments

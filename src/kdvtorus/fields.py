@@ -155,10 +155,6 @@ class FourierField:
         ks = self.wavenumbers()
         return [int(k) for k in ks[np.abs(self.coeffs) != 0.0]]
 
-    def as_dict(self) -> dict[int, complex]:
-        """Nonzero modes as a plain ``{k: amplitude}`` dict."""
-        return {k: self.mode(k) for k in self.support()}
-
     # -- invariants ---------------------------------------------------------
 
     def reality_defect(self) -> float:
@@ -210,13 +206,6 @@ class FourierField:
         ]
         return FourierField(out)
 
-    def allclose(self, other: "FourierField", tol: float = 1e-12) -> bool:
-        """Amplitude-wise comparison after aligning cutoffs."""
-        big = max(self.cutoff, other.cutoff)
-        a = self.with_cutoff(big).coeffs
-        b = other.with_cutoff(big).coeffs
-        return bool(np.max(np.abs(a - b)) <= tol)
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "FourierField") -> "FourierField":
@@ -238,14 +227,6 @@ class FourierField:
 
     def __neg__(self) -> "FourierField":
         return FourierField(-self.coeffs)
-
-    # -- norms (delegating to module functions) ------------------------------
-
-    def l2_norm(self) -> float:
-        return l2_norm(self)
-
-    def sobolev_norm(self, s: float) -> float:
-        return sobolev_norm(self, s)
 
 
 # ---------------------------------------------------------------------------
@@ -279,17 +260,8 @@ def analyze(samples) -> FourierField:
     m = arr.size
     if not _is_power_of_two(m) or m < 4:
         raise GridError(f"sample count must be a power of two >= 4, got {m}")
-    cutoff = m // 2 - 1
-    # rfft uses the origin-at-0 convention; the grid starts at -pi, which
-    # contributes the alternating sign e^{i k pi} = (-1)^k per mode.
-    spec = np.fft.rfft(arr) / m
-    ks = np.arange(cutoff + 1)
-    pos = np.where(ks % 2 == 0, 1.0, -1.0) * spec[: cutoff + 1]
-    out = np.zeros(2 * cutoff + 1, dtype=np.complex128)
-    out[cutoff:] = pos
-    out[:cutoff] = np.conj(pos[1:][::-1])
-    out[cutoff] = 0.0  # zero-mean projection
-    return FourierField(out)
+    # the rfft of the samples is the field's raw half spectrum (half_spectrum)
+    return FourierField(_coeffs_from_half_spectrum(np.fft.rfft(arr), m))
 
 
 def synthesize(fld: FourierField, m: int) -> np.ndarray:
@@ -437,7 +409,11 @@ def write_field_csv(fld: FourierField, path) -> None:
 
 
 def read_field_csv(path) -> FourierField:
-    """Read a field written by :func:`write_field_csv`."""
+    """Read a field written by :func:`write_field_csv`.
+
+    Raises ``ValueError`` on a bad header, no rows or a repeated k, and
+    :class:`CorruptFieldError` unless the field is zero-mean and real.
+    """
     modes: dict[int, complex] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -446,11 +422,17 @@ def read_field_csv(path) -> FourierField:
             raise ValueError(f"unexpected field CSV header: {header!r}")
         for row in reader:
             k = int(row[0])
+            if k in modes:
+                raise ValueError(f"field CSV repeats mode k = {k}")
             modes[k] = float(row[1]) + 1j * float(row[2])
     if not modes:
         raise ValueError("field CSV contains no rows")
     cutoff = max(abs(k) for k in modes)
-    return FourierField.from_modes(modes, cutoff=max(cutoff, 1))
+    fld = FourierField.from_modes(modes, cutoff=max(cutoff, 1))
+    if fld.mean_mode() != 0.0:
+        raise CorruptFieldError(f"field CSV has nonzero mean u_0 = {fld.mean_mode()}")
+    fld.require_real()
+    return fld
 
 
 # ---------------------------------------------------------------------------

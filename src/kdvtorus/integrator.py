@@ -224,6 +224,19 @@ def nonlinear_term(u: FourierField, b: float, dealias: bool = True) -> FourierFi
     return field_from_half_spectrum(out_half, m).with_cutoff(cutoff)
 
 
+def _alias_free_rk4_step(v: FourierField, t: float, h: float) -> FourierField:
+    """One ``rk4_v_step`` of the a = b = 1 system from time t (h may be negative).
+
+    Masked at v's cutoff K on a grid of more than 3K points, no product mode
+    aliases into |k| <= K: each stage product is the exact convolution cut at K.
+    """
+    cutoff = v.cutoff
+    m = _grid_for_cutoff(3 * cutoff // 2)
+    ws = _Workspace(m=m, a=1.0, b=1.0, dealias=False, dt=h, dealias_cutoff_of=cutoff)
+    out_half = ws.rk4_v_step(half_spectrum(v, m), t)
+    return field_from_half_spectrum(out_half, m).with_cutoff(cutoff)
+
+
 # ---------------------------------------------------------------------------
 # stepping workspace (raw rfft-layout arrays, coefficient scale times m)
 # ---------------------------------------------------------------------------
@@ -289,7 +302,8 @@ class _Workspace:
         """One RK4 step of the interaction-picture state v at absolute time t.
 
         The only RK4 step in the package: the IF-RK4 scheme takes every step
-        with it and the leapfrog scheme its bootstrap step. Kept in v-form so
+        with it, the leapfrog scheme its bootstrap step and the normal-form
+        residual probe its +/-dt steps. Kept in v-form so
         the linear flow contributes no per-step rounding (for b = 0 the state
         is bitwise constant).
         """

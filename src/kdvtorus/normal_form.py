@@ -44,8 +44,8 @@ with ``beta(k) = v_k/(K-k)``, ``alpha(k) = beta(k)/k``, ``gamma(s) =
 W(s)/(K-s)``, ``W(s) = sum_{k3+k4=s} v3*v4`` and W(0) := 0; each is 0 where
 its index equals K, exactly the star's exclusions. B2 is one ``np.convolve``,
 B3 and B4 one FFT along the rows of a (K, n) array. :func:`rhs_v` and
-:func:`b4_split` keep per-term phases as independent oracles. Outputs are
-truncated to the storage range of v.
+:func:`b4_split` keep per-term phases as test oracles only (the package does
+not export them). Outputs are truncated to the storage range of v.
 """
 
 from __future__ import annotations
@@ -59,17 +59,16 @@ import numpy as np
 
 from .errors import TruncationError, UndefinedRatioError
 from .fields import FourierField, l2_norm, random_real_field, sobolev_norm
+from .integrator import _alias_free_rk4_step
 
 __all__ = [
     "ResonanceClass",
     "classify_resonance",
     "cubic_phase",
     "quartic_phase",
-    "rhs_v",
     "b2",
     "b3",
     "b4",
-    "b4_split",
     "resonant_term",
     "normal_form_residual",
     "AprioriRatios",
@@ -256,10 +255,10 @@ def _at_time(
 def rhs_v(v: FourierField, t: float) -> FourierField:
     """Exact double-sum right-hand side of the interaction-picture system.
 
-    Mode k receives ``(i*k/2) * exp(3i*k*k1*k2*t) * v_{k1} v_{k2}`` summed
-    over ``k1 + k2 = k`` within the support; no FFT, no dealiasing, output
-    truncated to the storage range of v. The k = 0 mode vanishes identically
-    (prefactor i*k).
+    A test oracle for the package's RK4 step. Mode k receives ``(i*k/2) *
+    exp(3i*k*k1*k2*t) * v_{k1} v_{k2}`` summed over ``k1 + k2 = k`` within
+    the support; no FFT, no dealiasing, output truncated to the storage range
+    of v. The k = 0 mode vanishes identically (prefactor i*k).
     """
     ks, vals = _support(v)
     cutoff = v.cutoff
@@ -397,27 +396,21 @@ def resonant_term(v: FourierField) -> FourierField:
 # ---------------------------------------------------------------------------
 
 
-def _rk4_exact_rhs(v: FourierField, t: float, h: float) -> FourierField:
-    """One classical RK4 step of the exact-sum system (h may be negative)."""
-    s1 = rhs_v(v, t)
-    s2 = rhs_v(v + (0.5 * h) * s1, t + 0.5 * h)
-    s3 = rhs_v(v + (0.5 * h) * s2, t + 0.5 * h)
-    s4 = rhs_v(v + h * s3, t + h)
-    return v + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
-
-
 def normal_form_residual(v: FourierField, t: float, dt: float) -> float:
     """Centered-difference residual of the reduced equation at time t.
 
-    The field is advanced one exact-sum RK4 step forward and backward, the
-    combination ``C(w, tau) = w - B2(w, tau)/6 + B3(w, tau)/18`` is
-    differenced across [t - dt, t + dt], and the result is compared with the
-    reduced right-hand side ``i*v_k|v_k|^2/(6k) + (i/18)*B4(v, t)_k``
-    evaluated at the center. Converges to zero at O(dt^2) as dt -> 0; any
-    sign or phase error in the operator chain leaves an O(1) floor instead.
+    The field is advanced one step forward and one backward with the
+    package's RK4 step (``integrator._Workspace.rk4_v_step``, free of
+    aliasing), the combination ``C(w, tau) = w - B2(w, tau)/6 + B3(w, tau)/18``
+    is differenced across [t - dt, t + dt], and the result is compared with
+    the reduced right-hand side ``i*v_k|v_k|^2/(6k) + (i/18)*B4(v, t)_k`` at
+    the center. Converges to zero at O(dt^2) as dt -> 0; any sign or phase
+    error in the operator chain leaves an O(1) floor instead.
 
-    Requires the support of v to stay within a quarter of the storage range
-    so the one-step stage convolutions do not truncate.
+    v must be real (``v_{-k} = conj(v_k)``, as the closed-form resonant term
+    assumes; else :class:`CorruptFieldError`) with support M <= K/4, K the
+    storage range, so that ``B4(v)`` (support 4M) is whole. The step's later
+    stages reach 2K and are cut at K, like the exact sums truncated at K.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -430,8 +423,8 @@ def normal_form_residual(v: FourierField, t: float, dt: float) -> float:
             f"the storage range {v.cutoff}; widen the cutoff"
         )
 
-    v_plus = _rk4_exact_rhs(v, t, dt)
-    v_minus = _rk4_exact_rhs(v, t, -dt)
+    v_plus = _alias_free_rk4_step(v, t, dt)
+    v_minus = _alias_free_rk4_step(v, t, -dt)
 
     def combination(w: FourierField, tau: float) -> FourierField:
         return w - (1.0 / 6.0) * b2(w, tau) + (1.0 / 18.0) * b3(w, tau)
@@ -508,7 +501,10 @@ def ratio_census(
     1..support (conjugate-symmetric), with storage wide enough (4x support)
     that no operator output truncates. The maxima serve as frozen
     regression constants: the estimates assert boundedness, not values.
+    A count below 1 raises ``ValueError`` (no maxima would read as bounded).
     """
+    if count < 1:
+        raise ValueError(f"census count must be at least 1, got {count}")
     rng = np.random.default_rng(seed)
     maxima = {name: 0.0 for name in ("r1", "r2", "r3", "r4", "r5")}
     for _ in range(count):

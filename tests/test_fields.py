@@ -255,6 +255,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match="header"):
             read_field_csv(path)
 
+    def test_csv_with_nonzero_mean_is_rejected(self, tmp_path):
+        path = tmp_path / "mean.csv"
+        path.write_text("k,re,im\n-1,1.0,-2.0\n0,5.0,0.0\n1,1.0,2.0\n")
+        with pytest.raises(CorruptFieldError, match="mean"):
+            read_field_csv(path)
+
+    def test_csv_with_reality_defect_is_rejected(self, tmp_path):
+        path = tmp_path / "complex.csv"
+        path.write_text("k,re,im\n-1,1.0,0.0\n0,0.0,0.0\n1,0.0,3.0\n")
+        with pytest.raises(CorruptFieldError, match="reality"):
+            read_field_csv(path)
+
+    def test_csv_with_repeated_mode_is_rejected(self, tmp_path):
+        path = tmp_path / "repeat.csv"
+        path.write_text("k,re,im\n-1,1.0,0.0\n0,0.0,0.0\n1,1.0,0.0\n1,2.0,0.0\n")
+        with pytest.raises(ValueError, match="repeats mode k = 1"):
+            read_field_csv(path)
+
 
 class TestRandomRealField:
     def test_same_seed_reproduces_the_field(self):

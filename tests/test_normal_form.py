@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdvtorus.errors import TruncationError, UndefinedRatioError
+from kdvtorus.errors import CorruptFieldError, TruncationError, UndefinedRatioError
 from kdvtorus.fields import FourierField, l2_norm, random_real_field, sobolev_norm
+from kdvtorus.integrator import _alias_free_rk4_step
 from kdvtorus.normal_form import (
     CENSUS_SEED,
     ResonanceClass,
@@ -115,6 +116,15 @@ def assert_matches_oracle(name: str, v: FourierField, t: float, tol: float = 1e-
     op, oracle = ORACLES[name]
     want = _at_time(oracle, v, t)
     assert l2_norm(op(v, t) - want) <= tol * l2_norm(want)
+
+
+def rk4_exact(w: FourierField, t0: float, h: float) -> FourierField:
+    """Oracle for the residual probe's step: classical RK4 on the exact-sum rhs_v."""
+    s1 = rhs_v(w, t0)
+    s2 = rhs_v(w + (0.5 * h) * s1, t0 + 0.5 * h)
+    s3 = rhs_v(w + (0.5 * h) * s2, t0 + 0.5 * h)
+    s4 = rhs_v(w + h * s3, t0 + h)
+    return w + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
 
 
 class TestClassification:
@@ -405,6 +415,26 @@ class TestResonantSum:
 
 
 class TestResidual:
+    @pytest.mark.parametrize("support", [4, 8])
+    @pytest.mark.parametrize("h", [1e-3, -1e-3])
+    def test_probe_step_matches_the_exact_sum_step(self, support, h):
+        """The package's RK4 step, masked at the field's cutoff, is the exact-sum step.
+
+        Support 8 at cutoff 16 lies past the probe's quarter rule; there a
+        step masked at the grid's cutoff instead of K misses by about 3e-8.
+        """
+        v = random_real_field(support, support=support, cutoff=16)
+        v = v * (1.0 / l2_norm(v))
+        want = rk4_exact(v, 0.37, h)
+        got = _alias_free_rk4_step(v, 0.37, h)
+        assert got.cutoff == 16
+        assert l2_norm(got - want) <= 1e-14 * l2_norm(want)
+
+    def test_non_real_field_is_rejected(self):
+        v = FourierField.from_modes({1: 1.0, -1: 2.0}, cutoff=16)
+        with pytest.raises(CorruptFieldError, match="reality"):
+            normal_form_residual(v, 0.0, 1e-3)
+
     def test_residual_shrinks_at_second_order(self):
         v = random_real_field(4, support=4, cutoff=16)
         v = v * (1.0 / l2_norm(v))
@@ -422,20 +452,14 @@ class TestResidual:
     def test_wrong_sign_in_the_chain_leaves_a_floor(self, flipped):
         """Flipping any one coefficient's sign must not look convergent.
 
-        Rebuilds the centered difference from public pieces (an oracle for
-        the library routine with every sign right) and flips the sign of
-        one coefficient: B2, B3, the resonant term or B4.
+        Rebuilds the centered difference from the exact-sum step and the
+        operators (an oracle for the library routine, which steps with the
+        package's RK4, with every sign right) and flips the sign of one
+        coefficient: B2, B3, the resonant term or B4.
         """
         v = random_real_field(4, support=4, cutoff=16)
         v = v * (1.0 / l2_norm(v))
         t = 0.37
-
-        def rk4(w, t0, h):
-            s1 = rhs_v(w, t0)
-            s2 = rhs_v(w + (0.5 * h) * s1, t0 + 0.5 * h)
-            s3 = rhs_v(w + (0.5 * h) * s2, t0 + 0.5 * h)
-            s4 = rhs_v(w + h * s3, t0 + h)
-            return w + (h / 6.0) * (s1 + 2.0 * s2 + 2.0 * s3 + s4)
 
         def residual(flip, dt):
             names = ("b2", "b3", "resonant", "b4")
@@ -449,7 +473,7 @@ class TestResidual:
                 )
 
             lhs = (1.0 / (2.0 * dt)) * (
-                comb(rk4(v, t, dt), t + dt) - comb(rk4(v, t, -dt), t - dt)
+                comb(rk4_exact(v, t, dt), t + dt) - comb(rk4_exact(v, t, -dt), t - dt)
             )
             rhs = (
                 sign["resonant"] * (-1j / 6) * resonant_term(v)
@@ -510,3 +534,8 @@ class TestAprioriRatios:
         assert sorted(maxima) == ["r1", "r2", "r3", "r4", "r5"]
         for value in maxima.values():
             assert 0.0 < value < 100.0
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_empty_census_is_rejected(self, count):
+        with pytest.raises(ValueError, match="at least 1"):
+            ratio_census(count=count, support=8)
