@@ -30,7 +30,6 @@ from .fields import (
     analyze,
     convolve_exact,
     l2_norm,
-    physical_l2_norm,
     random_real_field,
     read_field_csv,
     sobolev_norm,
@@ -96,7 +95,7 @@ __all__ = [
     "UndefinedRatioError", "DomainError", "ConfigError", "InstabilityError",
     # fields
     "Grid", "FourierField", "analyze", "synthesize", "convolve_exact",
-    "l2_norm", "physical_l2_norm", "sobolev_norm", "random_real_field",
+    "l2_norm", "sobolev_norm", "random_real_field",
     "write_field_csv", "read_field_csv",
     # integrator
     "Scheme", "KdvParams", "TrajectoryRecord", "desk_params", "paper_params",

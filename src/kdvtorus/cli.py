@@ -12,6 +12,7 @@ the manifest additionally records wall time and version.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from .experiments import (
     pullback_comparison,
     return_experiment,
 )
-from .fields import Grid, l2_norm, random_real_field, synthesize, write_field_csv
+from .fields import Grid, _write_csv, l2_norm, random_real_field, synthesize, write_field_csv
 from .integrator import KdvParams, Scheme, desk_params, paper_params
 from .normal_form import (
     CENSUS_SEED,
@@ -40,7 +41,7 @@ from .normal_form import (
     normal_form_residual,
     ratio_census,
 )
-from .shallow_water import PhysicalParams, dimensionless, validate_regime
+from .shallow_water import GRAVITY, PhysicalParams, dimensionless, validate_regime
 from .svgplot import LineSeries, write_line_plot
 
 __all__ = ["run", "main", "load_config", "ENV_OUTPUT_ROOT", "PROFILES"]
@@ -134,7 +135,7 @@ _DEFAULTS: dict[str, dict] = {
     "identities": {"limit": 20},
     "shallow-water": {
         "delta": 0.01, "eps": 0.4, "threshold": 0.1,
-        "a_phys": None, "h0": None, "l": None, "g": 9.81, "emit_json": True,
+        "a_phys": None, "h0": None, "l": None, "g": GRAVITY, "emit_json": True,
     },
 }
 
@@ -196,27 +197,26 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _outdir(args: argparse.Namespace, command: str) -> Path:
+class _Outdir:
+    """A run's output directory; ``outdir / name`` records ``name`` as an artifact."""
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.names: set[str] = set()
+
+    def __truediv__(self, name: str) -> Path:
+        self.names.add(name)
+        return self.path / name
+
+
+def _outdir(args: argparse.Namespace, command: str) -> _Outdir:
     if args.out:
         path = Path(args.out)
     else:
         root = os.environ.get(ENV_OUTPUT_ROOT, "kdvtorus-runs")
         path = Path(root) / command
     path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, float):
-                cells.append(repr(float(cell)))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return _Outdir(path)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -227,18 +227,18 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
-def _manifest(outdir: Path, command: str, cfg: dict, seeds: dict,
-              artifacts: list[str], wall: float, results: dict) -> None:
+def _manifest(outdir: _Outdir, command: str, cfg: dict, seeds: dict,
+              wall: float, results: dict) -> None:
     payload = {
         "command": command,
         "version": __version__,
         "parameters": {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(cfg.items())},
         "seeds": seeds,
         "results": results,
-        "artifacts": sorted(artifacts),
+        "artifacts": sorted(outdir.names),
         "wall_time_s": round(wall, 3),
     }
-    _write_json(outdir / "manifest.json", payload)
+    _write_json(outdir.path / "manifest.json", payload)
 
 
 def _kdv_params(cfg: dict, t_final: float) -> KdvParams:
@@ -264,11 +264,11 @@ def _plot_fields(path: Path, fields, title: str, m: int | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (exit code, artifact names, seeds, results)
+# subcommand handlers: each returns (exit code, seeds, results)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(cfg: dict, outdir: Path):
+def _cmd_simulate(cfg: dict, outdir: _Outdir):
     if cfg["samples"] < 2:
         raise ConfigError(
             f"samples must be at least 2 (t = 0 and t_final), got {cfg['samples']}"
@@ -301,19 +301,14 @@ def _cmd_simulate(cfg: dict, outdir: Path):
     }
     print(f"terminal deviation from the free flow: {report.errors[-1]:.6e}")
     print(f"energy drift: {record.energy_drift():.3e}  max momentum: {record.max_momentum():.3e}")
-    artifacts = ["trajectory.csv", "spectrum_initial.csv", "spectrum_final.csv",
-                 "deviation_vs_t.svg", "physical.svg", "spectrum.svg"]
-    return 0, artifacts, {}, results
+    return 0, {}, results
 
 
-def _cmd_return_test(cfg: dict, outdir: Path):
+def _cmd_return_test(cfg: dict, outdir: _Outdir):
     spec = HermiteSpec(epsilon=cfg["epsilon"], amplitude=cfg["amplitude"])
     params = _kdv_params(cfg, 2.0 * math.pi)
     report = return_experiment(spec, params)
-    rows = zip(
-        report.sample_times,
-        report.nl_errors,
-    )
+    rows = zip(report.sample_times, report.nl_errors)
     _write_csv(outdir / "deviation.csv", ["t", "deviation"], rows)
     write_field_csv(report.initial, outdir / "spectrum_initial.csv")
     write_field_csv(report.final, outdir / "spectrum_final.csv")
@@ -340,13 +335,10 @@ def _cmd_return_test(cfg: dict, outdir: Path):
     print(f"relative return error after one period: {report.return_error_rel:.6e}")
     print(f"snapshot sup-norm ratio at t = {report.snapshot_time:.4g}: "
           f"{report.snapshot_sup_ratio:.4f}")
-    artifacts = ["deviation.csv", "spectrum_initial.csv", "spectrum_final.csv",
-                 "spectrum_snapshot.csv", "spectrum_pair.svg", "physical_pair.svg",
-                 "physical_snapshot.svg", "deviation_vs_t.svg"]
-    return 0, artifacts, {}, results
+    return 0, {}, results
 
 
-def _cmd_pullback(cfg: dict, outdir: Path):
+def _cmd_pullback(cfg: dict, outdir: _Outdir):
     spec = HermiteSpec(epsilon=cfg["epsilon"], amplitude=cfg["amplitude"])
     params = _kdv_params(cfg, cfg["t_final"])
     report = pullback_comparison(spec, params, cfg["t_final"])
@@ -365,21 +357,15 @@ def _cmd_pullback(cfg: dict, outdir: Path):
     }
     print(f"relative pullback discrepancy at T = {report.t_final:.4g}: "
           f"{report.discrepancy_rel:.6e}")
-    artifacts = ["spectrum_initial.csv", "spectrum_evolved.csv",
-                 "spectrum_pulled_back.csv", "physical_pullback.svg",
-                 "spectrum_pullback.svg"]
-    return 0, artifacts, {}, results
+    return 0, {}, results
 
 
-def _cmd_sweep(cfg: dict, outdir: Path):
+def _cmd_sweep(cfg: dict, outdir: _Outdir):
     params = _kdv_params(cfg, cfg["t_final"])
     result = epsilon_sweep(cfg["epsilons"], params, cfg["t_final"])
     rows = zip(result.epsilons, result.hm_norms, result.errors_at_t, result.energy_drifts)
-    _write_csv(
-        outdir / "sweep.csv",
-        ["epsilon", "hm_half_norm", "deviation_at_t", "energy_drift"],
-        rows,
-    )
+    _write_csv(outdir / "sweep.csv",
+               ["epsilon", "hm_half_norm", "deviation_at_t", "energy_drift"], rows)
     if not result.degenerate:
         write_line_plot(
             outdir / "sweep_loglog.svg",
@@ -399,11 +385,18 @@ def _cmd_sweep(cfg: dict, outdir: Path):
     print(f"fitted log-log slope: {slope_text}")
     for eps, err in zip(result.epsilons, result.errors_at_t):
         print(f"  epsilon = {eps:<5g} deviation at T = {err:.6e}")
-    artifacts = ["sweep.csv"] + ([] if result.degenerate else ["sweep_loglog.svg"])
-    return 0, artifacts, {}, results
+    return 0, {}, results
 
 
-def _cmd_normalform_check(cfg: dict, outdir: Path):
+def _identity_checks(limit: int) -> dict:
+    return {
+        "limit": limit,
+        "cube_identity": check_cube_identity(limit),
+        "factorization_identity": check_factorization_identity(limit),
+    }
+
+
+def _cmd_normalform_check(cfg: dict, outdir: _Outdir):
     dts = tuple(cfg["dts"])
     if len(dts) < 2 or len(set(dts)) != len(dts):
         raise ConfigError(f"dts must hold at least two distinct steps, got {list(dts)}")
@@ -427,8 +420,7 @@ def _cmd_normalform_check(cfg: dict, outdir: Path):
     census = ratio_census(count=int(cfg["census_count"]),
                           support=int(cfg["census_support"]))
     limit = int(cfg["identity_limit"])
-    cube_ok = check_cube_identity(limit)
-    fact_ok = check_factorization_identity(limit)
+    identities = _identity_checks(limit)
     orders_ok = all(1.5 <= o <= 2.5 for o in orders) and bool(orders)
     payload = {
         "residual_probe": {
@@ -445,18 +437,16 @@ def _cmd_normalform_check(cfg: dict, outdir: Path):
             "seed": CENSUS_SEED,
             "maxima": census,
         },
-        "identity_checks": {
-            "limit": limit,
-            "cube_identity": cube_ok,
-            "factorization_identity": fact_ok,
-        },
+        "identity_checks": identities,
     }
     _write_json(outdir / "normalform_report.json", payload)
+    cube_ok, fact_ok = identities["cube_identity"], identities["factorization_identity"]
     ok = orders_ok and small < 1.0e-6 and cube_ok and fact_ok
     for d, r in zip(dts, residuals):
         print(f"residual at dt = {d:g}: {r:.6e}")
     print(f"observed orders: {['%.3f' % o for o in orders]}")
-    print(f"residual at dt = {cfg['small_dt']:g}: {small:.6e}")
+    # three digits: the centred difference divides operator rounding by 2*dt
+    print(f"residual at dt = {cfg['small_dt']:g}: {small:.2e}")
     print(f"census maxima: "
           + "  ".join(f"{k} = {val:.4f}" for k, val in sorted(census.items())))
     print(f"identity checks (|k| <= {limit}): "
@@ -470,22 +460,21 @@ def _cmd_normalform_check(cfg: dict, outdir: Path):
         "census_maxima": census,
         "pass": ok,
     }
-    return (0 if ok else 1), ["normalform_report.json"], seeds, results
+    return (0 if ok else 1), seeds, results
 
 
-def _cmd_identities(cfg: dict, outdir: Path):
+def _cmd_identities(cfg: dict, outdir: _Outdir):
     limit = int(cfg["limit"])
-    cube_ok = check_cube_identity(limit)
-    fact_ok = check_factorization_identity(limit)
-    payload = {"limit": limit, "cube_identity": cube_ok, "factorization_identity": fact_ok}
+    payload = _identity_checks(limit)
+    cube_ok, fact_ok = payload["cube_identity"], payload["factorization_identity"]
     _write_json(outdir / "identities.json", payload)
     print(f"cube identity, all |k| <= {limit}: {'PASS' if cube_ok else 'FAIL'}")
     print(f"factorization identity, all |k| <= {limit}: {'PASS' if fact_ok else 'FAIL'}")
     print("PASS" if cube_ok and fact_ok else "FAIL")
-    return (0 if cube_ok and fact_ok else 1), ["identities.json"], {}, payload
+    return (0 if cube_ok and fact_ok else 1), {}, payload
 
 
-def _cmd_shallow_water(cfg: dict, outdir: Path):
+def _cmd_shallow_water(cfg: dict, outdir: _Outdir):
     report = validate_regime(cfg["delta"], cfg["eps"], cfg["threshold"])
     lines = [
         f"delta        {cfg['delta']:.6g}",
@@ -508,16 +497,11 @@ def _cmd_shallow_water(cfg: dict, outdir: Path):
             f"c0           {regime.c0:.6g} m/s",
             f"t_scale      {regime.t_phys_scale:.6g} s",
         ]
-        results["dimensional"] = {
-            "alpha": regime.alpha, "beta": regime.beta,
-            "c0": regime.c0, "t_phys_scale": regime.t_phys_scale,
-        }
+        results["dimensional"] = dataclasses.asdict(regime)
     print("\n".join(lines))
-    artifacts = []
     if cfg["emit_json"]:
         _write_json(outdir / "regime.json", results)
-        artifacts.append("regime.json")
-    return 0, artifacts, {}, results
+    return 0, {}, results
 
 
 _COMMANDS = {
@@ -574,9 +558,9 @@ def run(argv) -> int:
         cfg = _resolve(args.command, args)
         outdir = _outdir(args, args.command)
         started = time.perf_counter()
-        code, artifacts, seeds, results = _COMMANDS[args.command][0](cfg, outdir)
+        code, seeds, results = _COMMANDS[args.command][0](cfg, outdir)
         wall = time.perf_counter() - started
-        _manifest(outdir, args.command, cfg, seeds, artifacts, wall, results)
+        _manifest(outdir, args.command, cfg, seeds, wall, results)
         return code
     except (KdvTorusError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -188,8 +188,6 @@ def _check_momentum(record: TrajectoryRecord) -> None:
 class ReturnReport:
     """Outcome of one full-period return run (T = 2 pi, a = 1)."""
 
-    spec: HermiteSpec
-    params: KdvParams
     return_error_rel: float
     nl_errors: tuple[float, ...]
     sample_times: tuple[float, ...]
@@ -233,8 +231,6 @@ def return_experiment(spec: HermiteSpec, p: KdvParams) -> ReturnReport:
     snapshot = record.snapshot(snap_pos)
     norm0 = l2_norm(phi_run)
     return ReturnReport(
-        spec=spec,
-        params=p_run,
         return_error_rel=l2_norm(final - phi_run) / norm0,
         nl_errors=report.errors,
         sample_times=tuple(record.times),
@@ -253,8 +249,6 @@ def return_experiment(spec: HermiteSpec, p: KdvParams) -> ReturnReport:
 class PullbackReport:
     """Nonlinear evolution pulled back through the reverse linear flow."""
 
-    spec: HermiteSpec
-    params: KdvParams
     t_final: float
     discrepancy_rel: float
     energy_drift: float
@@ -278,8 +272,6 @@ def pullback_comparison(spec: HermiteSpec, p: KdvParams, t_final: float) -> Pull
     evolved = record.snapshot(-1)
     pulled = linear_propagator(evolved, -record.times[-1], p.a)
     return PullbackReport(
-        spec=spec,
-        params=p_run,
         t_final=record.times[-1],
         discrepancy_rel=l2_norm(pulled - phi_run) / l2_norm(phi_run),
         energy_drift=record.energy_drift(),

@@ -36,7 +36,6 @@ __all__ = [
     "field_from_half_spectrum",
     "l2_norm",
     "sobolev_norm",
-    "physical_l2_norm",
     "convolve_exact",
     "write_field_csv",
     "read_field_csv",
@@ -79,11 +78,6 @@ class Grid:
         pts = -np.pi + TWO_PI * np.arange(int(self.m)) / int(self.m)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
-
-    @property
-    def max_cutoff(self) -> int:
-        """Largest mode cutoff representable on this grid (m/2 - 1)."""
-        return int(self.m) // 2 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,11 +358,6 @@ def sobolev_norm(fld: FourierField, s: float) -> float:
     return float(math.sqrt(np.sum(weights * np.abs(fld.coeffs[mask]) ** 2)))
 
 
-def physical_l2_norm(fld: FourierField) -> float:
-    """L2 norm of the physical-space field: sqrt(2*pi) times :func:`l2_norm`."""
-    return math.sqrt(TWO_PI) * l2_norm(fld)
-
-
 # ---------------------------------------------------------------------------
 # exact convolution oracle
 # ---------------------------------------------------------------------------
@@ -398,14 +387,20 @@ def convolve_exact(f: FourierField, g: FourierField) -> FourierField:
 # ---------------------------------------------------------------------------
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write ``\\n``-terminated CSV lines: floats (NumPy's too) by ``repr``, others by ``str``."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(repr(float(c)) if isinstance(c, float) else str(c) for c in row))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def write_field_csv(fld: FourierField, path) -> None:
     """Write the field as CSV rows ``k,re,im`` (one row per stored mode)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "re", "im"])
-        for k in range(-fld.cutoff, fld.cutoff + 1):
-            val = fld.coeffs[k + fld.cutoff]
-            writer.writerow([k, repr(float(val.real)), repr(float(val.imag))])
+    ks = range(-fld.cutoff, fld.cutoff + 1)
+    _write_csv(path, ["k", "re", "im"],
+               zip(ks, fld.coeffs.real.tolist(), fld.coeffs.imag.tolist()))
 
 
 def read_field_csv(path) -> FourierField:

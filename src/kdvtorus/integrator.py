@@ -395,9 +395,8 @@ def evolve(phi, p: KdvParams, sample_times):
     A0 = np.stack(
         [half_spectrum(f.with_cutoff(run_cutoff).zero_mean(), p.m) for f in fields]
     )
-    A0[:, 0] = 0.0  # zero-mean state
-    # sum_k |A_k|^2 over the stored bins is proportional to the energy while
-    # bin 0 is zero, and cheaper to form every step
+    # bin 0 of a zero-mean field's half spectrum is exactly 0, so sum_k |A_k|^2 over
+    # the stored bins is proportional to the energy, and cheap to form every step
     limits = [BLOWUP_FACTOR**2 * np.vdot(row, row).real or math.inf for row in A0]
     if single:
         A0 = A0[0]  # a lone field steps as a 1-D state, free of broadcasting

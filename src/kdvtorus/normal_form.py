@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -459,16 +459,7 @@ class AprioriRatios:
     r5: float  # |v_k^3/k| / (|v|_{H^-1/2}^2 |v|)
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "r1": self.r1,
-            "r2": self.r2,
-            "r3": self.r3,
-            "r4": self.r4,
-            "r5": self.r5,
-        }
-
-    def max_ratio(self) -> float:
-        return max(self.r1, self.r2, self.r3, self.r4, self.r5)
+        return asdict(self)
 
 
 def apriori_ratios(v: FourierField) -> AprioriRatios:

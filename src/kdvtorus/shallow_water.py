@@ -11,7 +11,7 @@ the mismatch term alpha_eps + beta_eps^2/alpha_eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import DomainError
 
@@ -167,15 +167,7 @@ class RegimeReport:
         return self.alpha_ok and self.beta_ok
 
     def as_dict(self) -> dict:
-        return {
-            "alpha_eps": self.alpha_eps,
-            "beta_eps": self.beta_eps,
-            "mismatch": self.mismatch,
-            "threshold": self.threshold,
-            "alpha_ok": self.alpha_ok,
-            "beta_ok": self.beta_ok,
-            "valid": self.valid,
-        }
+        return {**asdict(self), "valid": self.valid}
 
 
 def validate_regime(delta: float, eps: float, threshold: float = 0.1) -> RegimeReport:

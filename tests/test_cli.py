@@ -158,6 +158,17 @@ def as_text(value):
     return str(value).lower() if isinstance(value, bool) else str(value)
 
 
+def as_flags(values):
+    argv = []
+    for key, value in values.items():
+        flag = key.replace("_", "-")
+        if isinstance(value, bool):
+            argv.append(f"--{flag}" if value else f"--no-{flag}")
+        else:
+            argv += [f"--{flag}", as_text(value)]
+    return argv
+
+
 class TestKeySources:
     @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command", sorted(KEY_VALUES))
@@ -170,15 +181,21 @@ class TestKeySources:
             cfg.write_text("".join(f"{k} = {as_text(v)}\n" for k, v in values.items()))
             argv += ["--config", str(cfg)]
         else:
-            for key, value in values.items():
-                flag = key.replace("_", "-")
-                if isinstance(value, bool):
-                    argv.append(f"--{flag}" if value else f"--no-{flag}")
-                else:
-                    argv += [f"--{flag}", as_text(value)]
+            argv += as_flags(values)
         assert run(argv) == 0
         params = read_manifest(tmp_path / "out")["parameters"]
         assert params == {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
+
+    @pytest.mark.parametrize("command", sorted(KEY_VALUES))
+    def test_manifest_lists_exactly_the_files_written(self, command, tmp_path):
+        """artifacts plus manifest.json is the directory; every CSV line ends in \\n."""
+        outdir = tmp_path / "out"
+        assert run([command, "--out", str(outdir), *as_flags(KEY_VALUES[command])]) == 0
+        written = {p.name for p in outdir.iterdir()}
+        assert set(read_manifest(outdir)["artifacts"]) | {"manifest.json"} == written
+        for name in written:
+            if name.endswith(".csv"):
+                assert b"\r" not in (outdir / name).read_bytes(), name
 
     @pytest.mark.parametrize("command", ["identities", "normalform-check", "shallow-water"])
     def test_profile_is_unknown_without_profiles(self, command, tmp_path, capsys):

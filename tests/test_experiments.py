@@ -9,6 +9,7 @@ import pytest
 from kdvtorus.baselines import baseline_value, within_window
 from kdvtorus.experiments import (
     _DEGENERATE_ERROR,
+    SNAPSHOT_TIME,
     HermiteSpec,
     TailAliasWarning,
     epsilon_sweep,
@@ -18,7 +19,7 @@ from kdvtorus.experiments import (
     return_experiment,
 )
 from kdvtorus.fields import l2_norm, synthesize
-from kdvtorus.integrator import KdvParams, Scheme, desk_params, linear_propagator
+from kdvtorus.integrator import KdvParams, Scheme, desk_params, evolve, linear_propagator
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi) / 2.0
 
@@ -128,6 +129,13 @@ class TestReturnExperiment:
         )
         recomputed = l2_norm(rep.final - rep.initial) / l2_norm(rep.initial)
         assert rep.return_error_rel == pytest.approx(recomputed, rel=1e-12)
+
+    def test_snapshot_sup_ratio_matches_frozen_baseline(self):
+        """The desk return run's early snapshot, stepped only up to SNAPSHOT_TIME."""
+        phi = hermite_initial(HermiteSpec(0.1), 512)
+        record = evolve(phi, desk_params(t_final=SNAPSHOT_TIME), [SNAPSHOT_TIME])
+        snap, initial = (np.max(np.abs(synthesize(f, 512))) for f in (record.snapshot(-1), phi))
+        assert within_window("snapshot_sup_ratio_eps0.1_desk", float(snap / initial))
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,6 @@ from kdvtorus.fields import (
     field_from_half_spectrum,
     half_spectrum,
     l2_norm,
-    physical_l2_norm,
     random_real_field,
     read_field_csv,
     sobolev_norm,
@@ -31,7 +30,6 @@ class TestGrid:
         g = Grid(8)
         assert g.points[0] == pytest.approx(-math.pi)
         assert np.allclose(np.diff(g.points), 2 * math.pi / 8)
-        assert g.max_cutoff == 3
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(GridError, match="power of two"):
@@ -210,11 +208,6 @@ class TestNorms:
     def test_negative_order_ignores_the_mean_mode(self):
         f = FourierField.from_modes({1: 1.0, -1: 1.0}, cutoff=1)
         assert sobolev_norm(f, -0.5) == pytest.approx(math.sqrt(2.0))
-
-    def test_physical_norm_carries_the_domain_measure(self):
-        f = FourierField.from_modes({1: 0.5, -1: 0.5}, cutoff=1)  # cos x
-        # integral of cos^2 over the domain is pi
-        assert physical_l2_norm(f) == pytest.approx(math.sqrt(math.pi))
 
 
 class TestConvolveExact:
