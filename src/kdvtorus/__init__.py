@@ -3,7 +3,7 @@
 Subpackages by role:
 
 * ``fields`` — Fourier-side field container, analysis/synthesis, norms,
-  exact convolution, serialization.
+  serialization.
 * ``integrator`` — integrating-factor RK4 and leapfrog time steppers with
   trajectory records and conservation tracking.
 * ``normal_form`` — differentiation-by-parts operators (B2/B3/B4),
@@ -28,7 +28,6 @@ from .fields import (
     FourierField,
     Grid,
     analyze,
-    convolve_exact,
     l2_norm,
     random_real_field,
     read_field_csv,
@@ -43,7 +42,6 @@ from .integrator import (
     desk_params,
     evolve,
     linear_propagator,
-    nonlinear_term,
     paper_params,
 )
 from .normal_form import (
@@ -56,9 +54,7 @@ from .normal_form import (
     check_cube_identity,
     check_factorization_identity,
     classify_resonance,
-    cubic_phase,
     normal_form_residual,
-    quartic_phase,
     ratio_census,
     resonant_term,
 )
@@ -94,15 +90,15 @@ __all__ = [
     "KdvTorusError", "GridError", "CorruptFieldError", "TruncationError",
     "UndefinedRatioError", "DomainError", "ConfigError", "InstabilityError",
     # fields
-    "Grid", "FourierField", "analyze", "synthesize", "convolve_exact",
+    "Grid", "FourierField", "analyze", "synthesize",
     "l2_norm", "sobolev_norm", "random_real_field",
     "write_field_csv", "read_field_csv",
     # integrator
     "Scheme", "KdvParams", "TrajectoryRecord", "desk_params", "paper_params",
-    "evolve", "linear_propagator", "nonlinear_term",
+    "evolve", "linear_propagator",
     # normal form
-    "ResonanceClass", "AprioriRatios", "classify_resonance", "cubic_phase",
-    "quartic_phase", "b2", "b3", "b4", "resonant_term",
+    "ResonanceClass", "AprioriRatios", "classify_resonance",
+    "b2", "b3", "b4", "resonant_term",
     "normal_form_residual", "apriori_ratios", "ratio_census",
     "check_cube_identity", "check_factorization_identity",
     # experiments

@@ -263,6 +263,15 @@ def _plot_fields(path: Path, fields, title: str, m: int | None = None) -> None:
         write_line_plot(path, series, title=title, xlabel="x", ylabel="u(x)")
 
 
+def _run_results(run) -> dict:
+    """The diagnostics of a stepping run's audit; energy_drift is the worst over a batch."""
+    return {
+        "identity_defect_max": run.identity_defect_max,
+        "energy_drift": float(np.max(run.record.energy_drift())),
+        "max_momentum": run.record.max_momentum(),
+    }
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (exit code, seeds, results)
 # ---------------------------------------------------------------------------
@@ -293,14 +302,10 @@ def _cmd_simulate(cfg: dict, outdir: _Outdir):
     pair = [("initial", report.initial), (f"t = {record.times[-1]:.4g}", final)]
     _plot_fields(outdir / "physical.svg", pair, "Physical-space profiles", cfg["m"])
     _plot_fields(outdir / "spectrum.svg", pair, "Mode amplitudes")
-    results = {
-        "terminal_deviation": report.errors[-1],
-        "identity_defect_max": report.identity_defect_max,
-        "energy_drift": record.energy_drift(),
-        "max_momentum": record.max_momentum(),
-    }
+    results = {"terminal_deviation": report.errors[-1], **_run_results(report)}
     print(f"terminal deviation from the free flow: {report.errors[-1]:.6e}")
-    print(f"energy drift: {record.energy_drift():.3e}  max momentum: {record.max_momentum():.3e}")
+    print(f"energy drift: {results['energy_drift']:.3e}  "
+          f"max momentum: {results['max_momentum']:.3e}")
     return 0, {}, results
 
 
@@ -308,12 +313,13 @@ def _cmd_return_test(cfg: dict, outdir: _Outdir):
     spec = HermiteSpec(epsilon=cfg["epsilon"], amplitude=cfg["amplitude"])
     params = _kdv_params(cfg, 2.0 * math.pi)
     report = return_experiment(spec, params)
-    rows = zip(report.sample_times, report.nl_errors)
-    _write_csv(outdir / "deviation.csv", ["t", "deviation"], rows)
-    write_field_csv(report.initial, outdir / "spectrum_initial.csv")
+    run = report.run
+    times = tuple(run.record.times)
+    _write_csv(outdir / "deviation.csv", ["t", "deviation"], zip(times, run.errors))
+    write_field_csv(run.initial, outdir / "spectrum_initial.csv")
     write_field_csv(report.final, outdir / "spectrum_final.csv")
     write_field_csv(report.snapshot, outdir / "spectrum_snapshot.csv")
-    pair = [("initial", report.initial), ("after one period", report.final)]
+    pair = [("initial", run.initial), ("after one period", report.final)]
     _plot_fields(outdir / "spectrum_pair.svg", pair, "Mode amplitudes: initial vs one period")
     _plot_fields(outdir / "physical_pair.svg", pair, "Return after one linear period", cfg["m"])
     _plot_fields(outdir / "physical_snapshot.svg",
@@ -321,16 +327,15 @@ def _cmd_return_test(cfg: dict, outdir: _Outdir):
                  "Short-time dispersion", cfg["m"])
     write_line_plot(
         outdir / "deviation_vs_t.svg",
-        [LineSeries("|v(t) - v(0)|", report.sample_times, report.nl_errors)],
+        [LineSeries("|v(t) - v(0)|", times, run.errors)],
         title="Deviation from the free flow", xlabel="t", ylabel="l2 deviation",
     )
     results = {
         "return_error_rel": report.return_error_rel,
-        "identity_defect_max": report.identity_defect_max,
         "snapshot_time": report.snapshot_time,
         "snapshot_sup_ratio": report.snapshot_sup_ratio,
-        "energy_drift": report.energy_drift,
         "initial_physical_energy": report.initial_physical_energy,
+        **_run_results(run),
     }
     print(f"relative return error after one period: {report.return_error_rel:.6e}")
     print(f"snapshot sup-norm ratio at t = {report.snapshot_time:.4g}: "
@@ -342,20 +347,21 @@ def _cmd_pullback(cfg: dict, outdir: _Outdir):
     spec = HermiteSpec(epsilon=cfg["epsilon"], amplitude=cfg["amplitude"])
     params = _kdv_params(cfg, cfg["t_final"])
     report = pullback_comparison(spec, params, cfg["t_final"])
-    write_field_csv(report.initial, outdir / "spectrum_initial.csv")
+    t_final = report.run.record.times[-1]
+    write_field_csv(report.run.initial, outdir / "spectrum_initial.csv")
     write_field_csv(report.evolved, outdir / "spectrum_evolved.csv")
     write_field_csv(report.pulled_back, outdir / "spectrum_pulled_back.csv")
-    pair = [("initial", report.initial), ("pulled back", report.pulled_back)]
+    pair = [("initial", report.run.initial), ("pulled back", report.pulled_back)]
     _plot_fields(outdir / "physical_pullback.svg",
-                 pair + [(f"evolved (t = {report.t_final:.4g})", report.evolved)],
+                 pair + [(f"evolved (t = {t_final:.4g})", report.evolved)],
                  "Reverse-linear pullback", cfg["m"])
     _plot_fields(outdir / "spectrum_pullback.svg", pair, "Mode amplitudes: initial vs pulled back")
     results = {
         "discrepancy_rel": report.discrepancy_rel,
-        "energy_drift": report.energy_drift,
-        "t_final": report.t_final,
+        "t_final": t_final,
+        **_run_results(report.run),
     }
-    print(f"relative pullback discrepancy at T = {report.t_final:.4g}: "
+    print(f"relative pullback discrepancy at T = {t_final:.4g}: "
           f"{report.discrepancy_rel:.6e}")
     return 0, {}, results
 
@@ -363,7 +369,8 @@ def _cmd_pullback(cfg: dict, outdir: _Outdir):
 def _cmd_sweep(cfg: dict, outdir: _Outdir):
     params = _kdv_params(cfg, cfg["t_final"])
     result = epsilon_sweep(cfg["epsilons"], params, cfg["t_final"])
-    rows = zip(result.epsilons, result.hm_norms, result.errors_at_t, result.energy_drifts)
+    drifts = result.run.record.energy_drift()
+    rows = zip(result.epsilons, result.hm_norms, result.errors_at_t, drifts)
     _write_csv(outdir / "sweep.csv",
                ["epsilon", "hm_half_norm", "deviation_at_t", "energy_drift"], rows)
     if not result.degenerate:
@@ -379,7 +386,7 @@ def _cmd_sweep(cfg: dict, outdir: _Outdir):
         "errors_at_t": list(result.errors_at_t),
         "fitted_slope": None if result.degenerate else result.fitted_slope,
         "degenerate": result.degenerate,
-        "identity_defect_max": result.identity_defect_max,
+        **_run_results(result.run),
     }
     slope_text = "undefined" if result.degenerate else f"{result.fitted_slope:.4f}"
     print(f"fitted log-log slope: {slope_text}")
@@ -400,10 +407,13 @@ def _cmd_normalform_check(cfg: dict, outdir: _Outdir):
     dts = tuple(cfg["dts"])
     if len(dts) < 2 or len(set(dts)) != len(dts):
         raise ConfigError(f"dts must hold at least two distinct steps, got {list(dts)}")
-    if not all(d > 0.0 for d in dts + (cfg["small_dt"],)):
+    if not all(0.0 < d < math.inf for d in dts + (cfg["small_dt"],)):
         raise ConfigError(
-            f"steps must be positive, got dts = {list(dts)}, small_dt = {cfg['small_dt']}"
+            f"steps must be positive and finite, got dts = {list(dts)}, "
+            f"small_dt = {cfg['small_dt']}"
         )
+    if not math.isfinite(cfg["t"]):
+        raise ConfigError(f"t must be finite, got {cfg['t']}")
     if cfg["census_count"] < 1:
         raise ConfigError(f"census_count must be at least 1, got {cfg['census_count']}")
     rng = np.random.default_rng(int(cfg["seed"]))

@@ -109,42 +109,50 @@ def hermite_initial(spec: HermiteSpec, m: int) -> FourierField:
 
 @dataclass(frozen=True)
 class NearLinearityReport:
-    """Deviation-from-linear-flow series plus the identity audit.
+    """One audited run: deviation-from-linear-flow series and diagnostics.
 
     errors[i] is |v(t_i) - v(0)| at the i-th landed sample time;
     identity_defect_max is the largest observed disagreement between the
     interaction-picture and physical-side evaluations of the same quantity
-    (zero in exact arithmetic).
+    (zero in exact arithmetic).  For a batch of fields, errors and initial
+    hold one entry per field and identity_defect_max is the largest over
+    them.
     """
 
-    errors: tuple[float, ...]
+    errors: tuple
     identity_defect_max: float
     record: TrajectoryRecord
-    initial: FourierField
+    initial: FourierField | tuple[FourierField, ...]
 
 
-def near_linearity_report(
-    phi: FourierField, p: KdvParams, sample_times
-) -> NearLinearityReport:
+def near_linearity_report(phi, p: KdvParams, sample_times) -> NearLinearityReport:
     """Evolve phi and measure the deviation from the free flow at each sample.
 
-    Both evaluations of the deviation are computed per sample: the
-    interaction-picture difference |v(t) - v(0)| and the physical-side
-    difference |u(t) - S(t) phi|.  They are the same norm of the same vector
-    under a diagonal unitary, so a disagreement above 1e-12 means the
-    propagator and the evolution have fallen out of step; that raises
+    ``phi`` is one field or a sequence of them, stepped together as one batch
+    as in ``evolve``.  Both evaluations of the deviation are computed per
+    sample: the interaction-picture difference |v(t) - v(0)| and the
+    physical-side difference |u(t) - S(t) phi|.  They are the same norm of the
+    same vector under a diagonal unitary, so a disagreement above 1e-12 means
+    the propagator and the evolution have fallen out of step; that raises
     rather than returning corrupt diagnostics.  Momentum is checked against
     its structural zero.
     """
-    record = evolve(phi, p, sample_times)
-    _check_momentum(record)
-    phi_run = phi.with_cutoff(p.cutoff).zero_mean()
-    errors, defect_max = _audit(record, record.coeffs, phi_run)
+    single = isinstance(phi, FourierField)
+    fields = [phi] if single else list(phi)
+    record = evolve(phi if single else fields, p, sample_times)
+    if record.max_momentum() > _MOMENTUM_TOLERANCE:
+        raise RuntimeError(
+            f"momentum mode drifted to {record.max_momentum():.3e}; "
+            "the discretization conserves it identically"
+        )
+    initial = tuple(f.with_cutoff(p.cutoff).zero_mean() for f in fields)
+    rows = record.coeffs.reshape((len(fields),) + record.coeffs.shape[-2:])
+    errors, defects = zip(*(_audit(record, r, f) for r, f in zip(rows, initial)))
     return NearLinearityReport(
-        errors=errors,
-        identity_defect_max=defect_max,
+        errors=errors[0] if single else errors,
+        identity_defect_max=max(defects),
         record=record,
-        initial=phi_run,
+        initial=initial[0] if single else initial,
     )
 
 
@@ -163,8 +171,9 @@ def _audit(
     errors = []
     defect_max = 0.0
     for t, u in zip(record.times, rows):
-        err_ip = float(np.linalg.norm(u * np.exp(1j * a * ks3 * t) - phi0))
-        err_phys = float(np.linalg.norm(u - phi0 * np.exp(-1j * a * ks3 * t)))
+        phase = np.exp(1j * a * ks3 * t)
+        err_ip = float(np.linalg.norm(u * phase - phi0))
+        err_phys = float(np.linalg.norm(u - phi0 * np.conj(phase)))
         defect = abs(err_ip - err_phys)
         defect_max = max(defect_max, defect)
         if defect > _IDENTITY_TOLERANCE:
@@ -176,29 +185,17 @@ def _audit(
     return tuple(errors), defect_max
 
 
-def _check_momentum(record: TrajectoryRecord) -> None:
-    if record.max_momentum() > _MOMENTUM_TOLERANCE:
-        raise RuntimeError(
-            f"momentum mode drifted to {record.max_momentum():.3e}; "
-            "the discretization conserves it identically"
-        )
-
-
 @dataclass(frozen=True)
 class ReturnReport:
     """Outcome of one full-period return run (T = 2 pi, a = 1)."""
 
     return_error_rel: float
-    nl_errors: tuple[float, ...]
-    sample_times: tuple[float, ...]
-    identity_defect_max: float
     snapshot_time: float
     snapshot_sup_ratio: float
-    energy_drift: float
     initial_physical_energy: float
-    initial: FourierField
     final: FourierField
     snapshot: FourierField
+    run: NearLinearityReport
 
 
 def _sup_norm(fld: FourierField, m: int) -> float:
@@ -223,38 +220,36 @@ def return_experiment(spec: HermiteSpec, p: KdvParams) -> ReturnReport:
     p_run = replace(p, t_final=period)
     phi = hermite_initial(spec, p.m)
     times = sorted(set(np.linspace(0.0, period, 17)) | {SNAPSHOT_TIME})
-    report = near_linearity_report(phi, p_run, times)
-    record = report.record
-    phi_run = report.initial
+    run = near_linearity_report(phi, p_run, times)
+    record = run.record
+    phi_run = run.initial
     final = record.snapshot(-1)
     snap_pos = int(np.argmin(np.abs(record.times - SNAPSHOT_TIME)))
     snapshot = record.snapshot(snap_pos)
     norm0 = l2_norm(phi_run)
     return ReturnReport(
         return_error_rel=l2_norm(final - phi_run) / norm0,
-        nl_errors=report.errors,
-        sample_times=tuple(record.times),
-        identity_defect_max=report.identity_defect_max,
         snapshot_time=record.times[snap_pos],
         snapshot_sup_ratio=_sup_norm(snapshot, p.m) / _sup_norm(phi_run, p.m),
-        energy_drift=record.energy_drift(),
         initial_physical_energy=2.0 * math.pi * norm0**2,
-        initial=phi_run,
         final=final,
         snapshot=snapshot,
+        run=run,
     )
 
 
 @dataclass(frozen=True)
 class PullbackReport:
-    """Nonlinear evolution pulled back through the reverse linear flow."""
+    """Nonlinear evolution pulled back through the reverse linear flow.
 
-    t_final: float
+    discrepancy_rel is |S(-T) u(T) - phi| / |phi|, the run's audited
+    deviation |v(T) - v(0)| relative to the data.
+    """
+
     discrepancy_rel: float
-    energy_drift: float
-    initial: FourierField
     evolved: FourierField
     pulled_back: FourierField
+    run: NearLinearityReport
 
 
 def pullback_comparison(spec: HermiteSpec, p: KdvParams, t_final: float) -> PullbackReport:
@@ -266,18 +261,13 @@ def pullback_comparison(spec: HermiteSpec, p: KdvParams, t_final: float) -> Pull
     """
     p_run = replace(p, t_final=t_final)
     phi = hermite_initial(spec, p.m)
-    report = near_linearity_report(phi, p_run, [0.0, t_final])
-    record = report.record
-    phi_run = report.initial
-    evolved = record.snapshot(-1)
-    pulled = linear_propagator(evolved, -record.times[-1], p.a)
+    run = near_linearity_report(phi, p_run, [0.0, t_final])
+    evolved = run.record.snapshot(-1)
     return PullbackReport(
-        t_final=record.times[-1],
-        discrepancy_rel=l2_norm(pulled - phi_run) / l2_norm(phi_run),
-        energy_drift=record.energy_drift(),
-        initial=phi_run,
+        discrepancy_rel=run.errors[-1] / l2_norm(run.initial),
         evolved=evolved,
-        pulled_back=pulled,
+        pulled_back=linear_propagator(evolved, -run.record.times[-1], p.a),
+        run=run,
     )
 
 
@@ -297,8 +287,7 @@ class SweepResult:
     t_final: float
     fitted_slope: float
     degenerate: bool
-    energy_drifts: tuple[float, ...]
-    identity_defect_max: float
+    run: NearLinearityReport
 
 
 # Terminal errors at or below this are rounding noise on a unit-norm field,
@@ -311,8 +300,8 @@ def epsilon_sweep(epsilons, p: KdvParams, t_final: float) -> SweepResult:
 
     For each width the odd-Gaussian data is rescaled to unit coefficient
     norm, so its H^{-1/2} norm (which shrinks as the width does) is the
-    only moving part.  The widths are stepped together in one batched
-    ``evolve``, in order of decreasing epsilon.
+    only moving part.  The widths are stepped together as one batched
+    ``near_linearity_report``, in order of decreasing epsilon.
     """
     eps_sorted = tuple(sorted({float(e) for e in epsilons}, reverse=True))
     if len(eps_sorted) < 3:
@@ -323,13 +312,9 @@ def epsilon_sweep(epsilons, p: KdvParams, t_final: float) -> SweepResult:
     for eps in eps_sorted:
         phi_raw = hermite_initial(HermiteSpec(epsilon=eps), p.m)
         fields.append((1.0 / l2_norm(phi_raw)) * phi_raw)  # zero-mean, run cutoff
-    record = evolve(fields, replace(p, t_final=t_final), [0.0, t_final])
-    _check_momentum(record)
-    audits = [_audit(record, rows, phi) for rows, phi in zip(record.coeffs, fields)]
+    run = near_linearity_report(fields, replace(p, t_final=t_final), [0.0, t_final])
     hm_norms = tuple(sobolev_norm(phi, -0.5) for phi in fields)
-    errors = tuple(errs[-1] for errs, _ in audits)
-    drifts = tuple(float(d) for d in record.energy_drift())
-    defect = max(d for _, d in audits)
+    errors = tuple(errs[-1] for errs in run.errors)
     degenerate = any(err <= _DEGENERATE_ERROR for err in errors)
     if degenerate:
         slope = float("nan")
@@ -342,6 +327,5 @@ def epsilon_sweep(epsilons, p: KdvParams, t_final: float) -> SweepResult:
         t_final=t_final,
         fitted_slope=slope,
         degenerate=degenerate,
-        energy_drifts=drifts,
-        identity_defect_max=defect,
+        run=run,
     )

@@ -36,7 +36,6 @@ __all__ = [
     "field_from_half_spectrum",
     "l2_norm",
     "sobolev_norm",
-    "convolve_exact",
     "write_field_csv",
     "read_field_csv",
     "random_real_field",

@@ -49,7 +49,6 @@ __all__ = [
     "desk_params",
     "paper_params",
     "linear_propagator",
-    "nonlinear_term",
     "evolve",
 ]
 

@@ -64,8 +64,6 @@ from .integrator import _alias_free_rk4_step
 __all__ = [
     "ResonanceClass",
     "classify_resonance",
-    "cubic_phase",
-    "quartic_phase",
     "b2",
     "b3",
     "b4",
@@ -412,8 +410,10 @@ def normal_form_residual(v: FourierField, t: float, dt: float) -> float:
     storage range, so that ``B4(v)`` (support 4M) is whole. The step's later
     stages reach 2K and are cut at K, like the exact sums truncated at K.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 < dt < math.inf:  # NaN fails every comparison
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     ks, _vals = _support(v)
     if ks.size == 0:
         return 0.0

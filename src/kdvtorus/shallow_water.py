@@ -176,12 +176,15 @@ def validate_regime(delta: float, eps: float, threshold: float = 0.1) -> RegimeR
     Args:
         delta: Balanced smallness parameter.
         eps: Width parameter in (0, 1].
-        threshold: Cutoff for "much smaller than one" (default 0.1).
+        threshold: Cutoff for "much smaller than one" (default 0.1); must
+            be finite and positive, else DomainError.
 
     Returns:
         A report flagging each ratio against the threshold and carrying
         the mismatch value as the expected relative model error.
     """
+    if not math.isfinite(threshold) or threshold <= 0.0:
+        raise DomainError(f"threshold must be finite and positive, got {threshold}")
     alpha_eps, beta_eps = epsilon_modified(delta, eps)
     return RegimeReport(
         alpha_eps=alpha_eps,

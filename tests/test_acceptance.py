@@ -67,13 +67,13 @@ def test_criterion_02_return_experiment_baseline():
     report = return_experiment(HermiteSpec(0.1), desk_params())
     baseline = baseline_value("return_error_eps0.1_desk")
     ok_baseline = within_window("return_error_eps0.1_desk", report.return_error_rel)
-    ok_identity = report.identity_defect_max <= 1e-12
+    ok_identity = report.run.identity_defect_max <= 1e-12
     _criterion(
         2, ok_baseline and ok_identity,
         f"return error {report.return_error_rel:.6e} vs frozen "
         f"{baseline:.6e} (window +/-{REL_WINDOW:.0%}); "
-        f"interaction-picture identity defect {report.identity_defect_max:.2e} "
-        f"at {len(report.sample_times)} samples (tolerance 1e-12)",
+        f"interaction-picture identity defect {report.run.identity_defect_max:.2e} "
+        f"at {len(report.run.record.times)} samples (tolerance 1e-12)",
     )
 
 

@@ -77,6 +77,13 @@ class TestShallowWater:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "0", "-1"])
+    def test_threshold_must_be_finite_and_positive(self, tmp_path, capsys, threshold):
+        rc = run(["shallow-water", "--threshold", threshold, "--out", str(tmp_path)])
+        assert rc == 1
+        assert "error: threshold must be finite and positive" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestConfigFile:
     def test_file_values_overridden_by_flags(self, tmp_path, capsys):
@@ -197,6 +204,16 @@ class TestKeySources:
             if name.endswith(".csv"):
                 assert b"\r" not in (outdir / name).read_bytes(), name
 
+    @pytest.mark.parametrize("command", ["simulate", "return-test", "pullback", "sweep"])
+    def test_stepping_runs_report_their_diagnostics(self, command, tmp_path):
+        """Every stepping command writes the audited run's diagnostics block."""
+        outdir = tmp_path / "out"
+        assert run([command, "--out", str(outdir), *as_flags(KEY_VALUES[command])]) == 0
+        results = read_manifest(outdir)["results"]
+        assert results["identity_defect_max"] <= 1e-12
+        assert results["max_momentum"] <= 1e-14
+        assert 0.0 <= results["energy_drift"] < 1e-2
+
     @pytest.mark.parametrize("command", ["identities", "normalform-check", "shallow-water"])
     def test_profile_is_unknown_without_profiles(self, command, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -281,10 +298,14 @@ class TestNormalFormCheck:
             (["--dts", "1e-3,0"], "steps must be positive"),
             (["--dts", "1e-3,-5e-4"], "steps must be positive"),
             (["--small-dt", "0"], "steps must be positive"),
+            (["--small-dt", "inf"], "steps must be positive"),
+            (["--dts", "1e-3,nan"], "steps must be positive"),
+            (["--t", "nan"], "t must be finite"),
+            (["--t", "inf"], "t must be finite"),
             (["--census-count", "0"], "census_count must be at least 1"),
         ],
         ids=["one-step", "repeated", "repeated-apart", "zero", "negative",
-             "zero-small-dt", "no-census"],
+             "zero-small-dt", "inf-small-dt", "nan-step", "nan-t", "inf-t", "no-census"],
     )
     def test_bad_steps_and_census_are_config_errors(self, tmp_path, capsys, flags, message):
         rc = run(["normalform-check", "--support", "3", "--cutoff", "12",

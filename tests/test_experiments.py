@@ -107,6 +107,21 @@ class TestNearLinearity:
             pulled = linear_propagator(rec.snapshot(i), -t, p.a)
             assert report.errors[i] == l2_norm(pulled - report.initial)
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_batch_rows_equal_single_field_reports(self, scheme):
+        """A batch report holds, field by field, every digit of the lone-field reports."""
+        fields = [hermite_initial(HermiteSpec(eps), 512) for eps in (0.4, 0.2, 0.1)]
+        p = KdvParams(a=1.0, b=1.0, dt=1e-6, t_final=3e-4, m=512, scheme=scheme)
+        times = np.linspace(0.0, 3e-4, 5)
+        batch = near_linearity_report(fields, p, times)
+        singles = [near_linearity_report(phi, p, times) for phi in fields]
+        assert len(batch.errors) == len(batch.initial) == len(fields)
+        for errors, initial, single in zip(batch.errors, batch.initial, singles):
+            assert errors == single.errors
+            assert np.array_equal(initial.coeffs, single.initial.coeffs)
+        assert batch.identity_defect_max == max(s.identity_defect_max for s in singles)
+        assert batch.errors[0][-1] > 0.0
+
 
 class TestReturnExperiment:
     def test_dispersion_requires_unit_dispersion_coefficient(self):
@@ -118,16 +133,16 @@ class TestReturnExperiment:
         rep = return_experiment(
             HermiteSpec(0.4), KdvParams(a=1.0, b=1.0, dt=1e-3, m=256)
         )
-        assert rep.sample_times[0] == 0.0
-        assert rep.sample_times[-1] == pytest.approx(2.0 * math.pi, abs=1e-9)
+        assert rep.run.record.times[0] == 0.0
+        assert rep.run.record.times[-1] == pytest.approx(2.0 * math.pi, abs=1e-9)
         assert rep.snapshot_time == pytest.approx(0.2, abs=1e-3)
         assert 1e-3 < rep.return_error_rel < 5e-2
         assert 0.0 < rep.snapshot_sup_ratio < 1.0
-        assert rep.energy_drift < 1e-5
+        assert rep.run.record.energy_drift() < 1e-5
         assert rep.initial_physical_energy == pytest.approx(
             SQRT_PI_OVER_2, rel=1e-6
         )
-        recomputed = l2_norm(rep.final - rep.initial) / l2_norm(rep.initial)
+        recomputed = l2_norm(rep.final - rep.run.initial) / l2_norm(rep.run.initial)
         assert rep.return_error_rel == pytest.approx(recomputed, rel=1e-12)
 
     def test_snapshot_sup_ratio_matches_frozen_baseline(self):
@@ -153,7 +168,7 @@ class TestPullback:
             HermiteSpec(eps, amplitude=4.5), shallow_params, t_final=1.0
         )
         assert within_window(key, rep.discrepancy_rel)
-        assert rep.energy_drift < 1e-6
+        assert rep.run.record.energy_drift() < 1e-6
 
     def test_narrower_data_pulls_back_closer(self, shallow_params):
         assert baseline_value("pullback_eps0.2_T1_shallow") < baseline_value(
@@ -166,7 +181,7 @@ class TestPullback:
             KdvParams(a=1.0 / 6.0, b=1.5, dt=1e-3, m=256),
             t_final=0.5,
         )
-        redone = linear_propagator(rep.evolved, -rep.t_final, 1.0 / 6.0)
+        redone = linear_propagator(rep.evolved, -rep.run.record.times[-1], 1.0 / 6.0)
         assert l2_norm(redone - rep.pulled_back) == 0.0
 
 
@@ -184,7 +199,7 @@ class TestEpsilonSweep:
         assert res.hm_norms[0] > res.hm_norms[1] > res.hm_norms[2]
         assert res.fitted_slope > 0.8
         assert not res.degenerate
-        assert res.identity_defect_max <= 1e-12
+        assert res.run.identity_defect_max <= 1e-12
 
     @pytest.mark.parametrize(
         "p, widths, t_final",

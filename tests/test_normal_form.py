@@ -494,8 +494,12 @@ class TestResidual:
         with pytest.raises(TruncationError, match="quarter"):
             normal_form_residual(wide, 0.0, 1e-3)
         ok = random_real_field(0, support=4, cutoff=16)
-        with pytest.raises(ValueError, match="dt must be positive"):
-            normal_form_residual(ok, 0.0, 0.0)
+        for dt in (0.0, -1e-3, math.nan, math.inf):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                normal_form_residual(ok, 0.3, dt)
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="t must be finite"):
+                normal_form_residual(ok, t, 1e-3)
         assert normal_form_residual(FourierField.zeros(16), 0.0, 1e-3) == 0.0
 
 

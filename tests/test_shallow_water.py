@@ -112,6 +112,11 @@ class TestValidateRegime:
         assert d["threshold"] == 0.3
         assert d["mismatch"] == pytest.approx(mismatch(0.01, 0.4), rel=1e-15)
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        with pytest.raises(DomainError, match="threshold"):
+            validate_regime(0.01, 0.4, threshold=threshold)
+
     def test_zero_delta_is_trivially_valid(self):
         report = validate_regime(0.0, 0.5)
         assert report.valid
