@@ -416,6 +416,8 @@ def _cmd_normalform_check(cfg: dict, outdir: _Outdir):
         raise ConfigError(f"t must be finite, got {cfg['t']}")
     if cfg["census_count"] < 1:
         raise ConfigError(f"census_count must be at least 1, got {cfg['census_count']}")
+    if cfg["identity_limit"] < 1:
+        raise ConfigError(f"identity_limit must be at least 1, got {cfg['identity_limit']}")
     rng = np.random.default_rng(int(cfg["seed"]))
     v = random_real_field(rng, int(cfg["support"]), cutoff=int(cfg["cutoff"]))
     v = (1.0 / l2_norm(v)) * v
@@ -475,6 +477,8 @@ def _cmd_normalform_check(cfg: dict, outdir: _Outdir):
 
 def _cmd_identities(cfg: dict, outdir: _Outdir):
     limit = int(cfg["limit"])
+    if limit < 1:
+        raise ConfigError(f"limit must be at least 1, got {limit}")
     payload = _identity_checks(limit)
     cube_ok, fact_ok = payload["cube_identity"], payload["factorization_identity"]
     _write_json(outdir / "identities.json", payload)

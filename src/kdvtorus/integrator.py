@@ -14,9 +14,12 @@ it is fourth-order accurate and the preferred scheme for desk-scale runs.
 
 Both schemes share one RK4 step (``_Workspace.rk4_v_step``): the leapfrog
 scheme bootstraps its first step with it, so one step of either scheme gives
-the same state. No Robert-Asselin filter is applied, so the leapfrog scheme's
-weak computational mode is left undamped — prefer the RK4 scheme for very
-long runs.
+the same state. Both advance through one step loop in ``evolve``, which
+guards against blow-up and records samples the same way for each; the scheme
+decides only how the state advances and how ``u`` is read from it (IF-RK4
+steps ``v``, leapfrog steps ``u``). No Robert-Asselin filter is applied, so
+the leapfrog scheme's weak computational mode is left undamped — prefer the
+RK4 scheme for very long runs.
 
 State arrays may carry a leading batch axis: ``evolve`` steps several fields
 that share one ``KdvParams`` and one set of sample times as one
@@ -62,19 +65,6 @@ class Scheme(Enum):
     FORNBERG_WHITHAM = "fornberg-whitham"
     INTEGRATING_FACTOR_RK4 = "if-rk4"
 
-    @staticmethod
-    def coerce(value) -> "Scheme":
-        """Accept a Scheme, its name, or its string value."""
-        if isinstance(value, Scheme):
-            return value
-        for member in Scheme:
-            if value in (member.value, member.name):
-                return member
-        raise ValueError(
-            f"unknown scheme {value!r}; expected one of "
-            f"{[member.value for member in Scheme]}"
-        )
-
 
 @dataclass(frozen=True)
 class KdvParams:
@@ -107,7 +97,7 @@ class KdvParams:
     dealias: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scheme", Scheme.coerce(self.scheme))
+        object.__setattr__(self, "scheme", Scheme(self.scheme))
         for name in ("a", "b", "dt", "t_final"):
             if not math.isfinite(float(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
@@ -251,21 +241,6 @@ class _Workspace:
     the physical-space square is one irfft/rfft pair away.
     """
 
-    __slots__ = (
-        "m",
-        "dt",
-        "k",
-        "k3a",
-        "mask",
-        "ikb2",
-        "E",
-        "E2",
-        "Ec",
-        "E2c",
-        "sin2",
-        "two_dt",
-    )
-
     def __init__(
         self,
         m: int,
@@ -281,7 +256,6 @@ class _Workspace:
         ref = cutoff if dealias_cutoff_of is None else dealias_cutoff_of
         kc = (2 * ref) // 3 if dealias else ref
         k = np.arange(m // 2 + 1, dtype=float)
-        self.k = k
         self.k3a = a * k**3
         self.mask = (k <= kc).astype(float)
         self.ikb2 = 0.5j * b * k * self.mask
@@ -290,7 +264,6 @@ class _Workspace:
         self.Ec = np.conj(self.E)
         self.E2c = np.conj(self.E2)
         self.sin2 = 2.0j * np.sin(self.k3a * dt)
-        self.two_dt = 2.0 * dt
 
     def nl(self, A: np.ndarray) -> np.ndarray:
         """Quadratic term ``(i*k*b/2) * F((F^-1 A)^2)`` with the run's masking."""
@@ -318,7 +291,7 @@ class _Workspace:
 
     def fw_step(self, A_prev: np.ndarray, A_cur: np.ndarray) -> np.ndarray:
         """One leapfrog step with the exact linear two-step phase factor."""
-        return A_prev - self.sin2 * A_cur + self.two_dt * self.nl(A_cur)
+        return A_prev - self.sin2 * A_cur + 2.0 * self.dt * self.nl(A_cur)
 
     def u_of_v(self, v: np.ndarray, t: float) -> np.ndarray:
         """Map interaction-picture state to u at absolute time t."""
@@ -421,30 +394,25 @@ def evolve(phi, p: KdvParams, sample_times):
                 )
 
     pointer = 0
+    rk4 = p.scheme is Scheme.INTEGRATING_FACTOR_RK4
 
-    def record_due(idx: int, state_to_u) -> None:
+    def record_due(idx: int) -> None:
         nonlocal pointer
         while pointer < len(sample_idx) and sample_idx[pointer] == idx:
-            record(pointer, state_to_u())
+            record(pointer, ws.u_of_v(A, idx * dt_eff) if rk4 else A)
             pointer += 1
 
-    if p.scheme is Scheme.INTEGRATING_FACTOR_RK4:
-        v = A0.copy()
-        record_due(0, lambda: ws.u_of_v(v, 0.0))
-        for i in range(n_steps):
-            v = ws.rk4_v_step(v, i * dt_eff)
-            check_blowup(v, i + 1)  # |v_k| = |u_k|
-            record_due(i + 1, lambda: ws.u_of_v(v, (i + 1) * dt_eff))
-    else:
-        A_prev = A0.copy()
-        record_due(0, lambda: A_prev)
-        A_cur = ws.u_of_v(ws.rk4_v_step(A_prev, 0.0), dt_eff)  # bootstrap
-        check_blowup(A_cur, 1)
-        record_due(1, lambda: A_cur)
-        for i in range(1, n_steps):
-            A_prev, A_cur = A_cur, ws.fw_step(A_prev, A_cur)
-            check_blowup(A_cur, i + 1)
-            record_due(i + 1, lambda: A_cur)
+    A_prev, A = None, A0.copy()  # IF-RK4 steps v, leapfrog steps u
+    record_due(0)
+    for i in range(n_steps):
+        if rk4:
+            A = ws.rk4_v_step(A, i * dt_eff)
+        elif i == 0:  # leapfrog bootstrap
+            A_prev, A = A, ws.u_of_v(ws.rk4_v_step(A, 0.0), dt_eff)
+        else:
+            A_prev, A = A, ws.fw_step(A_prev, A)
+        check_blowup(A, i + 1)  # |v_k| = |u_k|
+        record_due(i + 1)
 
     return TrajectoryRecord(
         times=times,

@@ -134,12 +134,18 @@ def quartic_phase(k1: int, k2: int, k3: int, k4: int) -> int:
     return (k1 + k2 + k3 + k4) ** 3 - k1**3 - k2**3 - k3**3 - k4**3
 
 
+def _require_limit(limit: int) -> None:
+    if limit < 1:
+        raise ValueError(f"identity limit must be at least 1, got {limit}")
+
+
 def check_cube_identity(limit: int = 20) -> bool:
     """Exhaustively verify ``(k1+k2)^3 - k1^3 - k2^3 = 3*(k1+k2)*k1*k2``.
 
     Checked for all integer pairs with |k1|, |k2| <= limit in exact
-    arithmetic.
+    arithmetic. Raises ValueError for a limit below 1, which checks nothing.
     """
+    _require_limit(limit)
     for k1 in range(-limit, limit + 1):
         for k2 in range(-limit, limit + 1):
             if (k1 + k2) ** 3 - k1**3 - k2**3 != 3 * (k1 + k2) * k1 * k2:
@@ -152,8 +158,10 @@ def check_factorization_identity(limit: int = 20) -> bool:
 
     Checked for all integer triples with |k1|, |mu|, |lam| <= limit in exact
     arithmetic. This is the factorization that turns the mixed phase of the
-    cubic terms into a product of linear factors.
+    cubic terms into a product of linear factors. Raises ValueError for a
+    limit below 1.
     """
+    _require_limit(limit)
     rng = range(-limit, limit + 1)
     for k1 in rng:
         for mu in rng:

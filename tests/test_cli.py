@@ -44,6 +44,16 @@ class TestIdentities:
         assert manifest["artifacts"] == ["identities.json"]
         assert manifest["wall_time_s"] >= 0.0
 
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_limit_below_one_is_a_config_error(self, tmp_path, capsys, limit):
+        """A limit below 1 checks no index, so it cannot report PASS."""
+        rc = run(["identities", "--limit", limit, "--out", str(tmp_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error: limit must be at least 1" in captured.err
+        assert "PASS" not in captured.out
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestShallowWater:
     def test_default_run_reports_the_regime(self, tmp_path, capsys):
@@ -303,9 +313,12 @@ class TestNormalFormCheck:
             (["--t", "nan"], "t must be finite"),
             (["--t", "inf"], "t must be finite"),
             (["--census-count", "0"], "census_count must be at least 1"),
+            (["--identity-limit", "0"], "identity_limit must be at least 1"),
+            (["--identity-limit", "-2"], "identity_limit must be at least 1"),
         ],
         ids=["one-step", "repeated", "repeated-apart", "zero", "negative",
-             "zero-small-dt", "inf-small-dt", "nan-step", "nan-t", "inf-t", "no-census"],
+             "zero-small-dt", "inf-small-dt", "nan-step", "nan-t", "inf-t", "no-census",
+             "zero-identity-limit", "negative-identity-limit"],
     )
     def test_bad_steps_and_census_are_config_errors(self, tmp_path, capsys, flags, message):
         rc = run(["normalform-check", "--support", "3", "--cutoff", "12",

@@ -95,6 +95,15 @@ class TestNearLinearity:
         assert report.identity_defect_max <= 1e-12
         assert report.record.max_momentum() == 0.0
 
+    def test_no_sample_times_is_an_error(self):
+        """An audit of no samples has no deviation or momentum to check."""
+        phi = hermite_initial(HermiteSpec(0.4), m=64)
+        p = KdvParams(dt=1e-3, t_final=1e-2, m=64)
+        with pytest.raises(ValueError, match="at least one time"):
+            near_linearity_report(phi, p, [])
+        with pytest.raises(ValueError, match="at least one time"):
+            near_linearity_report([phi, phi], p, np.array([]))
+
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_audit_matches_the_field_formula_bitwise(self, scheme):
         """Each deviation is |S(-t) u(t) - phi| of the sampled field, every digit."""

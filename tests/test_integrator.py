@@ -31,12 +31,12 @@ class TestParams:
         assert desk.m == 512
 
     def test_scheme_accepts_names_and_values(self):
-        assert Scheme.coerce("if-rk4") is Scheme.INTEGRATING_FACTOR_RK4
-        assert Scheme.coerce("FORNBERG_WHITHAM") is Scheme.FORNBERG_WHITHAM
+        assert KdvParams(scheme="if-rk4").scheme is Scheme.INTEGRATING_FACTOR_RK4
         p = KdvParams(scheme="fornberg-whitham")
         assert p.scheme is Scheme.FORNBERG_WHITHAM
-        with pytest.raises(ValueError, match="scheme"):
-            Scheme.coerce("euler")
+        assert KdvParams(scheme=Scheme.FORNBERG_WHITHAM).scheme is Scheme.FORNBERG_WHITHAM
+        with pytest.raises(ValueError, match="euler"):
+            KdvParams(scheme="euler")
 
     def test_validation_catches_bad_numbers(self):
         with pytest.raises(ValueError, match="dt"):
@@ -208,6 +208,28 @@ class TestEvolveBookkeeping:
             evolve(phi, p, sample_times=[0.5, 0.25])
         with pytest.raises(ValueError, match="within"):
             evolve(phi, p, sample_times=[2.0])
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("t_final", [5e-3, 1e-4], ids=["50-steps", "one-step"])
+    def test_duplicate_sample_times_repeat_the_same_rows(self, scheme, t_final):
+        """Times that snap to one step record that step's state once per request.
+
+        With t_final = dt the run is the leapfrog bootstrap alone.
+        """
+        phi = random_real_field(8, support=10, cutoff=31)
+        dt = 1e-4
+        p = KdvParams(a=1.0, b=1.0, dt=dt, t_final=t_final, m=64, scheme=scheme)
+        times = sorted([0.0, 0.0, dt, t_final / 2, t_final, t_final])
+        unique = sorted(set(times))
+        rec = evolve(phi, p, sample_times=times)
+        ref = evolve(phi, p, sample_times=unique)
+        rows = [unique.index(t) for t in times]
+        assert np.array_equal(rec.times, ref.times[rows])
+        assert np.array_equal(rec.coeffs, ref.coeffs[rows])
+        assert np.array_equal(rec.energy_series, ref.energy_series[rows])
+        assert np.array_equal(rec.momentum_series, ref.momentum_series[rows])
+        assert rec.steps_total == ref.steps_total == round(t_final / dt)
+        assert not np.array_equal(rec.coeffs[0], rec.coeffs[-1])  # the state moved
 
     def test_initial_support_must_fit_the_run_grid(self):
         phi = FourierField.from_modes({30: 1.0, -30: 1.0}, cutoff=40)

@@ -170,6 +170,13 @@ class TestPhases:
         assert check_cube_identity(12)
         assert check_factorization_identity(8)
 
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_identity_checks_reject_a_limit_below_one(self, limit):
+        with pytest.raises(ValueError, match="at least 1"):
+            check_cube_identity(limit)
+        with pytest.raises(ValueError, match="at least 1"):
+            check_factorization_identity(limit)
+
     def test_python_int_arithmetic_does_not_overflow(self):
         """Large wavenumbers must go through exact integer arithmetic."""
         big = 10**7
