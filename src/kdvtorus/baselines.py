@@ -36,7 +36,7 @@ def baseline_value(key: str) -> float:
     return float(table[key]["value"])
 
 
-def within_window(key: str, measured: float, window: float = REL_WINDOW) -> bool:
-    """Whether a measured value lies within the relative window of a baseline."""
+def within_window(key: str, measured: float) -> bool:
+    """Whether a measured value lies within ``REL_WINDOW`` of a baseline."""
     stored = baseline_value(key)
-    return abs(measured - stored) <= window * abs(stored)
+    return abs(measured - stored) <= REL_WINDOW * abs(stored)

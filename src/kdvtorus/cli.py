@@ -198,7 +198,10 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
 
 
 class _Outdir:
-    """A run's output directory; ``outdir / name`` records ``name`` as an artifact."""
+    """A run's output directory; ``outdir / name`` records ``name`` as an artifact.
+
+    The directory is created on the first write, so a rejected run leaves none.
+    """
 
     def __init__(self, path: Path) -> None:
         self.path = path
@@ -206,17 +209,15 @@ class _Outdir:
 
     def __truediv__(self, name: str) -> Path:
         self.names.add(name)
+        self.path.mkdir(parents=True, exist_ok=True)
         return self.path / name
 
 
 def _outdir(args: argparse.Namespace, command: str) -> _Outdir:
     if args.out:
-        path = Path(args.out)
-    else:
-        root = os.environ.get(ENV_OUTPUT_ROOT, "kdvtorus-runs")
-        path = Path(root) / command
-    path.mkdir(parents=True, exist_ok=True)
-    return _Outdir(path)
+        return _Outdir(Path(args.out))
+    root = os.environ.get(ENV_OUTPUT_ROOT, "kdvtorus-runs")
+    return _Outdir(Path(root) / command)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -238,6 +239,7 @@ def _manifest(outdir: _Outdir, command: str, cfg: dict, seeds: dict,
         "artifacts": sorted(outdir.names),
         "wall_time_s": round(wall, 3),
     }
+    outdir.path.mkdir(parents=True, exist_ok=True)
     _write_json(outdir.path / "manifest.json", payload)
 
 

@@ -39,8 +39,6 @@ __all__ = [
     "pullback_comparison",
     "SweepResult",
     "epsilon_sweep",
-    "TAIL_TOLERANCE",
-    "SNAPSHOT_TIME",
 ]
 
 #: Relative tail size at |x| = pi above which periodization is flagged.
@@ -135,12 +133,9 @@ def near_linearity_report(phi, p: KdvParams, sample_times) -> NearLinearityRepor
     same vector under a diagonal unitary, so a disagreement above 1e-12 means
     the propagator and the evolution have fallen out of step; that raises
     rather than returning corrupt diagnostics.  Momentum is checked against
-    its structural zero.  An empty ``sample_times`` raises ValueError: with no
-    sample there is nothing to audit.
+    its structural zero.  An empty ``sample_times`` raises ValueError, as in
+    ``evolve``: with no sample there is nothing to audit.
     """
-    sample_times = list(sample_times)
-    if not sample_times:
-        raise ValueError("sample_times must hold at least one time")
     single = isinstance(phi, FourierField)
     fields = [phi] if single else list(phi)
     record = evolve(phi if single else fields, p, sample_times)

@@ -27,21 +27,16 @@ import numpy as np
 from .errors import CorruptFieldError, GridError
 
 __all__ = [
-    "TWO_PI",
     "Grid",
     "FourierField",
     "analyze",
     "synthesize",
-    "half_spectrum",
-    "field_from_half_spectrum",
     "l2_norm",
     "sobolev_norm",
     "write_field_csv",
     "read_field_csv",
     "random_real_field",
 ]
-
-TWO_PI = 2.0 * math.pi
 
 #: Relative tolerance for the reality invariant (double precision, M <= 2**12).
 REALITY_TOL = 1e-12
@@ -74,7 +69,7 @@ class Grid:
             raise GridError(f"grid size must be a power of two, got {self.m!r}")
         if self.m < 4:
             raise GridError(f"grid size must be at least 4, got {self.m}")
-        pts = -np.pi + TWO_PI * np.arange(int(self.m)) / int(self.m)
+        pts = -np.pi + 2.0 * np.pi * np.arange(int(self.m)) / int(self.m)
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -154,18 +149,21 @@ class FourierField:
         """Max |u_{-k} - conj(u_k)| over the stored range (0 for real fields)."""
         return float(np.max(np.abs(self.coeffs[::-1] - np.conj(self.coeffs))))
 
-    def require_real(self, tol: float = REALITY_TOL) -> None:
+    def require_real(self) -> None:
         """Raise :class:`CorruptFieldError` if the reality invariant fails.
 
-        The tolerance is relative to the largest amplitude (with a floor of
-        1, so exact zero fields pass trivially).
+        Any non-finite amplitude fails. The tolerance ``REALITY_TOL`` is
+        relative to the largest amplitude (with a floor of 1, so exact zero
+        fields pass trivially).
         """
+        if not np.all(np.isfinite(self.coeffs)):
+            raise CorruptFieldError("field has non-finite amplitudes")
         scale = max(1.0, float(np.max(np.abs(self.coeffs))))
         defect = self.reality_defect()
-        if defect > tol * scale:
+        if defect > REALITY_TOL * scale:
             raise CorruptFieldError(
                 f"reality invariant violated: defect {defect:.3e} exceeds "
-                f"{tol:.1e} * scale {scale:.3e}"
+                f"{REALITY_TOL:.1e} * scale {scale:.3e}"
             )
 
     def mean_mode(self) -> complex:
@@ -405,8 +403,9 @@ def write_field_csv(fld: FourierField, path) -> None:
 def read_field_csv(path) -> FourierField:
     """Read a field written by :func:`write_field_csv`.
 
-    Raises ``ValueError`` on a bad header, no rows or a repeated k, and
-    :class:`CorruptFieldError` unless the field is zero-mean and real.
+    Raises ``ValueError`` on a bad header, a row without exactly three
+    cells, no rows or a repeated k, and :class:`CorruptFieldError` unless the
+    field is finite, zero-mean and real.
     """
     modes: dict[int, complex] = {}
     with open(path, newline="") as fh:
@@ -415,6 +414,10 @@ def read_field_csv(path) -> FourierField:
         if header != ["k", "re", "im"]:
             raise ValueError(f"unexpected field CSV header: {header!r}")
         for row in reader:
+            if len(row) != 3:
+                raise ValueError(
+                    f"field CSV line {reader.line_num} has {len(row)} cells, not 3: {row!r}"
+                )
             k = int(row[0])
             if k in modes:
                 raise ValueError(f"field CSV repeats mode k = {k}")
@@ -423,9 +426,9 @@ def read_field_csv(path) -> FourierField:
         raise ValueError("field CSV contains no rows")
     cutoff = max(abs(k) for k in modes)
     fld = FourierField.from_modes(modes, cutoff=max(cutoff, 1))
+    fld.require_real()
     if fld.mean_mode() != 0.0:
         raise CorruptFieldError(f"field CSV has nonzero mean u_0 = {fld.mean_mode()}")
-    fld.require_real()
     return fld
 
 

@@ -151,11 +151,9 @@ class TrajectoryRecord:
         """Max relative deviation of the energy series from its first entry.
 
         A float for one field, an array with one entry per field for a batch;
-        NaN where there are no samples or the first entry is 0.
+        NaN where the first entry is 0.
         """
         energy = self.energy_series
-        if energy.shape[-1] == 0:
-            return math.nan
         dev = np.max(np.abs(energy - energy[..., :1]), axis=-1)
         with np.errstate(invalid="ignore"):  # a zero field stays zero: 0/0 = NaN
             drift = dev / np.abs(energy[..., 0])
@@ -163,8 +161,6 @@ class TrajectoryRecord:
 
     def max_momentum(self) -> float:
         """Largest |momentum| over the samples of every field (0 for zero-mean data)."""
-        if self.momentum_series.size == 0:
-            return math.nan
         return float(np.max(np.abs(self.momentum_series)))
 
 
@@ -326,7 +322,9 @@ def evolve(phi, p: KdvParams, sample_times):
     Raises
     ------
     ValueError
-        If sample times are unsorted or outside [0, t_final].
+        If sample times are empty, unsorted or outside [0, t_final].
+    CorruptFieldError
+        If a field has a non-finite amplitude or fails the reality check.
     GridError
         If a field carries nonzero modes beyond the run grid's cutoff.
     InstabilityError
@@ -336,12 +334,12 @@ def evolve(phi, p: KdvParams, sample_times):
     requested = np.asarray(list(sample_times), dtype=float)
     if requested.ndim != 1:
         raise ValueError("sample_times must be a flat sequence")
-    if requested.size and np.any(np.diff(requested) < 0.0):
+    if requested.size == 0:
+        raise ValueError("sample_times must hold at least one time")
+    if np.any(np.diff(requested) < 0.0):
         raise ValueError("sample_times must be sorted")
     tol = 1e-9 * max(1.0, abs(t_final))
-    if requested.size and (
-        requested[0] < -tol or requested[-1] > t_final + tol
-    ):
+    if requested[0] < -tol or requested[-1] > t_final + tol:
         raise ValueError(
             f"sample_times must lie within [0, {t_final}], got "
             f"[{requested[0]}, {requested[-1]}]"

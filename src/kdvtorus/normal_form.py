@@ -74,7 +74,6 @@ __all__ = [
     "ratio_census",
     "check_cube_identity",
     "check_factorization_identity",
-    "CENSUS_SEED",
 ]
 
 #: Fixed seed for the ratio census suite (recorded in run manifests).

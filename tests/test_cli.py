@@ -343,3 +343,19 @@ class TestOutputRoot:
         assert rc == 0
         assert (explicit / "manifest.json").exists()
         assert not (tmp_path / "env-root").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["identities", "--limit", "0"],
+            ["simulate", "--samples", "1"],
+            ["shallow-water", "--threshold", "-1"],
+            ["return-test", "--a", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_rejected_run_creates_no_directory(self, tmp_path, capsys, argv):
+        rc = run([*argv, "--out", str(tmp_path / "new" / "out")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()

@@ -266,6 +266,28 @@ class TestSerialization:
         with pytest.raises(ValueError, match="repeats mode k = 1"):
             read_field_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_csv_with_non_finite_mode_is_rejected(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"k,re,im\n-1,{value},0.0\n0,0.0,0.0\n1,{value},0.0\n")
+        with pytest.raises(CorruptFieldError, match="non-finite"):
+            read_field_csv(path)
+
+    @pytest.mark.parametrize(
+        "line, body",
+        [
+            (3, "k,re,im\n-1,1.0,0.0\n0,0.0\n1,1.0,0.0\n"),
+            (3, "k,re,im\n-1,1.0,0.0\n\n1,1.0,0.0\n"),
+            (4, "k,re,im\n-1,1.0,0.0\n0,0.0,0.0\n1,1.0,0.0,9.0\n"),
+        ],
+        ids=["short-row", "blank-line", "fourth-cell"],
+    )
+    def test_csv_row_without_three_cells_is_rejected(self, tmp_path, line, body):
+        path = tmp_path / "cells.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=f"line {line} has"):
+            read_field_csv(path)
+
 
 class TestRandomRealField:
     def test_same_seed_reproduces_the_field(self):

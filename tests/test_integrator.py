@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdvtorus.errors import GridError, InstabilityError
+from kdvtorus.errors import CorruptFieldError, GridError, InstabilityError
 from kdvtorus.fields import FourierField, convolve_exact, l2_norm, random_real_field
 from kdvtorus.integrator import (
     KdvParams,
@@ -208,6 +208,19 @@ class TestEvolveBookkeeping:
             evolve(phi, p, sample_times=[0.5, 0.25])
         with pytest.raises(ValueError, match="within"):
             evolve(phi, p, sample_times=[2.0])
+
+    def test_no_sample_times_is_an_error(self):
+        phi = random_real_field(5, support=4, cutoff=8)
+        p = KdvParams(t_final=1.0, m=32, dt=1e-2)
+        with pytest.raises(ValueError, match="at least one time"):
+            evolve(phi, p, [])
+
+    def test_non_finite_data_is_corrupt_not_unstable(self):
+        """NaN data is refused before stepping, not reported as a blow-up."""
+        phi = random_real_field(5, support=4, cutoff=8).with_mode(2, complex("nan"))
+        p = KdvParams(t_final=1.0, m=32, dt=1e-2)
+        with pytest.raises(CorruptFieldError, match="non-finite"):
+            evolve(phi, p, [1.0])
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("t_final", [5e-3, 1e-4], ids=["50-steps", "one-step"])
