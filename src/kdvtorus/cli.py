@@ -222,7 +222,7 @@ def _outdir(args: argparse.Namespace, command: str) -> _Outdir:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n",
         encoding="utf-8",
         newline="\n",
     )
@@ -491,6 +491,8 @@ def _cmd_identities(cfg: dict, outdir: _Outdir):
 
 
 def _cmd_shallow_water(cfg: dict, outdir: _Outdir):
+    if not 0.0 < cfg["g"] < math.inf:  # NaN fails every comparison
+        raise ConfigError(f"g must be finite and positive, got {cfg['g']}")
     report = validate_regime(cfg["delta"], cfg["eps"], cfg["threshold"])
     lines = [
         f"delta        {cfg['delta']:.6g}",

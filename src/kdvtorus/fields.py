@@ -14,6 +14,11 @@ Conventions used throughout the package
 
 `FourierField` is an immutable value: every operation returns a new instance,
 so fields are safe to share across threads.
+
+The exact coefficient convolution ``(f*g)_k = sum_{k1+k2=k} f_{k1} g_{k2}``
+needs no helper: ``FourierField(np.convolve(f.coeffs, g.coeffs))`` is that
+direct sum, with cutoff ``K_f + K_g``, and is what the tests check the
+pseudospectral product against.
 """
 
 from __future__ import annotations
@@ -353,30 +358,6 @@ def sobolev_norm(fld: FourierField, s: float) -> float:
     mask = ks != 0.0
     weights = np.abs(ks[mask]) ** (2.0 * s)
     return float(math.sqrt(np.sum(weights * np.abs(fld.coeffs[mask]) ** 2)))
-
-
-# ---------------------------------------------------------------------------
-# exact convolution oracle
-# ---------------------------------------------------------------------------
-
-
-def convolve_exact(f: FourierField, g: FourierField) -> FourierField:
-    """Exact coefficient convolution ``(f*g)_k = sum_{k1+k2=k} f_{k1} g_{k2}``.
-
-    Computed by a direct double loop over the full index ranges with output
-    cutoff ``K_f + K_g``, so no truncation occurs. This is the slow, auditable
-    oracle against which the pseudospectral product is tested; it never
-    dealiases. Note the output generally carries a nonzero mean (e.g. the
-    self-convolution of a cosine pair).
-    """
-    kf, kg = f.cutoff, g.cutoff
-    out_cut = kf + kg
-    out = np.zeros(2 * out_cut + 1, dtype=np.complex128)
-    for k1 in range(-kf, kf + 1):
-        a = f.coeffs[k1 + kf]
-        for k2 in range(-kg, kg + 1):
-            out[k1 + k2 + out_cut] += a * g.coeffs[k2 + kg]
-    return FourierField(out)
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,11 @@ steps ``v``, leapfrog steps ``u``). No Robert-Asselin filter is applied, so
 the leapfrog scheme's weak computational mode is left undamped — prefer the
 RK4 scheme for very long runs.
 
+The quadratic term is ``_Workspace.nl``, masked at one cutoff: 2K/3 (the 2/3
+rule) or K in ``evolve``, K itself on the residual probe's wider grid. Its
+``FourierField`` wrapper, which the tests compare against the direct-sum
+convolution, lives in ``tests/oracles.py``.
+
 State arrays may carry a leading batch axis: ``evolve`` steps several fields
 that share one ``KdvParams`` and one set of sample times as one
 ``(B, m/2+1)`` state, with FFTs along the last axis, and returns one
@@ -180,7 +185,7 @@ def linear_propagator(fld: FourierField, t: float, a: float) -> FourierField:
 
 
 # ---------------------------------------------------------------------------
-# pseudospectral nonlinear term
+# the residual probe's step
 # ---------------------------------------------------------------------------
 
 
@@ -191,24 +196,6 @@ def _grid_for_cutoff(cutoff: int) -> int:
     return m
 
 
-def nonlinear_term(u: FourierField, b: float, dealias: bool = True) -> FourierField:
-    """The quadratic term ``(i*k*b/2) * (u*u)_k`` formed pseudospectrally.
-
-    The square is taken in physical space on an internal power-of-two grid
-    large enough for the field's cutoff. With ``dealias`` set, modes above
-    ``floor(2*K/3)`` are zeroed both before squaring and in the result (the
-    2/3 rule), which makes the retained range agree with the exact
-    convolution oracle to rounding; without it the top modes carry aliased
-    content, as in the classical scheme. The output is zero-mean and
-    reality-respecting by construction.
-    """
-    cutoff = u.cutoff
-    m = _grid_for_cutoff(cutoff)
-    ws = _Workspace(m=m, a=0.0, b=b, dealias=dealias, dealias_cutoff_of=cutoff, dt=1.0)
-    out_half = ws.nl(half_spectrum(u, m))
-    return field_from_half_spectrum(out_half, m).with_cutoff(cutoff)
-
-
 def _alias_free_rk4_step(v: FourierField, t: float, h: float) -> FourierField:
     """One ``rk4_v_step`` of the a = b = 1 system from time t (h may be negative).
 
@@ -217,7 +204,7 @@ def _alias_free_rk4_step(v: FourierField, t: float, h: float) -> FourierField:
     """
     cutoff = v.cutoff
     m = _grid_for_cutoff(3 * cutoff // 2)
-    ws = _Workspace(m=m, a=1.0, b=1.0, dealias=False, dt=h, dealias_cutoff_of=cutoff)
+    ws = _Workspace(m=m, a=1.0, b=1.0, dt=h, mask_cutoff=cutoff)
     out_half = ws.rk4_v_step(half_spectrum(v, m), t)
     return field_from_half_spectrum(out_half, m).with_cutoff(cutoff)
 
@@ -234,26 +221,17 @@ class _Workspace:
     holds ``m * (-1)^k * u_k`` for k = 0..m/2. In this layout the dynamics
     take the same form as for the plain coefficients (the alternating sign
     is a constant diagonal conjugation that commutes with every term), and
-    the physical-space square is one irfft/rfft pair away.
+    the physical-space square is one irfft/rfft pair away. ``mask_cutoff``
+    is the highest mode kept in the quadratic term, both before squaring and
+    in the result.
     """
 
-    def __init__(
-        self,
-        m: int,
-        a: float,
-        b: float,
-        dealias: bool,
-        dt: float,
-        dealias_cutoff_of: int | None = None,
-    ) -> None:
+    def __init__(self, m: int, a: float, b: float, dt: float, mask_cutoff: int) -> None:
         self.m = m
         self.dt = dt
-        cutoff = m // 2 - 1
-        ref = cutoff if dealias_cutoff_of is None else dealias_cutoff_of
-        kc = (2 * ref) // 3 if dealias else ref
         k = np.arange(m // 2 + 1, dtype=float)
         self.k3a = a * k**3
-        self.mask = (k <= kc).astype(float)
+        self.mask = (k <= mask_cutoff).astype(float)
         self.ikb2 = 0.5j * b * k * self.mask
         self.E = np.exp(-0.5j * dt * self.k3a)
         self.E2 = self.E * self.E
@@ -358,7 +336,8 @@ def evolve(phi, p: KdvParams, sample_times):
 
     n_steps = max(1, math.ceil(t_final / p.dt - 1e-12))
     dt_eff = t_final / n_steps
-    ws = _Workspace(m=p.m, a=p.a, b=p.b, dealias=p.dealias, dt=dt_eff)
+    mask_cutoff = (2 * p.cutoff) // 3 if p.dealias else p.cutoff
+    ws = _Workspace(m=p.m, a=p.a, b=p.b, dt=dt_eff, mask_cutoff=mask_cutoff)
 
     sample_idx = [min(n_steps, max(0, int(round(s / dt_eff)))) for s in requested]
 

@@ -5,9 +5,8 @@ import json
 import pytest
 
 from kdvtorus import __version__
-from kdvtorus.cli import ENV_OUTPUT_ROOT, run
+from kdvtorus.cli import ENV_OUTPUT_ROOT, _write_json, load_config, run
 from kdvtorus.errors import ConfigError
-from kdvtorus.cli import load_config
 
 
 def read_manifest(outdir):
@@ -93,6 +92,19 @@ class TestShallowWater:
         assert rc == 1
         assert "error: threshold must be finite and positive" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("g", ["nan", "inf", "0", "-1"])
+    def test_gravity_must_be_finite_and_positive(self, tmp_path, capsys, g):
+        """Checked even when no dimensional scales are given and g goes unused."""
+        rc = run(["shallow-water", "--g", g, "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert "error: g must be finite and positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_json_artifacts_refuse_non_finite_numbers(self, tmp_path, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _write_json(tmp_path / "report.json", {"g": value})
 
 
 class TestConfigFile:

@@ -8,16 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvtorus.errors import CorruptFieldError, GridError, InstabilityError
-from kdvtorus.fields import FourierField, convolve_exact, l2_norm, random_real_field
+from kdvtorus.fields import FourierField, l2_norm, random_real_field
 from kdvtorus.integrator import (
     KdvParams,
     Scheme,
     desk_params,
     evolve,
     linear_propagator,
-    nonlinear_term,
     paper_params,
 )
+from oracles import nonlinear_term
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,7 +80,7 @@ class TestNonlinearTerm:
         for dealias in (True, False):
             u = random_real_field(rng, support=8, cutoff=31)
             out = nonlinear_term(u, b=1.3, dealias=dealias)
-            conv = convolve_exact(u, u)
+            conv = FourierField(np.convolve(u.coeffs, u.coeffs))
             kc = (2 * 31) // 3 if dealias else 31
             for k in range(-out.cutoff, out.cutoff + 1):
                 want = 0.5j * k * 1.3 * conv.mode(k) if abs(k) <= kc else 0.0
@@ -97,7 +97,8 @@ class TestNonlinearTerm:
         """Any support up to the cutoff K: the 2/3 rule keeps |k| <= 2K/3 exact."""
         u = random_real_field(seed, support=data.draw(st.integers(1, cutoff)), cutoff=cutoff)
         kc = (2 * cutoff) // 3
-        conv = convolve_exact(u.with_cutoff(kc), u.with_cutoff(kc))
+        low = u.with_cutoff(kc).coeffs
+        conv = FourierField(np.convolve(low, low))
         want = FourierField.from_modes(
             {k: 0.5j * k * b * conv.mode(k) for k in range(-kc, kc + 1)}, cutoff=cutoff
         )
@@ -106,6 +107,19 @@ class TestNonlinearTerm:
         scale = (1.0 + abs(b)) * cutoff * l2_norm(u) ** 2
         assert l2_norm(out - want) <= 1e-14 * scale
         assert out.reality_defect() <= 1e-14 * scale
+
+    def test_matches_the_exact_convolution_at_the_desk_grid(self):
+        """Cutoff 255 (m = 512): |k| <= 170 is the direct sum, every mode above is 0."""
+        u = random_real_field(512, support=255, cutoff=255)
+        b = 1.3
+        out = nonlinear_term(u, b=b)
+        low = u.with_cutoff(170).coeffs
+        conv = FourierField(np.convolve(low, low)).with_cutoff(170)
+        want = FourierField(0.5j * b * np.arange(-170, 171) * conv.coeffs)
+        scale = (1.0 + abs(b)) * 255 * l2_norm(u) ** 2
+        assert l2_norm(out.with_cutoff(170) - want) <= 1e-14 * scale
+        assert np.all(out.coeffs[: 255 - 170] == 0.0)
+        assert np.all(out.coeffs[255 + 171 :] == 0.0)
 
     def test_output_is_reality_respecting(self):
         u = random_real_field(13, support=10, cutoff=15)

@@ -1,4 +1,12 @@
-"""The package API: ``kdvtorus.__all__`` is the union of the library modules' lists."""
+"""The package API: ``kdvtorus.__all__`` is the union of the library modules' lists.
+
+Also: the acceptance gate needs nothing but the package to load.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +28,25 @@ def test_each_listed_name_is_the_module_object(module):
     for name in module.__all__:
         assert hasattr(module, name), f"{module.__name__}.__all__ lists missing {name}"
         assert getattr(kdvtorus, name) is getattr(module, name)
+
+
+_LOAD = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("gate", sys.argv[1])
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+print(" ".join(sorted(n for n in dir(module) if n.startswith("test_criterion_"))))
+"""
+
+
+def test_the_gate_loads_with_only_the_package_on_the_path(tmp_path):
+    """perfbench/reference.py loads the gate with src/ alone, so it imports nothing from tests/."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOAD, str(root / "tests" / "test_acceptance.py")],
+        cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    numbers = [int(name.split("_")[2]) for name in proc.stdout.split()]
+    assert numbers == list(range(1, 11))
