@@ -103,13 +103,6 @@ class FourierField:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def zeros(cutoff: int) -> "FourierField":
-        """The zero field with the given cutoff."""
-        if cutoff < 1:
-            raise ValueError(f"cutoff must be positive, got {cutoff}")
-        return FourierField(np.zeros(2 * cutoff + 1, dtype=np.complex128))
-
-    @staticmethod
     def from_modes(modes: dict, cutoff: int | None = None) -> "FourierField":
         """Build a field from a ``{k: amplitude}`` mapping.
 
@@ -183,14 +176,6 @@ class FourierField:
 
     # -- structural operations ----------------------------------------------
 
-    def with_mode(self, k: int, value: complex) -> "FourierField":
-        """Copy with mode k replaced (k must lie within the cutoff)."""
-        if abs(k) > self.cutoff:
-            raise ValueError(f"mode {k} outside cutoff {self.cutoff}")
-        out = np.array(self.coeffs, copy=True)
-        out[k + self.cutoff] = value
-        return FourierField(out)
-
     def with_cutoff(self, cutoff: int) -> "FourierField":
         """Copy truncated or zero-extended to the given cutoff."""
         if cutoff < 1:
@@ -220,9 +205,6 @@ class FourierField:
         return FourierField(self.coeffs * complex(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "FourierField":
-        return FourierField(-self.coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -59,7 +59,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -76,7 +75,6 @@ __all__ = [
     "b4",
     "resonant_term",
     "normal_form_residual",
-    "AprioriRatios",
     "apriori_ratios",
     "ratio_census",
     "check_cube_identity",
@@ -394,29 +392,14 @@ def normal_form_residual(v: FourierField, t: float, dt: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AprioriRatios:
-    """Left/right ratios of the five a-priori operator estimates.
+def apriori_ratios(v: FourierField) -> dict[str, float]:
+    """Left/right ratios of the five a-priori operator estimates (t = 0 phases).
 
     Each ratio divides an operator norm by the product of field norms the
     corresponding estimate allows, so boundedness of the ratio across a
-    field census is the numerical content of the estimate. Evaluated at
-    t = 0 phases. The fractional exponents in r3/r4 instantiate the
-    estimates' "epsilon of room" at 0.1.
+    field census is the numerical content of the estimate. The fractional
+    exponents in r3/r4 instantiate the estimates' "epsilon of room" at 0.1.
     """
-
-    r1: float  # |B2| / |v|_{H^-1/2}^2
-    r2: float  # |B3| / (|v|_{H^-1/2}^2 |v|)
-    r3: float  # |B4| / (|v|_{H^-1/2}^0.9 |v|^3.1)
-    r4: float  # |B4|_{H^-1/2} / (|v|_{H^-1/2}^1.9 |v|^2.1)
-    r5: float  # |v_k^3/k| / (|v|_{H^-1/2}^2 |v|)
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
-
-
-def apriori_ratios(v: FourierField) -> AprioriRatios:
-    """Evaluate the five estimate ratios for one field (t = 0 phases)."""
     norm_l2 = l2_norm(v)
     if norm_l2 == 0.0:
         raise UndefinedRatioError("a-priori ratios are undefined for the zero field")
@@ -427,19 +410,22 @@ def apriori_ratios(v: FourierField) -> AprioriRatios:
     cubic_weighted = math.sqrt(
         float(np.sum(np.abs(v.coeffs[nz]) ** 6 / ks[nz] ** 2))
     )
-    return AprioriRatios(
-        r1=l2_norm(b2(v, 0.0)) / norm_hm**2,
-        r2=l2_norm(b3(v, 0.0)) / (norm_hm**2 * norm_l2),
-        r3=l2_norm(b4_field) / (norm_hm**0.9 * norm_l2**3.1),
-        r4=sobolev_norm(b4_field, -0.5) / (norm_hm**1.9 * norm_l2**2.1),
-        r5=cubic_weighted / (norm_hm**2 * norm_l2),
-    )
+    return {
+        # |B2| / |v|_{H^-1/2}^2
+        "r1": l2_norm(b2(v, 0.0)) / norm_hm**2,
+        # |B3| / (|v|_{H^-1/2}^2 |v|)
+        "r2": l2_norm(b3(v, 0.0)) / (norm_hm**2 * norm_l2),
+        # |B4| / (|v|_{H^-1/2}^0.9 |v|^3.1)
+        "r3": l2_norm(b4_field) / (norm_hm**0.9 * norm_l2**3.1),
+        # |B4|_{H^-1/2} / (|v|_{H^-1/2}^1.9 |v|^2.1)
+        "r4": sobolev_norm(b4_field, -0.5) / (norm_hm**1.9 * norm_l2**2.1),
+        # |v_k^3/k| / (|v|_{H^-1/2}^2 |v|)
+        "r5": cubic_weighted / (norm_hm**2 * norm_l2),
+    }
 
 
-def ratio_census(
-    count: int = 100, support: int = 32, seed: int = CENSUS_SEED
-) -> dict[str, float]:
-    """Max of each estimate ratio over a seeded random-field suite.
+def ratio_census(count: int = 100, support: int = 32) -> dict[str, float]:
+    """Max of each estimate ratio over the ``CENSUS_SEED`` random-field suite.
 
     Fields carry independent complex Gaussian amplitudes on modes
     1..support (conjugate-symmetric), with storage wide enough (4x support)
@@ -449,11 +435,10 @@ def ratio_census(
     """
     if count < 1:
         raise ValueError(f"census count must be at least 1, got {count}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(CENSUS_SEED)
     maxima = {name: 0.0 for name in ("r1", "r2", "r3", "r4", "r5")}
     for _ in range(count):
         fld = random_real_field(rng, support, cutoff=4 * support)
-        ratios = apriori_ratios(fld).as_dict()
-        for name, value in ratios.items():
+        for name, value in apriori_ratios(fld).items():
             maxima[name] = max(maxima[name], value)
     return maxima

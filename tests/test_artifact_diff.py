@@ -45,3 +45,11 @@ class TestCompareFile:
         assert compare_file("stdout", "a\nb\n", "a\nb\n") == (False, "identical")
         assert compare_file("stdout", "a\nb\nc\n", "a\nB\nc\n") == (True, "differs from line 2")
         assert compare_file("stdout", "a\n", "a\nb\n") == (True, "differs: 1 against 2 lines")
+
+
+class TestCompare:
+    def test_a_command_failing_on_the_old_tree_compares_nothing(self, tmp_path, capsys):
+        """Identical streams from a run that wrote no artifacts are not agreement."""
+        failed = {"exit code": 1, "stdout": "", "stderr": "blow-up\n", "out": tmp_path / "00"}
+        assert artifact_diff.compare([failed], [dict(failed)]) == 1
+        assert "00/exit code: 1 on the old tree: nothing compared" in capsys.readouterr().out

@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-from kdvtorus.baselines import baseline_value, within_window
 from kdvtorus.experiments import (
     _DEGENERATE_ERROR,
     SNAPSHOT_TIME,
@@ -20,6 +19,7 @@ from kdvtorus.experiments import (
 )
 from kdvtorus.fields import l2_norm, synthesize
 from kdvtorus.integrator import KdvParams, Scheme, desk_params, evolve, linear_propagator
+from test_acceptance import baseline_value, within_window
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi) / 2.0
 

@@ -231,7 +231,8 @@ class TestEvolveBookkeeping:
 
     def test_non_finite_data_is_corrupt_not_unstable(self):
         """NaN data is refused before stepping, not reported as a blow-up."""
-        phi = random_real_field(5, support=4, cutoff=8).with_mode(2, complex("nan"))
+        phi = random_real_field(5, support=4, cutoff=8)
+        phi = phi + FourierField.from_modes({2: complex("nan")})
         p = KdvParams(t_final=1.0, m=32, dt=1e-2)
         with pytest.raises(CorruptFieldError, match="non-finite"):
             evolve(phi, p, [1.0])

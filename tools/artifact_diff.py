@@ -16,8 +16,10 @@ compared, one line per file:
   added without counting as a difference;
 - otherwise the first line that differs.
 
-The exit status is 1 if anything differs (added manifest keys excepted) and
-0 otherwise. Bits can differ across NumPy builds, so compare two trees on one
+A command that exits non-zero on the old tree counts as a difference
+("nothing compared"): a run that fails writes no artifacts to compare. The
+exit status is 1 if anything differs (added manifest keys excepted) and 0
+otherwise. Bits can differ across NumPy builds, so compare two trees on one
 machine rather than against stored hashes.
 """
 
@@ -46,7 +48,7 @@ COMMANDS = [
     ["return-test", "--m", "64", "--dt", "1e-3", "--epsilon", "0.3",
      "--scheme", "fornberg-whitham"],
     ["pullback", "--t-final", "0.05"],
-    ["pullback", "--t-final", "0.05", "--scheme", "fornberg-whitham", "--dt", "1e-5"],
+    ["pullback", "--t-final", "0.05", "--scheme", "fornberg-whitham", "--dt", "1e-6"],
     ["sweep", "--m", "512", "--dt", "1e-5", "--t-final", "0.005",
      "--epsilons", "0.37,0.19,0.09"],
     ["sweep", "--b", "0", "--dt", "1e-4", "--t-final", "0.1"],
@@ -151,9 +153,11 @@ def compare(old_runs: list[dict], new_runs: list[dict]) -> int:
     for args, old, new in zip(COMMANDS, old_runs, new_runs):
         label = old["out"].name
         print(f"# {label}: kdvtorus {' '.join(args)}")
-        lines = []
-        for stream in ("exit code", "stdout", "stderr"):
-            lines.append((stream, *compare_file(stream, str(old[stream]), str(new[stream]))))
+        lines = [(stream, *compare_file(stream, str(old[stream]), str(new[stream])))
+                 for stream in ("exit code", "stdout", "stderr")]
+        if old["exit code"]:
+            # a failed run writes nothing, so equal streams alone prove nothing
+            lines[0] = ("exit code", True, f"{old['exit code']} on the old tree: nothing compared")
         old_files = {p.name for p in old["out"].iterdir()} if old["out"].is_dir() else set()
         new_files = {p.name for p in new["out"].iterdir()} if new["out"].is_dir() else set()
         for name in sorted(old_files | new_files):

@@ -2,10 +2,10 @@
 """Compute and freeze the regression baselines.
 
 Run once (or after an intentional numerical change), commit the resulting
-``src/kdvtorus/data/baselines.json``. Each entry stores the measured value
-together with the exact configuration it was measured under; the test
-suite asserts later runs stay within the relative window defined in
-``kdvtorus.baselines``.
+``tests/baselines.json``. Each entry stores the measured value together
+with the exact configuration it was measured under; the acceptance gate
+(``tests/test_acceptance.py``) reads the table beside it and asserts later
+runs stay within its relative window ``REL_WINDOW``.
 
 Takes a couple of minutes: the full-period desk-profile return run
 dominates.
@@ -19,7 +19,7 @@ from kdvtorus.experiments import HermiteSpec, pullback_comparison, return_experi
 from kdvtorus.integrator import KdvParams, desk_params
 from kdvtorus.normal_form import CENSUS_SEED, ratio_census
 
-OUT = Path(__file__).resolve().parents[1] / "src" / "kdvtorus" / "data" / "baselines.json"
+OUT = Path(__file__).resolve().parents[1] / "tests" / "baselines.json"
 
 
 def main() -> None:
@@ -62,7 +62,6 @@ def main() -> None:
         }
         print(f"census_{name}: {value:.6f}")
 
-    OUT.parent.mkdir(parents=True, exist_ok=True)
     OUT.write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {OUT}")
 
