@@ -414,8 +414,6 @@ def _cmd_normalform_check(cfg: dict, outdir: _Outdir):
             f"steps must be positive and finite, got dts = {list(dts)}, "
             f"small_dt = {cfg['small_dt']}"
         )
-    if not math.isfinite(cfg["t"]):
-        raise ConfigError(f"t must be finite, got {cfg['t']}")
     if cfg["census_count"] < 1:
         raise ConfigError(f"census_count must be at least 1, got {cfg['census_count']}")
     if cfg["identity_limit"] < 1:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import FourierField, Grid, analyze, l2_norm, sobolev_norm, synthesize
-from .integrator import KdvParams, TrajectoryRecord, evolve, linear_propagator
+from .integrator import KdvParams, TrajectoryRecord, _linear_phase, evolve, linear_propagator
 
 __all__ = [
     "TailAliasWarning",
@@ -164,15 +164,13 @@ def _audit(
     row is processed at a time, so no second array of that size is formed.
     Returns the deviations and the largest identity defect.
     """
-    a = record.params.a
-    ks3 = np.arange(-phi_run.cutoff, phi_run.cutoff + 1).astype(float) ** 3
-    phi0 = phi_run.coeffs
+    phase_at = _linear_phase(phi_run.wavenumbers(), record.params.a)
     errors = []
     defect_max = 0.0
     for t, u in zip(record.times, rows):
-        phase = np.exp(1j * a * ks3 * t)
-        err_ip = float(np.linalg.norm(u * phase - phi0))
-        err_phys = float(np.linalg.norm(u - phi0 * np.conj(phase)))
+        phase = phase_at(-t)  # exp(+i*a*k^3*t); its conjugate is S(t)
+        err_ip = float(np.linalg.norm(u * phase - phi_run.coeffs))
+        err_phys = float(np.linalg.norm(u - phi_run.coeffs * np.conj(phase)))
         defect = abs(err_ip - err_phys)
         defect_max = max(defect_max, defect)
         if defect > _IDENTITY_TOLERANCE:

@@ -12,8 +12,8 @@ Conventions used throughout the package
 * The canonical norm is the plain l2 norm of the coefficient sequence; the
   physical L2 norm differs by a factor sqrt(2*pi) (Parseval).
 
-`FourierField` is an immutable value: every operation returns a new instance,
-so fields are safe to share across threads.
+`FourierField` is an immutable value: its amplitudes are a read-only copy and
+every operation returns a new instance, so a field is never changed in place.
 
 The exact coefficient convolution ``(f*g)_k = sum_{k1+k2=k} f_{k1} g_{k2}``
 needs no helper: ``FourierField(np.convolve(f.coeffs, g.coeffs))`` is that

@@ -11,6 +11,8 @@ explicitly at second order. The integrating-factor RK4 scheme applies the
 classical four-stage Runge-Kutta rule to the interaction-picture variable
 ``v_k = u_k * exp(i*a*k^3*t)``, whose evolution contains no stiff linear part;
 it is fourth-order accurate and the preferred scheme for desk-scale runs.
+The free flow's phase ``exp(-i*a*k^3*t)`` is formed only in ``_linear_phase``,
+which the propagator, both schemes, the audit and the normal form all call.
 
 Both schemes share one RK4 step (``_Workspace.rk4_v_step``): the leapfrog
 scheme bootstraps its first step with it, so one step of either scheme gives
@@ -36,6 +38,7 @@ out bitwise equal to stepping that field alone.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -170,8 +173,20 @@ class TrajectoryRecord:
 
 
 # ---------------------------------------------------------------------------
-# pointwise mode operations
+# the free dispersive flow
 # ---------------------------------------------------------------------------
+
+
+def _linear_phase(ks: np.ndarray, a: float) -> Callable[[float], np.ndarray]:
+    """``t -> exp(-i*t*a*k^3)`` over the modes ``ks`` (``a*k^3`` formed once here)."""
+    k3a = a * np.asarray(ks, dtype=float) ** 3
+
+    def phase(t: float) -> np.ndarray:
+        if not math.isfinite(t):
+            raise ValueError(f"t must be finite, got {t}")
+        return np.exp(-1j * t * k3a)
+
+    return phase
 
 
 def linear_propagator(fld: FourierField, t: float, a: float) -> FourierField:
@@ -180,8 +195,7 @@ def linear_propagator(fld: FourierField, t: float, a: float) -> FourierField:
     An l2 isometry for any t; at a = 1, t = 2*pi it is the identity on
     integer modes (the linear evolution is 2*pi-periodic in time).
     """
-    ks = fld.wavenumbers().astype(float)
-    return FourierField(fld.coeffs * np.exp(-1j * a * ks**3 * t))
+    return FourierField(fld.coeffs * _linear_phase(fld.wavenumbers(), a)(t))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +229,7 @@ def _alias_free_rk4_step(v: FourierField, t: float, h: float) -> FourierField:
 
 
 class _Workspace:
-    """Precomputed per-run arrays for the fast stepping path.
+    """Precomputed per-run arrays for stepping (``phase`` is the free flow).
 
     State arrays are raw half spectra (see ``fields.half_spectrum``): bin k
     holds ``m * (-1)^k * u_k`` for k = 0..m/2. In this layout the dynamics
@@ -230,14 +244,14 @@ class _Workspace:
         self.m = m
         self.dt = dt
         k = np.arange(m // 2 + 1, dtype=float)
-        self.k3a = a * k**3
+        self.phase = _linear_phase(k, a)
         self.mask = (k <= mask_cutoff).astype(float)
         self.ikb2 = 0.5j * b * k * self.mask
-        self.E = np.exp(-0.5j * dt * self.k3a)
+        self.E = self.phase(0.5 * dt)
         self.E2 = self.E * self.E
         self.Ec = np.conj(self.E)
         self.E2c = np.conj(self.E2)
-        self.sin2 = 2.0j * np.sin(self.k3a * dt)
+        self.sin2 = 2.0j * np.sin(a * k**3 * dt)
 
     def nl(self, A: np.ndarray) -> np.ndarray:
         """Quadratic term ``(i*k*b/2) * F((F^-1 A)^2)`` with the run's masking."""
@@ -253,7 +267,7 @@ class _Workspace:
         the linear flow contributes no per-step rounding (for b = 0 the state
         is bitwise constant).
         """
-        P = np.exp(-1j * t * self.k3a)
+        P = self.phase(t)
         u = P * v
         h = self.dt
         na = self.nl(u)
@@ -266,10 +280,6 @@ class _Workspace:
     def fw_step(self, A_prev: np.ndarray, A_cur: np.ndarray) -> np.ndarray:
         """One leapfrog step with the exact linear two-step phase factor."""
         return A_prev - self.sin2 * A_cur + 2.0 * self.dt * self.nl(A_cur)
-
-    def u_of_v(self, v: np.ndarray, t: float) -> np.ndarray:
-        """Map interaction-picture state to u at absolute time t."""
-        return np.exp(-1j * t * self.k3a) * v
 
     def energy(self, A: np.ndarray) -> np.ndarray:
         """Coefficient-scale energy sum |u_k|^2 over the symmetric range, per row."""
@@ -300,7 +310,7 @@ def evolve(phi, p: KdvParams, sample_times):
     Raises
     ------
     ValueError
-        If sample times are empty, unsorted or outside [0, t_final].
+        If sample times are empty, non-finite, unsorted or outside [0, t_final].
     CorruptFieldError
         If a field has a non-finite amplitude or fails the reality check.
     GridError
@@ -310,8 +320,8 @@ def evolve(phi, p: KdvParams, sample_times):
     """
     t_final = float(p.t_final)
     requested = np.asarray(list(sample_times), dtype=float)
-    if requested.ndim != 1:
-        raise ValueError("sample_times must be a flat sequence")
+    if requested.ndim != 1 or not np.all(np.isfinite(requested)):
+        raise ValueError("sample_times must be a flat sequence of finite times")
     if requested.size == 0:
         raise ValueError("sample_times must hold at least one time")
     if np.any(np.diff(requested) < 0.0):
@@ -356,11 +366,6 @@ def evolve(phi, p: KdvParams, sample_times):
     energies = np.empty(series)
     momenta = np.empty(series)
 
-    def record(s: int, A_u: np.ndarray) -> None:
-        coeffs[..., s, :] = _coeffs_from_half_spectrum(A_u, p.m)
-        energies[..., s] = ws.energy(A_u)
-        momenta[..., s] = A_u[..., 0].real / p.m
-
     def check_blowup(A: np.ndarray, idx: int) -> None:
         for j, (row, limit) in enumerate(zip(A.reshape(len(fields), -1), limits)):
             if not np.vdot(row, row).real <= limit:  # catches NaN as well
@@ -376,7 +381,10 @@ def evolve(phi, p: KdvParams, sample_times):
     def record_due(idx: int) -> None:
         nonlocal pointer
         while pointer < len(sample_idx) and sample_idx[pointer] == idx:
-            record(pointer, ws.u_of_v(A, idx * dt_eff) if rk4 else A)
+            A_u = ws.phase(idx * dt_eff) * A if rk4 else A
+            coeffs[..., pointer, :] = _coeffs_from_half_spectrum(A_u, p.m)
+            energies[..., pointer] = ws.energy(A_u)
+            momenta[..., pointer] = A_u[..., 0].real / p.m
             pointer += 1
 
     A_prev, A = None, A0.copy()  # IF-RK4 steps v, leapfrog steps u
@@ -385,7 +393,7 @@ def evolve(phi, p: KdvParams, sample_times):
         if rk4:
             A = ws.rk4_v_step(A, i * dt_eff)
         elif i == 0:  # leapfrog bootstrap
-            A_prev, A = A, ws.u_of_v(ws.rk4_v_step(A, 0.0), dt_eff)
+            A_prev, A = A, ws.phase(dt_eff) * ws.rk4_v_step(A, 0.0)
         else:
             A_prev, A = A, ws.fw_step(A_prev, A)
         check_blowup(A, i + 1)  # |v_k| = |u_k|

@@ -12,11 +12,13 @@ from kdvtorus.fields import FourierField, l2_norm, random_real_field
 from kdvtorus.integrator import (
     KdvParams,
     Scheme,
+    _linear_phase,
     desk_params,
     evolve,
     linear_propagator,
     paper_params,
 )
+from kdvtorus.normal_form import b2, b3, b4
 from oracles import nonlinear_term
 
 TWO_PI = 2.0 * math.pi
@@ -63,6 +65,30 @@ class TestLinearPropagator:
             assert l2_norm(g) == pytest.approx(l2_norm(f), rel=1e-14)
             back = linear_propagator(g, -t, a=1.3)
             assert l2_norm(back - f) < 1e-13 * l2_norm(f)
+
+
+class TestLinearPhase:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        ks=st.sampled_from([np.arange(257), np.arange(-255, 256)]),  # m = 512
+        a=st.one_of(st.sampled_from([1.0, 1.0 / 6.0]), st.floats(-10.0, 10.0)),
+        t=st.one_of(st.sampled_from([0.0, TWO_PI, -TWO_PI]), st.floats(-1e3, 1e3)),
+    )
+    def test_the_conjugate_phase_is_the_phase_at_minus_t(self, ks, a, t):
+        """conj(exp(-i t a k^3)) == exp(+i t a k^3) in value, signed zeros aside.
+
+        The RK4 step's ``np.conj(P)`` and the audit's physical side rely on it.
+        """
+        phase = _linear_phase(ks, a)
+        assert np.array_equal(np.conj(phase(t)), phase(-t))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("flow", [b2, b3, b4, lambda v, t: linear_propagator(v, t, 1.0)],
+                             ids=["b2", "b3", "b4", "linear_propagator"])
+    def test_a_non_finite_time_is_refused(self, flow, t):
+        v = random_real_field(3, support=4, cutoff=6)
+        with pytest.raises(ValueError, match="t must be finite"):
+            flow(v, t)
 
 
 class TestNonlinearTerm:
@@ -222,6 +248,8 @@ class TestEvolveBookkeeping:
             evolve(phi, p, sample_times=[0.5, 0.25])
         with pytest.raises(ValueError, match="within"):
             evolve(phi, p, sample_times=[2.0])
+        with pytest.raises(ValueError, match="flat sequence of finite times"):
+            evolve(phi, p, sample_times=[0.0, math.nan])
 
     def test_no_sample_times_is_an_error(self):
         phi = random_real_field(5, support=4, cutoff=8)

@@ -10,10 +10,12 @@ compared, one line per file:
 
 - ``identical`` when the bytes agree;
 - for a CSV with the same header and row count, the largest relative move
-  per numeric column;
-- for JSON, the keys whose values differ, key by key. In ``manifest.json``
-  ``wall_time_s`` is ignored and keys only the new tree writes are listed as
-  added without counting as a difference;
+  per numeric column, or, when every value is equal (a ``-0.0`` for a
+  ``0.0``), the first line that differs;
+- for JSON, the leaves whose text differs (``-0.0`` against ``0.0``, ``1``
+  against ``1.0``), key by key and item by item through lists. In
+  ``manifest.json`` ``wall_time_s`` is ignored and keys only the new tree
+  writes are listed as added without counting as a difference;
 - otherwise the first line that differs.
 
 A command that exits non-zero on the old tree counts as a difference
@@ -105,16 +107,27 @@ def _csv_diff(old: str, new: str) -> str:
         except ValueError:  # a non-numeric column: compare as text
             if any(a[col] != b[col] for a, b in zip(old_rows[1:], new_rows[1:])):
                 moves[name] = math.inf
+    if not any(moves.values()):  # equal values in other text, such as -0.0 for 0.0
+        return "no numeric move; " + _first_line_diff(old, new)
     return "largest relative move: " + ", ".join(f"{k} {v:.2g}" for k, v in moves.items())
 
 
 def _flatten(value, prefix: str = "") -> dict:
+    """Leaves keyed by path (``a.b``, ``a[0]``) as JSON text: -0.0 differs from 0.0.
+
+    A list also gives its length (``a[]``), so a grown list counts as changed.
+    """
     if isinstance(value, dict):
-        flat = {}
-        for key, item in value.items():
-            flat.update(_flatten(item, f"{prefix}.{key}" if prefix else key))
-        return flat
-    return {prefix: value}
+        items = [(f"{prefix}.{key}" if prefix else key, item) for key, item in value.items()]
+    elif isinstance(value, list):
+        items = [(f"{prefix}[{i}]", item) for i, item in enumerate(value)]
+        items.append((f"{prefix}[]", len(value)))
+    else:
+        return {prefix: json.dumps(value)}
+    flat = {}
+    for key, item in items:
+        flat.update(_flatten(item, key))
+    return flat
 
 
 def _json_diff(old: str, new: str, manifest: bool) -> tuple[bool, str]:
