@@ -179,6 +179,8 @@ class TrajectoryRecord:
 
 def _linear_phase(ks: np.ndarray, a: float) -> Callable[[float], np.ndarray]:
     """``t -> exp(-i*t*a*k^3)`` over the modes ``ks`` (``a*k^3`` formed once here)."""
+    if not math.isfinite(a):
+        raise ValueError(f"a must be finite, got {a}")
     k3a = a * np.asarray(ks, dtype=float) ** 3
 
     def phase(t: float) -> np.ndarray:

@@ -43,8 +43,11 @@ and ``k2+k3 = K-k1``, so each kernel is a convolution read at K alone:
 with ``beta(k) = v_k/(K-k)``, ``alpha(k) = beta(k)/k``, ``gamma(s) =
 W(s)/(K-s)``, ``W(s) = sum_{k3+k4=s} v3*v4`` and W(0) := 0; each is 0 where
 its index equals K, exactly the star's exclusions. B2 is one ``np.convolve``,
-B3 and B4 one FFT along the rows of a (K, n) array. Outputs are truncated
-to the storage range of v.
+B3 and B4 one FFT along the rows K = 0..top of a (K, n) array. With
+``v~_k = conj(v_{-k})``, ``B(v)_{-K} = conj(B(v~)_K)`` for B3 and
+``-conj(B(v~)_K)`` for B4 (real coefficients, even resp. odd under k -> -k);
+a real field is its own v~ and costs one set of rows, any other two. Outputs
+are truncated to the storage range of v.
 
 The per-term references the tests compare these kernels against live in
 ``tests/``. Two test-only names stay here: :func:`rhs_v`, the exact
@@ -214,6 +217,19 @@ def _row_spectra(big_k: np.ndarray, modes: np.ndarray, amps: np.ndarray, n: int,
     return np.fft.fft(grid, axis=-1)
 
 
+def _mirrored(rows: Callable, sign: float, v: FourierField) -> FourierField:
+    """Rows K >= 0 from ``rows(v)``, rows K < 0 from ``sign * conj(rows(v~))``.
+
+    Row 0, its own mirror, takes the mean of both readings, so B3 and i*B4 of
+    a real field (v~ = v, one call of ``rows``) come out exactly real.
+    """
+    tilde = np.conj(v.coeffs[::-1])
+    pos = rows(v)
+    neg = sign * np.conj(pos if np.array_equal(tilde, v.coeffs) else rows(FourierField(tilde)))
+    pos[0] = 0.5 * (pos[0] + neg[0])
+    return FourierField(np.concatenate([neg[:0:-1], pos])).with_cutoff(v.cutoff)
+
+
 def _at_time(
     kernel: Callable[[FourierField], FourierField], v: FourierField, t: float
 ) -> FourierField:
@@ -280,18 +296,18 @@ def b3(v: FourierField, t: float) -> FourierField:
     over ``k1+k2+k3 = k``, where ``p3 = 3*(k1+k2)*(k2+k3)*(k3+k1)`` and the
     star skips every triple with a vanishing denominator factor.
     """
-    return _at_time(_b3_time_zero, v, t)
+    return _at_time(lambda w: _mirrored(_b3_rows, 1.0, w), v, t)
 
 
-def _b3_time_zero(v: FourierField) -> FourierField:
-    """B3 at t = 0: ``(alpha_K * beta_K * beta_K)(K)`` for every output mode K."""
+def _b3_rows(v: FourierField) -> np.ndarray:
+    """B3 at t = 0, rows K = 0..top: ``(alpha_K * beta_K * beta_K)(K)``."""
     modes, vals, w = _dense_support(v)
     top = min(v.cutoff, 3 * int(modes[-1]))
-    big_k = np.arange(-top, top + 1)[:, None]
+    big_k = np.arange(top + 1)[:, None]
     n = _fft_length(3 * int(modes[-1]) + top + 1)
     alpha = _row_spectra(big_k, modes, w, n, shift=big_k)
     beta = _row_spectra(big_k, modes, vals, n)
-    return FourierField(np.mean(alpha * beta * beta, axis=-1)).with_cutoff(v.cutoff)
+    return np.mean(alpha * beta * beta, axis=-1)
 
 
 def b4(v: FourierField, t: float) -> FourierField:
@@ -304,25 +320,25 @@ def b4(v: FourierField, t: float) -> FourierField:
     the first plus the second of the two quartic constituents that the
     per-term reference in ``tests/oracles.py`` sums separately.
     """
-    return _at_time(_b4_time_zero, v, t)
+    return _at_time(lambda w: _mirrored(_b4_rows, -1.0, w), v, t)
 
 
-def _b4_time_zero(v: FourierField) -> FourierField:
-    """B4 at t = 0: a cubic sum against the pair sums ``W(s)``, s = k3 + k4."""
+def _b4_rows(v: FourierField) -> np.ndarray:
+    """B4 at t = 0, rows K = 0..top: a cubic sum against ``W(s)``, s = k3 + k4."""
     modes, vals, w = _dense_support(v)
     reach = int(modes[-1])
     pair = np.convolve(vals, vals)
     pair[2 * reach] = 0.0
     pair_modes = np.arange(-2 * reach, 2 * reach + 1)
     top = min(v.cutoff, 4 * reach)
-    big_k = np.arange(-top, top + 1)[:, None]
+    big_k = np.arange(top + 1)[:, None]
     n = _fft_length(4 * reach + top + 1)
     alpha = _row_spectra(big_k, modes, w, n)
     beta = _row_spectra(big_k, modes, vals, n)
     gamma = _row_spectra(big_k, pair_modes, pair, n, shift=big_k)
     s_gamma = _row_spectra(big_k, pair_modes, pair_modes * pair, n, shift=big_k)
     spectral = beta * (alpha * s_gamma + 0.5 * beta * gamma)
-    return FourierField(np.mean(spectral, axis=-1)).with_cutoff(v.cutoff)
+    return np.mean(spectral, axis=-1)
 
 
 def resonant_term(v: FourierField) -> FourierField:
@@ -395,6 +411,7 @@ def apriori_ratios(v: FourierField) -> dict[str, float]:
     corresponding estimate allows, so boundedness of the ratio across a
     field census is the numerical content of the estimate. The fractional
     exponents in r3/r4 instantiate the estimates' "epsilon of room" at 0.1.
+    A non-finite ratio raises :class:`UndefinedRatioError` naming it.
     """
     norm_l2 = l2_norm(v)
     if norm_l2 == 0.0:
@@ -406,7 +423,7 @@ def apriori_ratios(v: FourierField) -> dict[str, float]:
     cubic_weighted = math.sqrt(
         float(np.sum(np.abs(v.coeffs[nz]) ** 6 / ks[nz] ** 2))
     )
-    return {
+    ratios = {
         # |B2| / |v|_{H^-1/2}^2
         "r1": l2_norm(b2(v, 0.0)) / norm_hm**2,
         # |B3| / (|v|_{H^-1/2}^2 |v|)
@@ -418,6 +435,10 @@ def apriori_ratios(v: FourierField) -> dict[str, float]:
         # |v_k^3/k| / (|v|_{H^-1/2}^2 |v|)
         "r5": cubic_weighted / (norm_hm**2 * norm_l2),
     }
+    bad = [name for name, value in ratios.items() if not math.isfinite(value)]
+    if bad:
+        raise UndefinedRatioError(f"non-finite a-priori ratios: {', '.join(bad)}")
+    return ratios
 
 
 def ratio_census(count: int = 100, support: int = 32) -> dict[str, float]:

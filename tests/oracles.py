@@ -10,7 +10,13 @@ import numpy as np
 
 from kdvtorus.fields import FourierField, field_from_half_spectrum, half_spectrum
 from kdvtorus.integrator import _grid_for_cutoff, _Workspace
-from kdvtorus.normal_form import _accumulate, _support
+from kdvtorus.normal_form import (
+    _accumulate,
+    _dense_support,
+    _fft_length,
+    _row_spectra,
+    _support,
+)
 
 
 def nonlinear_term(u: FourierField, b: float, dealias: bool = True) -> FourierField:
@@ -67,3 +73,36 @@ def b4_split(v: FourierField, t: float) -> tuple[FourierField, FourierField]:
         _accumulate(out1, ktot, base, cutoff)
         _accumulate(out2, ktot, base * (s34[valid].astype(float) / k1), cutoff)
     return FourierField(out1), FourierField(out2)
+
+
+def b3_all_rows(v: FourierField) -> FourierField:
+    """``normal_form.b3`` at t = 0 with every output row K = -top..top transformed.
+
+    The same rows, FFT length and mean as the package kernel, which forms only
+    the rows K >= 0 and mirrors the rest.
+    """
+    modes, vals, w = _dense_support(v)
+    top = min(v.cutoff, 3 * int(modes[-1]))
+    big_k = np.arange(-top, top + 1)[:, None]
+    n = _fft_length(3 * int(modes[-1]) + top + 1)
+    alpha = _row_spectra(big_k, modes, w, n, shift=big_k)
+    beta = _row_spectra(big_k, modes, vals, n)
+    return FourierField(np.mean(alpha * beta * beta, axis=-1)).with_cutoff(v.cutoff)
+
+
+def b4_all_rows(v: FourierField) -> FourierField:
+    """``normal_form.b4`` at t = 0 with every output row K = -top..top transformed."""
+    modes, vals, w = _dense_support(v)
+    reach = int(modes[-1])
+    pair = np.convolve(vals, vals)
+    pair[2 * reach] = 0.0
+    pair_modes = np.arange(-2 * reach, 2 * reach + 1)
+    top = min(v.cutoff, 4 * reach)
+    big_k = np.arange(-top, top + 1)[:, None]
+    n = _fft_length(4 * reach + top + 1)
+    alpha = _row_spectra(big_k, modes, w, n)
+    beta = _row_spectra(big_k, modes, vals, n)
+    gamma = _row_spectra(big_k, pair_modes, pair, n, shift=big_k)
+    s_gamma = _row_spectra(big_k, pair_modes, pair_modes * pair, n, shift=big_k)
+    spectral = beta * (alpha * s_gamma + 0.5 * beta * gamma)
+    return FourierField(np.mean(spectral, axis=-1)).with_cutoff(v.cutoff)

@@ -90,6 +90,12 @@ class TestLinearPhase:
         with pytest.raises(ValueError, match="t must be finite"):
             flow(v, t)
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_a_non_finite_coefficient_is_refused(self, a):
+        v = random_real_field(3, support=4, cutoff=6)
+        with pytest.raises(ValueError, match="a must be finite"):
+            linear_propagator(v, 1.0, a)
+
 
 class TestNonlinearTerm:
     def test_cosine_produces_the_second_harmonic(self):

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kdvtorus import normal_form
 from kdvtorus.errors import CorruptFieldError, TruncationError, UndefinedRatioError
+from kdvtorus.experiments import HermiteSpec, hermite_initial
 from kdvtorus.fields import FourierField, l2_norm, random_real_field, sobolev_norm
 from kdvtorus.integrator import _alias_free_rk4_step
 from kdvtorus.normal_form import (
@@ -28,7 +30,7 @@ from kdvtorus.normal_form import (
     resonant_term,
     rhs_v,
 )
-from oracles import b4_split
+from oracles import b3_all_rows, b4_all_rows, b4_split
 
 
 def pair_field(c: complex, k: int = 1, cutoff: int = 8) -> FourierField:
@@ -376,6 +378,36 @@ class TestFullGridField:
         assert_matches_oracle("b3", random_real_field(64, support=64, cutoff=256), 0.0)
 
 
+class TestMirror:
+    """B3 and B4 form the rows K >= 0 and mirror the negative modes."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.37])
+    def test_real_input_gives_exactly_real_output(self, t):
+        v = random_real_field(32, support=32, cutoff=128)
+        assert b3(v, t).reality_defect() == 0.0
+        assert (1j * b4(v, t)).reality_defect() == 0.0
+
+    @pytest.mark.parametrize("op, rows", [(b3, "_b3_rows"), (b4, "_b4_rows")])
+    @pytest.mark.parametrize("t", [0.0, 0.37])
+    def test_half_kernel_runs_once_on_real_twice_on_non_real(self, monkeypatch, op, rows, t):
+        calls = []
+        kernel = getattr(normal_form, rows)
+        monkeypatch.setattr(normal_form, rows, lambda w: calls.append(1) or kernel(w))
+        real = random_real_field(6, support=6, cutoff=24)
+        op(real, t)
+        assert len(calls) == 1
+        op(FourierField(cmath.exp(0.3j) * real.coeffs), t)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("op, all_rows", [(b3, b3_all_rows), (b4, b4_all_rows)],
+                             ids=["b3", "b4"])
+    def test_full_hermite_field_matches_all_rows(self, op, all_rows):
+        """At the tool's grid: m = 512, every mode up to the cutoff 255 live."""
+        v = hermite_initial(HermiteSpec(0.1), 512)
+        want = _at_time(all_rows, v, 0.37)
+        assert l2_norm(op(v, 0.37) - want) <= 1e-13 * l2_norm(want)
+
+
 class TestResonantSum:
     def test_brute_force_resonant_sum_matches_closed_form(self):
         """Summing v1*v2*v3/k1 over S1+S2+S3 collapses to -v_k|v_k|^2/k."""
@@ -525,6 +557,18 @@ class TestAprioriRatios:
         assert sorted(maxima) == ["r1", "r2", "r3", "r4", "r5"]
         for value in maxima.values():
             assert 0.0 < value < 100.0
+
+    def test_a_non_finite_ratio_is_refused(self, monkeypatch):
+        """A NaN output mode of B4 must not vanish inside the census maxima."""
+
+        def broken_b4(v, t):
+            out = b4(v, t).coeffs.copy()
+            out[v.cutoff + 1] = np.nan
+            return FourierField(out)
+
+        monkeypatch.setattr(normal_form, "b4", broken_b4)
+        with pytest.raises(UndefinedRatioError, match="r3, r4"):
+            ratio_census(count=3, support=8)
 
     @pytest.mark.parametrize("count", [0, -1])
     def test_empty_census_is_rejected(self, count):
