@@ -32,7 +32,7 @@ from .experiments import (
     pullback_comparison,
     return_experiment,
 )
-from .fields import Grid, _write_csv, l2_norm, random_real_field, synthesize, write_field_csv
+from .fields import _write_csv, grid_points, l2_norm, random_real_field, synthesize, write_field_csv
 from .integrator import KdvParams, Scheme, desk_params, paper_params
 from .normal_form import (
     CENSUS_SEED,
@@ -106,27 +106,18 @@ _KEYS: dict[str, tuple] = {
     "emit_json": (_parse_bool, "write regime.json"),
 }
 
-# Per-subcommand keys and defaults; dt/scheme come from the profile.
+# The keys every stepping subcommand shares; dt/scheme come from the profile.
+_RUN = {"profile": "desk", "a": 1.0, "b": 1.0, "m": 512, "dt": None, "scheme": None,
+        "dealias": True}
+
+# Per-subcommand keys and defaults.
 _DEFAULTS: dict[str, dict] = {
-    "simulate": {
-        "profile": "desk", "epsilon": 0.4, "amplitude": 1.0, "a": 1.0, "b": 1.0,
-        "m": 512, "t_final": 1.0, "dt": None, "scheme": None, "dealias": True,
-        "samples": 9,
-    },
-    "return-test": {
-        "profile": "desk", "epsilon": 0.1, "amplitude": 1.0, "a": 1.0, "b": 1.0,
-        "m": 512, "dt": None, "scheme": None, "dealias": True,
-    },
+    "simulate": {**_RUN, "epsilon": 0.4, "amplitude": 1.0, "t_final": 1.0, "samples": 9},
+    "return-test": {**_RUN, "epsilon": 0.1, "amplitude": 1.0},
     # defaults reproduce the shallow-water-normalized figure pair
-    "pullback": {
-        "profile": "desk", "epsilon": 0.4, "amplitude": 4.5, "a": 1.0 / 6.0,
-        "b": 1.5, "m": 512, "t_final": 1.0, "dt": None, "scheme": None,
-        "dealias": True,
-    },
-    "sweep": {
-        "profile": "desk", "epsilons": (0.4, 0.2, 0.1), "a": 1.0, "b": 1.0,
-        "m": 512, "t_final": 1.0, "dt": None, "scheme": None, "dealias": True,
-    },
+    "pullback": {**_RUN, "a": 1.0 / 6.0, "b": 1.5, "epsilon": 0.4, "amplitude": 4.5,
+                 "t_final": 1.0},
+    "sweep": {**_RUN, "epsilons": (0.4, 0.2, 0.1), "t_final": 1.0},
     "normalform-check": {
         "support": 4, "cutoff": 16, "seed": 7, "t": 0.37,
         "dts": (1.0e-3, 5.0e-4, 2.5e-4), "small_dt": 1.0e-5,
@@ -243,11 +234,10 @@ def _manifest(outdir: _Outdir, command: str, cfg: dict, seeds: dict,
     _write_json(outdir.path / "manifest.json", payload)
 
 
-def _kdv_params(cfg: dict, t_final: float) -> KdvParams:
-    return KdvParams(
-        a=cfg["a"], b=cfg["b"], dt=cfg["dt"], t_final=t_final,
-        m=cfg["m"], scheme=cfg["scheme"], dealias=cfg["dealias"],
-    )
+def _kdv_params(cfg: dict) -> KdvParams:
+    """The run's ``KdvParams``, from the cfg keys named like its fields."""
+    names = {f.name for f in dataclasses.fields(KdvParams)}
+    return KdvParams(**{key: value for key, value in cfg.items() if key in names})
 
 
 def _plot_fields(path: Path, fields, title: str, m: int | None = None) -> None:
@@ -260,7 +250,7 @@ def _plot_fields(path: Path, fields, title: str, m: int | None = None) -> None:
         ]
         write_line_plot(path, series, title=title, xlabel="k", ylabel="|u_k|", logy=True)
     else:
-        xs = tuple(Grid(m).points)
+        xs = tuple(grid_points(m))
         series = [LineSeries(label, xs, tuple(synthesize(fld, m))) for label, fld in fields]
         write_line_plot(path, series, title=title, xlabel="x", ylabel="u(x)")
 
@@ -285,7 +275,7 @@ def _cmd_simulate(cfg: dict, outdir: _Outdir):
             f"samples must be at least 2 (t = 0 and t_final), got {cfg['samples']}"
         )
     spec = HermiteSpec(epsilon=cfg["epsilon"], amplitude=cfg["amplitude"])
-    params = _kdv_params(cfg, cfg["t_final"])
+    params = _kdv_params(cfg)
     phi = hermite_initial(spec, cfg["m"])
     times = np.linspace(0.0, cfg["t_final"], int(cfg["samples"]))
     report = near_linearity_report(phi, params, times)
@@ -313,7 +303,7 @@ def _cmd_simulate(cfg: dict, outdir: _Outdir):
 
 def _cmd_return_test(cfg: dict, outdir: _Outdir):
     spec = HermiteSpec(epsilon=cfg["epsilon"], amplitude=cfg["amplitude"])
-    params = _kdv_params(cfg, 2.0 * math.pi)
+    params = _kdv_params(cfg)
     report = return_experiment(spec, params)
     run = report.run
     times = tuple(run.record.times)
@@ -347,7 +337,7 @@ def _cmd_return_test(cfg: dict, outdir: _Outdir):
 
 def _cmd_pullback(cfg: dict, outdir: _Outdir):
     spec = HermiteSpec(epsilon=cfg["epsilon"], amplitude=cfg["amplitude"])
-    params = _kdv_params(cfg, cfg["t_final"])
+    params = _kdv_params(cfg)
     report = pullback_comparison(spec, params, cfg["t_final"])
     t_final = report.run.record.times[-1]
     write_field_csv(report.run.initial, outdir / "spectrum_initial.csv")
@@ -369,7 +359,7 @@ def _cmd_pullback(cfg: dict, outdir: _Outdir):
 
 
 def _cmd_sweep(cfg: dict, outdir: _Outdir):
-    params = _kdv_params(cfg, cfg["t_final"])
+    params = _kdv_params(cfg)
     result = epsilon_sweep(cfg["epsilons"], params, cfg["t_final"])
     drifts = result.run.record.energy_drift()
     rows = zip(result.epsilons, result.hm_norms, result.errors_at_t, drifts)

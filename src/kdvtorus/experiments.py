@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import FourierField, Grid, analyze, l2_norm, sobolev_norm, synthesize
+from .fields import FourierField, analyze, grid_points, l2_norm, sobolev_norm, synthesize
 from .integrator import KdvParams, TrajectoryRecord, _linear_phase, evolve, linear_propagator
 
 __all__ = [
@@ -88,10 +88,9 @@ def hermite_initial(spec: HermiteSpec, m: int) -> FourierField:
     2pi-periodization visibly differs from the line profile and a
     TailAliasWarning is issued (epsilon <= 0.4 is comfortably below it).
     """
-    grid = Grid(m)
+    x = grid_points(m)
     eps = spec.epsilon
     scale = spec.amplitude / math.sqrt(eps)
-    x = grid.points
     samples = scale * (x / eps) * np.exp(-(x**2) / (2.0 * eps**2))
     peak = scale * math.exp(-0.5)
     tail = scale * (math.pi / eps) * math.exp(-(math.pi**2) / (2.0 * eps**2))

@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CorruptFieldError, GridError
 
 __all__ = [
-    "Grid",
+    "grid_points",
     "FourierField",
     "analyze",
     "synthesize",
@@ -47,36 +47,23 @@ __all__ = [
 REALITY_TOL = 1e-12
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
+def _require_grid(m, minimum: int = 4) -> None:
+    """The one grid-size rule: an integer power of two, at least ``minimum``."""
+    if not isinstance(m, (int, np.integer)) or m < 1 or m & (m - 1):
+        raise GridError(f"grid size must be a power of two, got {m!r}")
+    if m < minimum:
+        raise GridError(f"grid size must be at least {minimum}, got {m}")
 
 
-@dataclass(frozen=True)
-class Grid:
-    """Uniform sample grid ``x_j = -pi + 2*pi*j/m`` on the torus.
+def grid_points(m: int) -> np.ndarray:
+    """The m torus sample points ``x_j = -pi + 2*pi*j/m`` (read-only, increasing from -pi).
 
-    Parameters
-    ----------
-    m : int
-        Number of sample points; must be a power of two, at least 4.
-
-    Attributes
-    ----------
-    points : numpy.ndarray
-        The m sample locations in radians, increasing from -pi.
+    Raises :class:`GridError` unless m is a power of two, at least 4.
     """
-
-    m: int
-    points: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.m, (int, np.integer)) or not _is_power_of_two(int(self.m)):
-            raise GridError(f"grid size must be a power of two, got {self.m!r}")
-        if self.m < 4:
-            raise GridError(f"grid size must be at least 4, got {self.m}")
-        pts = -np.pi + 2.0 * np.pi * np.arange(int(self.m)) / int(self.m)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+    _require_grid(m)
+    pts = -np.pi + 2.0 * np.pi * np.arange(int(m)) / int(m)
+    pts.setflags(write=False)
+    return pts
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,14 +217,13 @@ def analyze(samples) -> FourierField:
     Raises
     ------
     GridError
-        If the sample count is not a power of two.
+        If the sample count is not a power of two, at least 4.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1:
         raise GridError(f"samples must be one-dimensional, got shape {arr.shape}")
     m = arr.size
-    if not _is_power_of_two(m) or m < 4:
-        raise GridError(f"sample count must be a power of two >= 4, got {m}")
+    _require_grid(m)
     # the rfft of the samples is the field's raw half spectrum (half_spectrum)
     return FourierField(_coeffs_from_half_spectrum(np.fft.rfft(arr), m))
 
@@ -367,7 +353,8 @@ def read_field_csv(path) -> FourierField:
     """Read a field written by :func:`write_field_csv`.
 
     Raises ``ValueError`` on a bad header, a row without exactly three
-    cells, no rows or a repeated k, and :class:`CorruptFieldError` unless the
+    cells or with a cell that does not parse (both naming the line), no rows
+    or a repeated k, and :class:`CorruptFieldError` unless the
     field is finite, zero-mean and real.
     """
     modes: dict[int, complex] = {}
@@ -381,10 +368,13 @@ def read_field_csv(path) -> FourierField:
                 raise ValueError(
                     f"field CSV line {reader.line_num} has {len(row)} cells, not 3: {row!r}"
                 )
-            k = int(row[0])
+            try:
+                k, value = int(row[0]), float(row[1]) + 1j * float(row[2])
+            except ValueError as exc:
+                raise ValueError(f"field CSV line {reader.line_num}: {exc}") from exc
             if k in modes:
                 raise ValueError(f"field CSV repeats mode k = {k}")
-            modes[k] = float(row[1]) + 1j * float(row[2])
+            modes[k] = value
     if not modes:
         raise ValueError("field CSV contains no rows")
     cutoff = max(abs(k) for k in modes)

@@ -50,7 +50,7 @@ from .fields import (
     field_from_half_spectrum,
     half_spectrum,
     _coeffs_from_half_spectrum,
-    _is_power_of_two,
+    _require_grid,
 )
 
 __all__ = [
@@ -89,7 +89,7 @@ class KdvParams:
     t_final : float
         Final time T > 0.
     m : int
-        Grid size (power of two); the mode cutoff is m/2 - 1.
+        Grid size (power of two, at least 8); the mode cutoff is m/2 - 1.
     scheme : Scheme
         Time stepper.
     dealias : bool
@@ -113,8 +113,7 @@ class KdvParams:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_final <= 0.0:
             raise ValueError(f"t_final must be positive, got {self.t_final}")
-        if not _is_power_of_two(self.m) or self.m < 8:
-            raise GridError(f"grid size must be a power of two >= 8, got {self.m}")
+        _require_grid(self.m, minimum=8)
 
     @property
     def cutoff(self) -> int:
@@ -312,7 +311,8 @@ def evolve(phi, p: KdvParams, sample_times):
     Raises
     ------
     ValueError
-        If sample times are empty, non-finite, unsorted or outside [0, t_final].
+        If sample times are empty, non-finite, unsorted or outside [0, t_final],
+        or ``phi`` is an empty sequence.
     CorruptFieldError
         If a field has a non-finite amplitude or fails the reality check.
     GridError
@@ -326,6 +326,10 @@ def evolve(phi, p: KdvParams, sample_times):
         raise ValueError("sample_times must be a flat sequence of finite times")
     if requested.size == 0:
         raise ValueError("sample_times must hold at least one time")
+    single = isinstance(phi, FourierField)
+    fields = [phi] if single else list(phi)
+    if not fields:
+        raise ValueError("phi must hold at least one field")
     if np.any(np.diff(requested) < 0.0):
         raise ValueError("sample_times must be sorted")
     tol = 1e-9 * max(1.0, abs(t_final))
@@ -335,8 +339,6 @@ def evolve(phi, p: KdvParams, sample_times):
             f"[{requested[0]}, {requested[-1]}]"
         )
 
-    single = isinstance(phi, FourierField)
-    fields = [phi] if single else list(phi)
     run_cutoff = p.cutoff
     for j, fld in enumerate(fields):
         beyond = [k for k in fld.support() if abs(k) > run_cutoff]

@@ -1,6 +1,7 @@
 """Command-line entry points: config resolution, artifacts, exit codes."""
 
 import json
+import math
 
 import pytest
 
@@ -235,6 +236,14 @@ class TestKeySources:
         assert results["identity_defect_max"] <= 1e-12
         assert results["max_momentum"] <= 1e-14
         assert 0.0 <= results["energy_drift"] < 1e-2
+
+    def test_return_test_runs_one_linear_period(self, tmp_path):
+        """The CLI states no period: return-test's deviation series ends at t = 2 pi."""
+        outdir = tmp_path / "out"
+        assert run(["return-test", "--m", "32", "--dt", "2e-3", "--out", str(outdir)]) == 0
+        rows = (outdir / "deviation.csv").read_text().splitlines()
+        assert rows[0] == "t,deviation"
+        assert float(rows[-1].split(",")[0]) == pytest.approx(2 * math.pi, rel=1e-12)
 
     @pytest.mark.parametrize("command", ["identities", "normalform-check", "shallow-water"])
     def test_profile_is_unknown_without_profiles(self, command, tmp_path, capsys):

@@ -103,6 +103,8 @@ class TestNearLinearity:
             near_linearity_report(phi, p, [])
         with pytest.raises(ValueError, match="at least one time"):
             near_linearity_report([phi, phi], p, np.array([]))
+        with pytest.raises(ValueError, match="at least one field"):
+            near_linearity_report([], p, [0.0])
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_audit_matches_the_field_formula_bitwise(self, scheme):

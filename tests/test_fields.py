@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from kdvtorus.errors import CorruptFieldError, GridError
 from kdvtorus.fields import (
     FourierField,
-    Grid,
     analyze,
     field_from_half_spectrum,
+    grid_points,
     half_spectrum,
     l2_norm,
     random_real_field,
@@ -21,22 +21,41 @@ from kdvtorus.fields import (
     synthesize,
     write_field_csv,
 )
+from kdvtorus.integrator import KdvParams
 
 
 class TestGrid:
     def test_points_span_the_symmetric_domain(self):
-        """Grid points start at -pi and step by 2*pi/m."""
-        g = Grid(8)
-        assert g.points[0] == pytest.approx(-math.pi)
-        assert np.allclose(np.diff(g.points), 2 * math.pi / 8)
+        """Grid points start at -pi and step by 2*pi/m, read-only."""
+        x = grid_points(8)
+        assert x[0] == pytest.approx(-math.pi)
+        assert np.allclose(np.diff(x), 2 * math.pi / 8)
+        assert not x.flags.writeable
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(GridError, match="power of two"):
-            Grid(12)
+            grid_points(12)
 
     def test_rejects_tiny_grids(self):
         with pytest.raises(GridError, match="at least 4"):
-            Grid(2)
+            grid_points(2)
+
+    @pytest.mark.parametrize(
+        "build, m, message",
+        [
+            pytest.param(build, m, message, id=f"{name}-{m!r}")
+            for name, build, sizes in [
+                ("grid_points", grid_points, (8.0, 16.5, 12, 2)),
+                ("KdvParams", lambda m: KdvParams(m=m), (8.0, 16.5, 12, 2, 4)),
+            ]
+            for m, message in zip(sizes, ["power of two"] * 3 + ["at least"] * 2)
+        ],
+    )
+    def test_one_size_rule(self, build, m, message):
+        """grid_points and KdvParams refuse the same sizes, non-integers included;
+        a run grid needs 8 points, a sample grid 4."""
+        with pytest.raises(GridError, match=message):
+            build(m)
 
 
 class TestFourierField:
@@ -85,16 +104,14 @@ class TestFourierField:
 class TestAnalyzeSynthesize:
     def test_pure_cosine_lands_on_the_conjugate_pair(self):
         """2 cos x analyzes to unit coefficients at k = +-1."""
-        g = Grid(32)
-        f = analyze(2.0 * np.cos(g.points))
+        f = analyze(2.0 * np.cos(grid_points(32)))
         assert f.mode(1) == pytest.approx(1.0, abs=1e-14)
         assert f.mode(-1) == pytest.approx(1.0, abs=1e-14)
         junk = sum(abs(f.mode(k)) for k in range(2, f.cutoff + 1))
         assert junk < 1e-13
 
     def test_sine_mode_is_negative_imaginary(self):
-        g = Grid(16)
-        f = analyze(np.sin(3.0 * g.points))
+        f = analyze(np.sin(3.0 * grid_points(16)))
         assert f.mode(3) == pytest.approx(-0.5j, abs=1e-15)
 
     def test_round_trip_is_identity(self):
@@ -105,8 +122,7 @@ class TestAnalyzeSynthesize:
             assert l2_norm(g.with_cutoff(15) - f) < 1e-12 * l2_norm(f)
 
     def test_analysis_projects_the_mean(self):
-        g = Grid(16)
-        f = analyze(np.cos(g.points) + 7.5)
+        f = analyze(np.cos(grid_points(16)) + 7.5)
         assert f.mean_mode() == 0
 
     def test_rejects_odd_sample_counts(self):
@@ -280,13 +296,16 @@ class TestSerialization:
             (3, "k,re,im\n-1,1.0,0.0\n0,0.0\n1,1.0,0.0\n"),
             (3, "k,re,im\n-1,1.0,0.0\n\n1,1.0,0.0\n"),
             (4, "k,re,im\n-1,1.0,0.0\n0,0.0,0.0\n1,1.0,0.0,9.0\n"),
+            (3, "k,re,im\n-1,1.0,0.0\n1.5,0.0,0.0\n1,1.0,0.0\n"),
+            (4, "k,re,im\n-1,1.0,0.0\n0,0.0,0.0\n1,abc,0.0\n"),
         ],
-        ids=["short-row", "blank-line", "fourth-cell"],
+        ids=["short-row", "blank-line", "fourth-cell", "fractional-k", "text-re"],
     )
     def test_csv_row_without_three_cells_is_rejected(self, tmp_path, line, body):
+        """A malformed row is refused with its line named, whatever is wrong with it."""
         path = tmp_path / "cells.csv"
         path.write_text(body)
-        with pytest.raises(ValueError, match=f"line {line} has"):
+        with pytest.raises(ValueError, match=f"line {line}[ :]"):
             read_field_csv(path)
 
 

@@ -263,6 +263,12 @@ class TestEvolveBookkeeping:
         with pytest.raises(ValueError, match="at least one time"):
             evolve(phi, p, [])
 
+    def test_an_empty_batch_is_an_error(self):
+        """A batch with no field has nothing to step; it is refused by name."""
+        p = KdvParams(t_final=1.0, m=32, dt=1e-2)
+        with pytest.raises(ValueError, match="at least one field"):
+            evolve([], p, [0.0])
+
     def test_non_finite_data_is_corrupt_not_unstable(self):
         """NaN data is refused before stepping, not reported as a blow-up."""
         phi = random_real_field(5, support=4, cutoff=8)
