@@ -353,9 +353,11 @@ def read_field_csv(path) -> FourierField:
     """Read a field written by :func:`write_field_csv`.
 
     Raises ``ValueError`` on a bad header, a row without exactly three
-    cells or with a cell that does not parse (both naming the line), no rows
-    or a repeated k, and :class:`CorruptFieldError` unless the
-    field is finite, zero-mean and real.
+    cells or with a cell that does not parse (both naming the line), no rows,
+    a repeated k, or rows that are not exactly the modes -K..K up to the
+    largest |k| = K (checked before the field is allocated, so a stray huge
+    k cannot size it), and :class:`CorruptFieldError` unless the field is
+    finite, zero-mean and real.
     """
     modes: dict[int, complex] = {}
     with open(path, newline="") as fh:
@@ -378,6 +380,11 @@ def read_field_csv(path) -> FourierField:
     if not modes:
         raise ValueError("field CSV contains no rows")
     cutoff = max(abs(k) for k in modes)
+    if len(modes) != 2 * cutoff + 1:
+        raise ValueError(
+            f"field CSV has {len(modes)} rows, not the {2 * cutoff + 1} modes "
+            f"-K..K up to its largest |k| = K = {cutoff}"
+        )
     fld = FourierField.from_modes(modes, cutoff=max(cutoff, 1))
     fld.require_real()
     if fld.mean_mode() != 0.0:

@@ -13,6 +13,8 @@ classical four-stage Runge-Kutta rule to the interaction-picture variable
 it is fourth-order accurate and the preferred scheme for desk-scale runs.
 The free flow's phase ``exp(-i*a*k^3*t)`` is formed only in ``_linear_phase``,
 which the propagator, both schemes, the audit and the normal form all call.
+An IF-RK4 run takes each step's phase from ``_phase_table`` (two tables of
+its values, built once) instead of an ``exp`` over every mode.
 
 Both schemes share one RK4 step (``_Workspace.rk4_v_step``): the leapfrog
 scheme bootstraps its first step with it, so one step of either scheme gives
@@ -24,9 +26,10 @@ the leapfrog scheme's weak computational mode is left undamped — prefer the
 RK4 scheme for very long runs.
 
 The quadratic term is ``_Workspace.nl``, masked at one cutoff: 2K/3 (the 2/3
-rule) or K in ``evolve``, K itself on the residual probe's wider grid. Its
-``FourierField`` wrapper, which the tests compare against the direct-sum
-convolution, lives in ``tests/oracles.py``.
+rule) or K in ``evolve``, K itself on the residual probe's wider grid; its
+FFTs write into buffers the workspace keeps. Its ``FourierField`` wrapper,
+which the tests compare against the direct-sum convolution, lives in
+``tests/oracles.py``.
 
 State arrays may carry a leading batch axis: ``evolve`` steps several fields
 that share one ``KdvParams`` and one set of sample times as one
@@ -190,6 +193,26 @@ def _linear_phase(ks: np.ndarray, a: float) -> Callable[[float], np.ndarray]:
     return phase
 
 
+def _phase_table(phase: Callable[[float], np.ndarray], dt: float, n_steps: int):
+    """``i -> phase(i*dt)`` for the steps i < n_steps, from two tables built once.
+
+    ``lo[r] = phase(r*dt)`` and ``hi[j] = phase(j*L*dt)`` with L about
+    sqrt(n_steps), so step i costs the product ``hi[i // L] * lo[i % L]``
+    in place of an ``exp`` over every mode, and the tables keep about
+    2*sqrt(n_steps) rows. The product agrees with ``phase(i*dt)`` to a few
+    ulps times ``1 + |i*dt*a*k^3|``; step 0 is exactly 1.
+    """
+    span = max(1, math.isqrt(n_steps))
+    lo = np.stack([phase(r * dt) for r in range(span)])
+    hi = np.stack([phase(j * span * dt) for j in range(-(-n_steps // span))])
+
+    def at_step(i: int) -> np.ndarray:
+        j, r = divmod(i, span)
+        return hi[j] * lo[r]
+
+    return at_step
+
+
 def linear_propagator(fld: FourierField, t: float, a: float) -> FourierField:
     """Exact linear flow: mode k multiplied by ``exp(-i*a*k^3*t)``.
 
@@ -220,7 +243,7 @@ def _alias_free_rk4_step(v: FourierField, t: float, h: float) -> FourierField:
     cutoff = v.cutoff
     m = _grid_for_cutoff(3 * cutoff // 2)
     ws = _Workspace(m=m, a=1.0, b=1.0, dt=h, mask_cutoff=cutoff)
-    out_half = ws.rk4_v_step(half_spectrum(v, m), t)
+    out_half = ws.rk4_v_step(half_spectrum(v, m), ws.phase(t))
     return field_from_half_spectrum(out_half, m).with_cutoff(cutoff)
 
 
@@ -244,31 +267,39 @@ class _Workspace:
     def __init__(self, m: int, a: float, b: float, dt: float, mask_cutoff: int) -> None:
         self.m = m
         self.dt = dt
+        self.mask_cutoff = mask_cutoff
         k = np.arange(m // 2 + 1, dtype=float)
         self.phase = _linear_phase(k, a)
-        self.mask = (k <= mask_cutoff).astype(float)
-        self.ikb2 = 0.5j * b * k * self.mask
+        self.ikb2 = 0.5j * b * k * (k <= mask_cutoff)
         self.E = self.phase(0.5 * dt)
         self.E2 = self.E * self.E
         self.Ec = np.conj(self.E)
         self.E2c = np.conj(self.E2)
         self.sin2 = 2.0j * np.sin(a * k**3 * dt)
+        self._square = self._spectrum = np.empty((0,))  # FFT outputs, sized on first use
 
     def nl(self, A: np.ndarray) -> np.ndarray:
-        """Quadratic term ``(i*k*b/2) * F((F^-1 A)^2)`` with the run's masking."""
-        s = np.fft.irfft(A * self.mask, n=self.m)
-        return self.ikb2 * np.fft.rfft(s * s)
+        """Quadratic term ``(i*k*b/2) * F((F^-1 A)^2)`` with the run's masking.
 
-    def rk4_v_step(self, v: np.ndarray, t: float) -> np.ndarray:
-        """One RK4 step of the interaction-picture state v at absolute time t.
+        The input mask is a slice (irfft pads the cut modes with zeros). The
+        FFT buffers are scratch; the result is a new array.
+        """
+        if self._spectrum.shape != A.shape:
+            self._square = np.empty(A.shape[:-1] + (self.m,))
+            self._spectrum = np.empty(A.shape, dtype=np.complex128)
+        s = np.fft.irfft(A[..., : self.mask_cutoff + 1], n=self.m, out=self._square)
+        np.multiply(s, s, out=s)
+        return self.ikb2 * np.fft.rfft(s, out=self._spectrum)
+
+    def rk4_v_step(self, v: np.ndarray, P: np.ndarray) -> np.ndarray:
+        """One RK4 step of the interaction-picture state v; P is phase(t) at its start t.
 
         The only RK4 step in the package: the IF-RK4 scheme takes every step
-        with it, the leapfrog scheme its bootstrap step and the normal-form
-        residual probe its +/-dt steps. Kept in v-form so
-        the linear flow contributes no per-step rounding (for b = 0 the state
-        is bitwise constant).
+        with it (P from ``_phase_table``), the leapfrog scheme its bootstrap
+        step and the normal-form residual probe its +/-dt steps (P from
+        ``phase``). Kept in v-form so the linear flow contributes no per-step
+        rounding (for b = 0 the state is bitwise constant).
         """
-        P = self.phase(t)
         u = P * v
         h = self.dt
         na = self.nl(u)
@@ -381,6 +412,7 @@ def evolve(phi, p: KdvParams, sample_times):
 
     pointer = 0
     rk4 = p.scheme is Scheme.INTEGRATING_FACTOR_RK4
+    step_phase = _phase_table(ws.phase, dt_eff, n_steps) if rk4 else None
 
     def record_due(idx: int) -> None:
         nonlocal pointer
@@ -395,9 +427,9 @@ def evolve(phi, p: KdvParams, sample_times):
     record_due(0)
     for i in range(n_steps):
         if rk4:
-            A = ws.rk4_v_step(A, i * dt_eff)
+            A = ws.rk4_v_step(A, step_phase(i))
         elif i == 0:  # leapfrog bootstrap
-            A_prev, A = A, ws.phase(dt_eff) * ws.rk4_v_step(A, 0.0)
+            A_prev, A = A, ws.phase(dt_eff) * ws.rk4_v_step(A, ws.phase(0.0))
         else:
             A_prev, A = A, ws.fw_step(A_prev, A)
         check_blowup(A, i + 1)  # |v_k| = |u_k|

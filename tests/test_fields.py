@@ -283,6 +283,21 @@ class TestSerialization:
         with pytest.raises(ValueError, match="repeats mode k = 1"):
             read_field_csv(path)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "k,re,im\n-1000000000000,1.0,0.0\n1000000000000,1.0,0.0\n",
+            "k,re,im\n-3,1.0,0.0\n0,0.0,0.0\n3,1.0,0.0\n",
+        ],
+        ids=["huge-k", "gaps"],
+    )
+    def test_csv_without_every_mode_up_to_its_cutoff_is_rejected(self, tmp_path, body):
+        """Rows must be exactly -K..K, so the largest k cannot size a huge array."""
+        path = tmp_path / "sparse.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError, match="not the [0-9]+ modes -K..K"):
+            read_field_csv(path)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_csv_with_non_finite_mode_is_rejected(self, tmp_path, value):
         path = tmp_path / "nonfinite.csv"

@@ -13,6 +13,8 @@ from kdvtorus.integrator import (
     KdvParams,
     Scheme,
     _linear_phase,
+    _phase_table,
+    _Workspace,
     desk_params,
     evolve,
     linear_propagator,
@@ -156,6 +158,51 @@ class TestNonlinearTerm:
     def test_output_is_reality_respecting(self):
         u = random_real_field(13, support=10, cutoff=15)
         assert nonlinear_term(u, b=1.0).reality_defect() < 1e-14
+
+
+class TestStepWorkspace:
+    """The IF-RK4 step's parts at the desk grid (m = 512)."""
+
+    M = 512
+
+    def _state(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        shape = rows + (self.M // 2 + 1,)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @pytest.mark.parametrize("rows", [(), (3,)], ids=["one-field", "batch"])
+    @pytest.mark.parametrize("dealias", [True, False])
+    def test_the_sliced_quadratic_term_is_the_masked_one_bitwise(self, rows, dealias):
+        """Slicing before irfft and FFTs into buffers change no digit of ``nl``."""
+        cutoff = (2 * 255) // 3 if dealias else 255
+        ws = _Workspace(m=self.M, a=1.0, b=1.3, dt=1e-5, mask_cutoff=cutoff)
+        A = self._state(19, rows)
+        mask = (np.arange(self.M // 2 + 1) <= cutoff).astype(float)
+        want = ws.ikb2 * np.fft.rfft(np.fft.irfft(A * mask, n=self.M) ** 2)
+        assert np.array_equal(ws.nl(A), want)
+
+    @pytest.mark.parametrize("rows", [(), (3,)], ids=["one-field", "batch"])
+    def test_a_second_call_leaves_the_first_result_alone(self, rows):
+        ws = _Workspace(m=self.M, a=1.0, b=1.0, dt=1e-5, mask_cutoff=170)
+        first = ws.nl(self._state(20, rows))
+        kept = first.copy()
+        second = ws.nl(self._state(21, rows))
+        assert np.array_equal(first, kept)
+        assert not np.array_equal(first, second)
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 997, 1000])
+    @pytest.mark.parametrize("a", [1.0, -1.0 / 6.0])
+    def test_table_phases_match_the_direct_phase(self, n_steps, a):
+        """hi[i // L] * lo[i % L] is exp(-i*t*a*k^3) at t = i*dt to a few ulps."""
+        k = np.arange(self.M // 2 + 1, dtype=float)
+        phase = _linear_phase(k, a)
+        dt = TWO_PI / n_steps
+        at_step = _phase_table(phase, dt, n_steps)
+        assert np.all(at_step(0) == 1.0)
+        eps = np.finfo(float).eps
+        for i in range(n_steps):
+            tol = 4.0 * eps * (1.0 + np.abs(i * dt * a * k**3))
+            assert np.all(np.abs(at_step(i) - phase(i * dt)) <= tol)
 
 
 class TestEvolveLinear:
