@@ -51,7 +51,7 @@ SNAPSHOT_TIME = 0.2
 #: this is a bug, not drift.
 _MOMENTUM_TOLERANCE = 1.0e-14
 
-#: Sample-wise agreement required between the two deviation evaluations.
+#: Agreement required between the two deviation evaluations, times max(1, |phi|).
 _IDENTITY_TOLERANCE = 1.0e-12
 
 
@@ -87,21 +87,28 @@ def hermite_initial(spec: HermiteSpec, m: int) -> FourierField:
     tail at |x| = pi exceeds TAIL_TOLERANCE relative to the peak, the
     2pi-periodization visibly differs from the line profile and a
     TailAliasWarning is issued (epsilon <= 0.4 is comfortably below it).
+    A ValueError naming epsilon and m is raised when the data's norm is zero
+    or not finite: a width far below the spacing 2*pi/m leaves no sample.
     """
     x = grid_points(m)
     eps = spec.epsilon
     scale = spec.amplitude / math.sqrt(eps)
-    samples = scale * (x / eps) * np.exp(-(x**2) / (2.0 * eps**2))
-    peak = scale * math.exp(-0.5)
-    tail = scale * (math.pi / eps) * math.exp(-(math.pi**2) / (2.0 * eps**2))
-    if tail / peak > TAIL_TOLERANCE:
+    samples = np.zeros_like(x)
+    near = (x != 0.0) & (np.abs(x) < 40.0 * eps)  # the Gaussian factor underflows beyond
+    samples[near] = scale * (x[near] / eps) * np.exp(-(x[near] ** 2) / (2.0 * eps**2))
+    tail = abs(samples[0]) / (scale * math.exp(-0.5))  # x_0 = -pi, peak at x = eps
+    if tail > TAIL_TOLERANCE:
         warnings.warn(
-            f"odd-Gaussian tail at |x| = pi is {tail / peak:.2e} of the peak "
+            f"odd-Gaussian tail at |x| = pi is {tail:.2e} of the peak "
             f"for epsilon = {eps}; periodization will alias",
             TailAliasWarning,
             stacklevel=2,
         )
-    return analyze(samples)
+    phi = analyze(samples)
+    if not 0.0 < l2_norm(phi) < math.inf:
+        raise ValueError(f"odd-Gaussian data at epsilon = {eps} has norm {l2_norm(phi)} on an m = "
+                         f"{m} grid (a nonzero norm needs a width the spacing 2*pi/m resolves)")
+    return phi
 
 
 @dataclass(frozen=True)
@@ -129,9 +136,10 @@ def near_linearity_report(phi, p: KdvParams, sample_times) -> NearLinearityRepor
     as in ``evolve``.  Both evaluations of the deviation are computed per
     sample: the interaction-picture difference |v(t) - v(0)| and the
     physical-side difference |u(t) - S(t) phi|.  They are the same norm of the
-    same vector under a diagonal unitary, so a disagreement above 1e-12 means
-    the propagator and the evolution have fallen out of step; that raises
-    rather than returning corrupt diagnostics.  Momentum is checked against
+    same vector under a diagonal unitary, so a disagreement above 1e-12 *
+    max(1, |phi|) means the propagator and the evolution have fallen out of
+    step; that raises rather than returning corrupt diagnostics (the bound
+    scales with the data, as rounding does).  Momentum is checked against
     its structural zero.  An empty ``sample_times`` raises ValueError, as in
     ``evolve``: with no sample there is nothing to audit.
     """
@@ -164,6 +172,7 @@ def _audit(
     Returns the deviations and the largest identity defect.
     """
     phase_at = _linear_phase(phi_run.wavenumbers(), record.params.a)
+    bound = _IDENTITY_TOLERANCE * max(1.0, l2_norm(phi_run))
     errors = []
     defect_max = 0.0
     for t, u in zip(record.times, rows):
@@ -172,10 +181,10 @@ def _audit(
         err_phys = float(np.linalg.norm(u - phi_run.coeffs * np.conj(phase)))
         defect = abs(err_ip - err_phys)
         defect_max = max(defect_max, defect)
-        if defect > _IDENTITY_TOLERANCE:
+        if defect > bound:
             raise RuntimeError(
                 f"interaction-picture identity violated at t = {t}: "
-                f"|v-v0| = {err_ip:.6e} vs |u - S(t)phi| = {err_phys:.6e}"
+                f"|v-v0| = {err_ip:.6e} vs |u - S(t)phi| = {err_phys:.6e} > {bound:.1e}"
             )
         errors.append(err_ip)
     return tuple(errors), defect_max
@@ -280,7 +289,6 @@ class SweepResult:
     epsilons: tuple[float, ...]
     hm_norms: tuple[float, ...]
     errors_at_t: tuple[float, ...]
-    t_final: float
     fitted_slope: float
     degenerate: bool
     run: NearLinearityReport
@@ -320,7 +328,6 @@ def epsilon_sweep(epsilons, p: KdvParams, t_final: float) -> SweepResult:
         epsilons=eps_sorted,
         hm_norms=hm_norms,
         errors_at_t=errors,
-        t_final=t_final,
         fitted_slope=slope,
         degenerate=degenerate,
         run=run,

@@ -236,11 +236,8 @@ def _at_time(
     """A t = 0 operator kernel evaluated at time t by the diagonal phase.
 
     ``B(v, t)_K = exp(i*K^3*t) * B(exp(-i*k^3*t) * v, 0)_K``; the rotation
-    keeps the support of v, so the kernel sums over the same index set. At
-    t = 0 the kernel runs on v itself.
+    keeps the support of v, so the kernel sums over the same index set.
     """
-    if t == 0.0:
-        return kernel(v)
     phase = _linear_phase(v.wavenumbers(), 1.0)(-t)
     return FourierField(phase * kernel(FourierField(np.conj(phase) * v.coeffs)).coeffs)
 
@@ -418,11 +415,6 @@ def apriori_ratios(v: FourierField) -> dict[str, float]:
         raise UndefinedRatioError("a-priori ratios are undefined for the zero field")
     norm_hm = sobolev_norm(v, -0.5)
     b4_field = b4(v, 0.0)
-    ks = v.wavenumbers().astype(float)
-    nz = ks != 0.0
-    cubic_weighted = math.sqrt(
-        float(np.sum(np.abs(v.coeffs[nz]) ** 6 / ks[nz] ** 2))
-    )
     ratios = {
         # |B2| / |v|_{H^-1/2}^2
         "r1": l2_norm(b2(v, 0.0)) / norm_hm**2,
@@ -433,7 +425,7 @@ def apriori_ratios(v: FourierField) -> dict[str, float]:
         # |B4|_{H^-1/2} / (|v|_{H^-1/2}^1.9 |v|^2.1)
         "r4": sobolev_norm(b4_field, -0.5) / (norm_hm**1.9 * norm_l2**2.1),
         # |v_k^3/k| / (|v|_{H^-1/2}^2 |v|)
-        "r5": cubic_weighted / (norm_hm**2 * norm_l2),
+        "r5": l2_norm(resonant_term(v)) / (norm_hm**2 * norm_l2),
     }
     bad = [name for name, value in ratios.items() if not math.isfinite(value)]
     if bad:

@@ -5,12 +5,14 @@ parameters: alpha = a/h0 (amplitude over depth) and beta = h0^2/l^2
 (squared depth over wavelength). The KdV model is the balanced regime
 alpha ~ beta << 1; the width-modified scaling a -> a/sqrt(eps),
 l -> eps*l trades smallness for frequency content and pays for it with
-the mismatch term alpha_eps + beta_eps^2/alpha_eps.
+the mismatch term alpha_eps + beta_eps^2/alpha_eps. A ratio that is not
+finite in double precision raises DomainError rather than reading inf.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 from .errors import DomainError
@@ -86,15 +88,22 @@ def dimensionless(p: PhysicalParams) -> ShallowWaterRegime:
         validity window t ~ 1/alpha back to seconds through the travel
         time l/c0 of one wavelength.
     """
-    alpha = p.a / p.h0
-    beta = p.h0**2 / p.l**2
-    c0 = math.sqrt(p.g * p.h0)
-    return ShallowWaterRegime(
-        alpha=alpha,
-        beta=beta,
-        c0=c0,
-        t_phys_scale=p.l / (c0 * alpha),
-    )
+    def ratios():
+        alpha, c0 = p.a / p.h0, math.sqrt(p.g * p.h0)
+        return alpha, p.h0**2 / p.l**2, c0, p.l / (c0 * alpha)
+
+    return ShallowWaterRegime(*_finite(f"the regime of {p}", ratios))
+
+
+def _finite(what: str, ratios: Callable[[], tuple]) -> tuple:
+    """``ratios()``, or DomainError naming ``what`` when one of them is not finite."""
+    try:
+        values = ratios()
+        if all(math.isfinite(v) for v in values):
+            return values
+    except (OverflowError, ZeroDivisionError):  # from ``**``; from a denominator that underflowed
+        pass
+    raise DomainError(f"{what}: not finite in double precision")
 
 
 def _check_delta_eps(delta: float, eps: float) -> None:
@@ -120,7 +129,8 @@ def epsilon_modified(delta: float, eps: float) -> tuple[float, float]:
         The pair (alpha_eps, beta_eps).
     """
     _check_delta_eps(delta, eps)
-    return delta / math.sqrt(eps), delta / eps**2
+    return _finite(f"alpha_eps, beta_eps at delta = {delta}, eps = {eps}",
+                   lambda: (delta / math.sqrt(eps), delta / eps**2))
 
 
 def mismatch(delta: float, eps: float) -> float:
@@ -138,7 +148,8 @@ def mismatch(delta: float, eps: float) -> float:
     alpha_eps, beta_eps = epsilon_modified(delta, eps)
     if delta == 0.0:
         return 0.0
-    return alpha_eps + beta_eps**2 / alpha_eps
+    return _finite(f"mismatch at delta = {delta}, eps = {eps}",
+                   lambda: (alpha_eps + beta_eps**2 / alpha_eps,))[0]
 
 
 @dataclass(frozen=True)

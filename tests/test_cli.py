@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kdvtorus
 from kdvtorus import __version__
 from kdvtorus.cli import ENV_OUTPUT_ROOT, _write_json, load_config, run
 from kdvtorus.errors import ConfigError
@@ -12,6 +17,16 @@ from kdvtorus.errors import ConfigError
 
 def read_manifest(outdir):
     return json.loads((outdir / "manifest.json").read_text(encoding="utf-8"))
+
+
+def assert_refused(rc, captured, outdir):
+    """Exit 1 with a single ``error:`` line on stderr, nothing printed, no directory."""
+    assert rc == 1
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    assert captured.out == ""
+    assert not outdir.exists()
+    return lines[0]
 
 
 class TestArgHandling:
@@ -50,7 +65,7 @@ class TestIdentities:
         rc = run(["identities", "--limit", limit, "--out", str(tmp_path)])
         assert rc == 1
         captured = capsys.readouterr()
-        assert "error: limit must be at least 1" in captured.err
+        assert "error: identity limit must be at least 1" in captured.err
         assert "PASS" not in captured.out
         assert list(tmp_path.iterdir()) == []
 
@@ -101,6 +116,24 @@ class TestShallowWater:
         assert rc == 1
         assert "error: g must be finite and positive" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--eps", "1e-100"],
+            ["--a-phys", "1", "--h0", "1e200", "--l", "1"],
+            ["--a-phys", "1e-300", "--h0", "1e10", "--l", "1e-200"],
+            ["--delta", "1e300", "--eps", "1e-10"],
+        ],
+        ids=["mismatch-overflows", "beta-overflows", "denominator-underflows",
+             "beta-eps-inf"],
+    )
+    def test_ratios_that_are_not_finite_are_refused(self, tmp_path, capsys, flags):
+        """Refused before the report prints, instead of a traceback or an inf."""
+        outdir = tmp_path / "out"
+        rc = run(["shallow-water", *flags, "--out", str(outdir)])
+        line = assert_refused(rc, capsys.readouterr(), outdir)
+        assert "not finite in double precision" in line
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_json_artifacts_refuse_non_finite_numbers(self, tmp_path, value):
@@ -293,6 +326,16 @@ class TestSimulate:
         for name in ("trajectory.csv", "spectrum_initial.csv", "spectrum_final.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
+    def test_identity_audit_bound_scales_with_the_data(self, tmp_path):
+        """The exact linear flow at amplitude 1e5: the audit's rounding grows with |phi|."""
+        rc = run([
+            "simulate", "--amplitude", "1e5", "--b", "0", "--m", "64", "--dt", "1e-3",
+            "--t-final", "0.5", "--samples", "11", "--out", str(tmp_path),
+        ])
+        assert rc == 0
+        results = read_manifest(tmp_path)["results"]
+        assert 1e-12 < results["identity_defect_max"] <= 1e-12 * 1e5
+
     @pytest.mark.parametrize("samples", ["0", "1"])
     def test_fewer_than_two_samples_is_a_config_error(self, tmp_path, capsys, samples):
         rc = run([
@@ -326,16 +369,16 @@ class TestNormalFormCheck:
             (["--dts", "1e-3"], "dts must hold at least two distinct steps"),
             (["--dts", "1e-3,1e-3"], "dts must hold at least two distinct steps"),
             (["--dts", "1e-3,5e-4,1e-3"], "dts must hold at least two distinct steps"),
-            (["--dts", "1e-3,0"], "steps must be positive"),
-            (["--dts", "1e-3,-5e-4"], "steps must be positive"),
-            (["--small-dt", "0"], "steps must be positive"),
-            (["--small-dt", "inf"], "steps must be positive"),
-            (["--dts", "1e-3,nan"], "steps must be positive"),
+            (["--dts", "1e-3,0"], "dt must be positive and finite"),
+            (["--dts", "1e-3,-5e-4"], "dt must be positive and finite"),
+            (["--small-dt", "0"], "dt must be positive and finite"),
+            (["--small-dt", "inf"], "dt must be positive and finite"),
+            (["--dts", "1e-3,nan"], "dt must be positive and finite"),
             (["--t", "nan"], "t must be finite"),
             (["--t", "inf"], "t must be finite"),
-            (["--census-count", "0"], "census_count must be at least 1"),
-            (["--identity-limit", "0"], "identity_limit must be at least 1"),
-            (["--identity-limit", "-2"], "identity_limit must be at least 1"),
+            (["--census-count", "0"], "census count must be at least 1"),
+            (["--identity-limit", "0"], "identity limit must be at least 1"),
+            (["--identity-limit", "-2"], "identity limit must be at least 1"),
         ],
         ids=["one-step", "repeated", "repeated-apart", "zero", "negative",
              "zero-small-dt", "inf-small-dt", "nan-step", "nan-t", "inf-t", "no-census",
@@ -347,7 +390,52 @@ class TestNormalFormCheck:
                   "--identity-limit", "6", *flags, "--out", str(tmp_path)])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []  # rejected before any residual
+        assert list(tmp_path.iterdir()) == []  # refused before the report is written
+
+
+class TestUnresolvedWidth:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--epsilon", "1e-200", "--m", "64", "--dt", "1e-3",
+             "--t-final", "0.01", "--samples", "2"],
+            ["pullback", "--epsilon", "1e-10", "--m", "64", "--dt", "1e-3",
+             "--t-final", "0.01"],
+            ["return-test", "--epsilon", "1e-10", "--m", "64", "--dt", "1e-2"],
+            ["sweep", "--epsilons", "0.4,0.2,1e-10", "--m", "64", "--dt", "1e-3",
+             "--t-final", "0.01"],
+            ["simulate", "--epsilon", "1e-10", "--m", "64", "--dt", "1e-3",
+             "--t-final", "0.01", "--samples", "2"],
+        ],
+        ids=["simulate-eps-squared-underflows", "pullback", "return-test", "sweep",
+             "simulate"],
+    )
+    def test_width_the_grid_cannot_resolve_is_refused(self, tmp_path, capsys, argv):
+        """An all-zero profile is refused by hermite_initial, naming epsilon and m."""
+        outdir = tmp_path / "out"
+        line = assert_refused(run([*argv, "--out", str(outdir)]), capsys.readouterr(), outdir)
+        assert "m = 64" in line and ("epsilon = 1e-10" in line or "epsilon = 1e-200" in line)
+
+
+class TestEntryPoint:
+    def test_module_runs_as_a_program(self, tmp_path):
+        """``python -m kdvtorus.cli`` goes through main(): exit codes, stderr, no traceback."""
+        src = str(Path(kdvtorus.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+        def cli(*argv):
+            return subprocess.run([sys.executable, "-m", "kdvtorus.cli", *argv],
+                                  capture_output=True, text=True, env=env, cwd=tmp_path)
+
+        ok = cli("identities", "--limit", "3", "--out", str(tmp_path / "ok"))
+        assert ok.returncode == 0, ok.stderr
+        assert read_manifest(tmp_path / "ok")["command"] == "identities"
+        bad = cli("identities", "--limit", "0", "--out", str(tmp_path / "bad"))
+        assert bad.returncode == 1
+        assert bad.stderr.startswith("error: identity limit must be at least 1")
+        assert "Traceback" not in bad.stderr
+        assert not (tmp_path / "bad").exists()
 
 
 class TestOutputRoot:
@@ -377,6 +465,4 @@ class TestOutputRoot:
     )
     def test_rejected_run_creates_no_directory(self, tmp_path, capsys, argv):
         rc = run([*argv, "--out", str(tmp_path / "new" / "out")])
-        assert rc == 1
-        assert "error:" in capsys.readouterr().err
-        assert not (tmp_path / "new").exists()
+        assert_refused(rc, capsys.readouterr(), tmp_path / "new")

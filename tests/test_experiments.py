@@ -17,7 +17,7 @@ from kdvtorus.experiments import (
     pullback_comparison,
     return_experiment,
 )
-from kdvtorus.fields import l2_norm, synthesize
+from kdvtorus.fields import analyze, grid_points, l2_norm, synthesize
 from kdvtorus.integrator import KdvParams, Scheme, desk_params, evolve, linear_propagator
 from test_acceptance import baseline_value, within_window
 
@@ -75,6 +75,20 @@ class TestHermiteInitial:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             hermite_initial(HermiteSpec(0.4), m=256)
+
+    @pytest.mark.parametrize("eps, m", [(0.4, 512), (0.1, 64), (0.05, 512), (0.003, 4096)])
+    def test_samples_equal_the_full_formula(self, eps, m):
+        """Evaluating only 0 < |x| < 40 eps changes no bit of the coefficients."""
+        x = grid_points(m)
+        full = (1.0 / math.sqrt(eps)) * (x / eps) * np.exp(-(x**2) / (2.0 * eps**2))
+        data = hermite_initial(HermiteSpec(eps), m)
+        assert data.coeffs.tobytes() == analyze(full).coeffs.tobytes()
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-200, 1e-10, 2e-3])
+    def test_width_the_grid_cannot_resolve_is_refused(self, eps):
+        """No sample survives: a ValueError names epsilon and m, with no float warning."""
+        with pytest.raises(ValueError, match=rf"epsilon = {eps} .* m = 64 grid"):
+            hermite_initial(HermiteSpec(eps), m=64)
 
 
 class TestNearLinearity:

@@ -399,6 +399,17 @@ class TestMirror:
         op(FourierField(cmath.exp(0.3j) * real.coeffs), t)
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("op, kernel", [
+        (b2, normal_form._b2_time_zero),
+        (b3, lambda v: normal_form._mirrored(normal_form._b3_rows, 1.0, v)),
+        (b4, lambda v: normal_form._mirrored(normal_form._b4_rows, -1.0, v)),
+    ], ids=["b2", "b3", "b4"])
+    def test_time_zero_phase_is_exactly_one(self, op, kernel):
+        """At t = 0 the diagonal phase path returns the kernel's values unchanged."""
+        for v in (random_real_field(4, support=8, cutoff=32),
+                  FourierField(cmath.exp(0.3j) * random_real_field(5, 6, 24).coeffs)):
+            assert np.array_equal(op(v, 0.0).coeffs, kernel(v).coeffs)
+
     @pytest.mark.parametrize("op, all_rows", [(b3, b3_all_rows), (b4, b4_all_rows)],
                              ids=["b3", "b4"])
     def test_full_hermite_field_matches_all_rows(self, op, all_rows):

@@ -64,6 +64,28 @@ class TestEpsilonModified:
             epsilon_modified(0.01, 1.2)
 
 
+class TestRatiosOutOfRange:
+    """Ratios double precision cannot hold raise DomainError instead of reading inf."""
+
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            lambda: epsilon_modified(1e300, 1e-10),
+            lambda: epsilon_modified(0.01, 1e-200),
+            lambda: mismatch(0.01, 1e-100),
+            lambda: validate_regime(0.01, 1e-100),
+            lambda: dimensionless(PhysicalParams(a=1.0, h0=1e200, l=1.0)),
+            lambda: dimensionless(PhysicalParams(a=1e-300, h0=1e10, l=1e-200)),
+            lambda: dimensionless(PhysicalParams(a=5e-324, h0=1e10, l=1.0)),
+        ],
+        ids=["beta-eps-inf", "eps-squared-underflows", "mismatch-overflows", "regime",
+             "beta-overflows", "l-squared-underflows", "alpha-underflows"],
+    )
+    def test_non_finite_ratio_is_a_domain_error(self, compute):
+        with pytest.raises(DomainError, match="not finite in double precision"):
+            compute()
+
+
 class TestMismatch:
     def test_reference_value(self):
         """delta/sqrt(eps) + delta/eps^3.5 at (0.01, 0.4)."""
