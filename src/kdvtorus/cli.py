@@ -255,13 +255,11 @@ def _plot_fields(path: Path, fields, title: str, m: int | None = None) -> None:
         write_line_plot(path, series, title=title, xlabel="x", ylabel="u(x)")
 
 
-def _run_results(run) -> dict:
-    """The diagnostics of a stepping run's audit; energy_drift is the worst over a batch."""
-    return {
-        "identity_defect_max": run.identity_defect_max,
-        "energy_drift": float(np.max(run.record.energy_drift())),
-        "max_momentum": run.record.max_momentum(),
-    }
+def _plot_deviation(path: Path, run) -> None:
+    """An audited run's deviation |v(t) - v(0)| against t."""
+    series = [LineSeries("|v(t) - v(0)|", tuple(run.record.times), run.errors)]
+    write_line_plot(path, series, title="Deviation from the free flow", xlabel="t",
+                    ylabel="l2 deviation")
 
 
 # ---------------------------------------------------------------------------
@@ -282,19 +280,14 @@ def _cmd_simulate(cfg: dict, outdir: _Outdir):
     record = report.record
     rows = zip(record.times, record.energy_series, record.momentum_series, report.errors)
     _write_csv(outdir / "trajectory.csv", ["t", "energy", "momentum", "deviation"], rows)
-    write_field_csv(report.initial, outdir / "spectrum_initial.csv")
+    write_field_csv(record.initial, outdir / "spectrum_initial.csv")
     final = record.snapshot(-1)
     write_field_csv(final, outdir / "spectrum_final.csv")
-    write_line_plot(
-        outdir / "deviation_vs_t.svg",
-        [LineSeries("|v(t) - v(0)|", tuple(record.times), report.errors)],
-        title="Deviation from the free flow",
-        xlabel="t", ylabel="l2 deviation",
-    )
-    pair = [("initial", report.initial), (f"t = {record.times[-1]:.4g}", final)]
+    _plot_deviation(outdir / "deviation_vs_t.svg", report)
+    pair = [("initial", record.initial), (f"t = {record.times[-1]:.4g}", final)]
     _plot_fields(outdir / "physical.svg", pair, "Physical-space profiles", cfg["m"])
     _plot_fields(outdir / "spectrum.svg", pair, "Mode amplitudes")
-    results = {"terminal_deviation": report.errors[-1], **_run_results(report)}
+    results = {"terminal_deviation": report.errors[-1], **report.diagnostics()}
     print(f"terminal deviation from the free flow: {report.errors[-1]:.6e}")
     print(f"energy drift: {results['energy_drift']:.3e}  "
           f"max momentum: {results['max_momentum']:.3e}")
@@ -306,28 +299,23 @@ def _cmd_return_test(cfg: dict, outdir: _Outdir):
     params = _kdv_params(cfg)
     report = return_experiment(spec, params)
     run = report.run
-    times = tuple(run.record.times)
-    _write_csv(outdir / "deviation.csv", ["t", "deviation"], zip(times, run.errors))
-    write_field_csv(run.initial, outdir / "spectrum_initial.csv")
+    _write_csv(outdir / "deviation.csv", ["t", "deviation"], zip(run.record.times, run.errors))
+    write_field_csv(run.record.initial, outdir / "spectrum_initial.csv")
     write_field_csv(report.final, outdir / "spectrum_final.csv")
     write_field_csv(report.snapshot, outdir / "spectrum_snapshot.csv")
-    pair = [("initial", run.initial), ("after one period", report.final)]
+    pair = [("initial", run.record.initial), ("after one period", report.final)]
     _plot_fields(outdir / "spectrum_pair.svg", pair, "Mode amplitudes: initial vs one period")
     _plot_fields(outdir / "physical_pair.svg", pair, "Return after one linear period", cfg["m"])
     _plot_fields(outdir / "physical_snapshot.svg",
                  [pair[0], (f"t = {report.snapshot_time:.4g}", report.snapshot)],
                  "Short-time dispersion", cfg["m"])
-    write_line_plot(
-        outdir / "deviation_vs_t.svg",
-        [LineSeries("|v(t) - v(0)|", times, run.errors)],
-        title="Deviation from the free flow", xlabel="t", ylabel="l2 deviation",
-    )
+    _plot_deviation(outdir / "deviation_vs_t.svg", run)
     results = {
         "return_error_rel": report.return_error_rel,
         "snapshot_time": report.snapshot_time,
         "snapshot_sup_ratio": report.snapshot_sup_ratio,
         "initial_physical_energy": report.initial_physical_energy,
-        **_run_results(run),
+        **run.diagnostics(),
     }
     print(f"relative return error after one period: {report.return_error_rel:.6e}")
     print(f"snapshot sup-norm ratio at t = {report.snapshot_time:.4g}: "
@@ -338,12 +326,12 @@ def _cmd_return_test(cfg: dict, outdir: _Outdir):
 def _cmd_pullback(cfg: dict, outdir: _Outdir):
     spec = HermiteSpec(epsilon=cfg["epsilon"], amplitude=cfg["amplitude"])
     params = _kdv_params(cfg)
-    report = pullback_comparison(spec, params, cfg["t_final"])
+    report = pullback_comparison(spec, params)
     t_final = report.run.record.times[-1]
-    write_field_csv(report.run.initial, outdir / "spectrum_initial.csv")
+    write_field_csv(report.run.record.initial, outdir / "spectrum_initial.csv")
     write_field_csv(report.evolved, outdir / "spectrum_evolved.csv")
     write_field_csv(report.pulled_back, outdir / "spectrum_pulled_back.csv")
-    pair = [("initial", report.run.initial), ("pulled back", report.pulled_back)]
+    pair = [("initial", report.run.record.initial), ("pulled back", report.pulled_back)]
     _plot_fields(outdir / "physical_pullback.svg",
                  pair + [(f"evolved (t = {t_final:.4g})", report.evolved)],
                  "Reverse-linear pullback", cfg["m"])
@@ -351,7 +339,7 @@ def _cmd_pullback(cfg: dict, outdir: _Outdir):
     results = {
         "discrepancy_rel": report.discrepancy_rel,
         "t_final": t_final,
-        **_run_results(report.run),
+        **report.run.diagnostics(),
     }
     print(f"relative pullback discrepancy at T = {t_final:.4g}: "
           f"{report.discrepancy_rel:.6e}")
@@ -378,7 +366,7 @@ def _cmd_sweep(cfg: dict, outdir: _Outdir):
         "errors_at_t": list(result.errors_at_t),
         "fitted_slope": None if result.degenerate else result.fitted_slope,
         "degenerate": result.degenerate,
-        **_run_results(result.run),
+        **result.run.diagnostics(),
     }
     slope_text = "undefined" if result.degenerate else f"{result.fitted_slope:.4f}"
     print(f"fitted log-log slope: {slope_text}")

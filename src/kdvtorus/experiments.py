@@ -88,15 +88,19 @@ def hermite_initial(spec: HermiteSpec, m: int) -> FourierField:
     2pi-periodization visibly differs from the line profile and a
     TailAliasWarning is issued (epsilon <= 0.4 is comfortably below it).
     A ValueError naming epsilon and m is raised when the data's norm is zero
-    or not finite: a width far below the spacing 2*pi/m leaves no sample.
+    (a width far below the spacing 2*pi/m leaves no sample), and one naming
+    the amplitude when the norm overflows double precision.
     """
     x = grid_points(m)
     eps = spec.epsilon
     scale = spec.amplitude / math.sqrt(eps)
     samples = np.zeros_like(x)
     near = (x != 0.0) & (np.abs(x) < 40.0 * eps)  # the Gaussian factor underflows beyond
-    samples[near] = scale * (x[near] / eps) * np.exp(-(x[near] ** 2) / (2.0 * eps**2))
-    tail = abs(samples[0]) / (scale * math.exp(-0.5))  # x_0 = -pi, peak at x = eps
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        samples[near] = scale * (x[near] / eps) * np.exp(-(x[near] ** 2) / (2.0 * eps**2))
+        phi = analyze(samples)
+        norm = l2_norm(phi)
+        tail = abs(samples[0]) / (scale * math.exp(-0.5))  # x_0 = -pi, peak at x = eps
     if tail > TAIL_TOLERANCE:
         warnings.warn(
             f"odd-Gaussian tail at |x| = pi is {tail:.2e} of the peak "
@@ -104,9 +108,11 @@ def hermite_initial(spec: HermiteSpec, m: int) -> FourierField:
             TailAliasWarning,
             stacklevel=2,
         )
-    phi = analyze(samples)
-    if not 0.0 < l2_norm(phi) < math.inf:
-        raise ValueError(f"odd-Gaussian data at epsilon = {eps} has norm {l2_norm(phi)} on an m = "
+    if not norm < math.inf:
+        raise ValueError(f"odd-Gaussian data at amplitude = {spec.amplitude} has a norm too "
+                         "large for double precision")
+    if norm == 0.0:
+        raise ValueError(f"odd-Gaussian data at epsilon = {eps} has norm {norm} on an m = "
                          f"{m} grid (a nonzero norm needs a width the spacing 2*pi/m resolves)")
     return phi
 
@@ -118,15 +124,22 @@ class NearLinearityReport:
     errors[i] is |v(t_i) - v(0)| at the i-th landed sample time;
     identity_defect_max is the largest observed disagreement between the
     interaction-picture and physical-side evaluations of the same quantity
-    (zero in exact arithmetic).  For a batch of fields, errors and initial
-    hold one entry per field and identity_defect_max is the largest over
-    them.
+    (zero in exact arithmetic).  For a batch of fields, errors holds one
+    entry per field and identity_defect_max is the largest over them.  The
+    data the run starts from is ``record.initial``.
     """
 
     errors: tuple
     identity_defect_max: float
     record: TrajectoryRecord
-    initial: FourierField | tuple[FourierField, ...]
+
+    def diagnostics(self) -> dict:
+        """The manifest's run block; energy_drift is the worst over a batch."""
+        return {
+            "identity_defect_max": self.identity_defect_max,
+            "energy_drift": float(np.max(self.record.energy_drift())),
+            "max_momentum": self.record.max_momentum(),
+        }
 
 
 def near_linearity_report(phi, p: KdvParams, sample_times) -> NearLinearityReport:
@@ -143,22 +156,20 @@ def near_linearity_report(phi, p: KdvParams, sample_times) -> NearLinearityRepor
     its structural zero.  An empty ``sample_times`` raises ValueError, as in
     ``evolve``: with no sample there is nothing to audit.
     """
-    single = isinstance(phi, FourierField)
-    fields = [phi] if single else list(phi)
-    record = evolve(phi if single else fields, p, sample_times)
+    record = evolve(phi, p, sample_times)
     if record.max_momentum() > _MOMENTUM_TOLERANCE:
         raise RuntimeError(
             f"momentum mode drifted to {record.max_momentum():.3e}; "
             "the discretization conserves it identically"
         )
-    initial = tuple(f.with_cutoff(p.cutoff).zero_mean() for f in fields)
-    rows = record.coeffs.reshape((len(fields),) + record.coeffs.shape[-2:])
+    single = isinstance(record.initial, FourierField)
+    initial = (record.initial,) if single else record.initial
+    rows = record.coeffs.reshape((len(initial),) + record.coeffs.shape[-2:])
     errors, defects = zip(*(_audit(record, r, f) for r, f in zip(rows, initial)))
     return NearLinearityReport(
         errors=errors[0] if single else errors,
         identity_defect_max=max(defects),
         record=record,
-        initial=initial[0] if single else initial,
     )
 
 
@@ -227,7 +238,7 @@ def return_experiment(spec: HermiteSpec, p: KdvParams) -> ReturnReport:
     times = sorted(set(np.linspace(0.0, period, 17)) | {SNAPSHOT_TIME})
     run = near_linearity_report(phi, p_run, times)
     record = run.record
-    phi_run = run.initial
+    phi_run = record.initial
     final = record.snapshot(-1)
     snap_pos = int(np.argmin(np.abs(record.times - SNAPSHOT_TIME)))
     snapshot = record.snapshot(snap_pos)
@@ -257,19 +268,18 @@ class PullbackReport:
     run: NearLinearityReport
 
 
-def pullback_comparison(spec: HermiteSpec, p: KdvParams, t_final: float) -> PullbackReport:
-    """Evolve to t_final, undo the linear flow, and compare against the data.
+def pullback_comparison(spec: HermiteSpec, p: KdvParams) -> PullbackReport:
+    """Evolve to p.t_final, undo the linear flow, and compare against the data.
 
     The pullback S(-T) u(T) isolates the cumulative nonlinear effect; for
     near-linear dynamics it lands almost on top of phi while u(T) itself
     looks nothing like phi in physical space.
     """
-    p_run = replace(p, t_final=t_final)
     phi = hermite_initial(spec, p.m)
-    run = near_linearity_report(phi, p_run, [0.0, t_final])
+    run = near_linearity_report(phi, p, [0.0, p.t_final])
     evolved = run.record.snapshot(-1)
     return PullbackReport(
-        discrepancy_rel=run.errors[-1] / l2_norm(run.initial),
+        discrepancy_rel=run.errors[-1] / l2_norm(run.record.initial),
         evolved=evolved,
         pulled_back=linear_propagator(evolved, -run.record.times[-1], p.a),
         run=run,

@@ -143,7 +143,9 @@ class TrajectoryRecord:
     at each sample, K the run grid's cutoff. ``energy_series`` and
     ``momentum_series`` have shape ``(..., S)``. The leading ``...`` is empty
     for one field and the field axis for a batch, where ``steps_total``
-    counts field-steps (the steps of every field, summed).
+    counts field-steps (the steps of every field, summed). ``initial`` is the
+    data the run starts from, each field cut to the grid and made zero-mean:
+    one field, or a tuple with one per field for a batch.
     """
 
     times: np.ndarray
@@ -152,6 +154,7 @@ class TrajectoryRecord:
     momentum_series: np.ndarray
     steps_total: int
     params: KdvParams
+    initial: FourierField | tuple[FourierField, ...]
 
     def snapshot(self, i) -> FourierField:
         """The state at sample i; for a batch, i is a (field, sample) pair."""
@@ -343,7 +346,8 @@ def evolve(phi, p: KdvParams, sample_times):
     ------
     ValueError
         If sample times are empty, non-finite, unsorted or outside [0, t_final],
-        or ``phi`` is an empty sequence.
+        ``phi`` is an empty sequence, t_final/dt is 2^53 steps or more, or a
+        field's norm is too large for double precision.
     CorruptFieldError
         If a field has a non-finite amplitude or fails the reality check.
     GridError
@@ -379,6 +383,9 @@ def evolve(phi, p: KdvParams, sample_times):
                 f"the grid cutoff {run_cutoff}"
             )
 
+    if not t_final / p.dt < 2.0**53:  # inf once dt underflows the ratio
+        raise ValueError(f"t_final = {t_final} over dt = {p.dt} is more steps than can "
+                         "be counted (at most 2^53)")
     n_steps = max(1, math.ceil(t_final / p.dt - 1e-12))
     dt_eff = t_final / n_steps
     mask_cutoff = (2 * p.cutoff) // 3 if p.dealias else p.cutoff
@@ -386,12 +393,16 @@ def evolve(phi, p: KdvParams, sample_times):
 
     sample_idx = [min(n_steps, max(0, int(round(s / dt_eff)))) for s in requested]
 
-    A0 = np.stack(
-        [half_spectrum(f.with_cutoff(run_cutoff).zero_mean(), p.m) for f in fields]
-    )
+    initial = tuple(f.with_cutoff(run_cutoff).zero_mean() for f in fields)
+    A0 = np.stack([half_spectrum(f, p.m) for f in initial])
     # bin 0 of a zero-mean field's half spectrum is exactly 0, so sum_k |A_k|^2 over
     # the stored bins is proportional to the energy, and cheap to form every step
-    limits = [BLOWUP_FACTOR**2 * np.vdot(row, row).real or math.inf for row in A0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused next
+        limits = [BLOWUP_FACTOR**2 * float(np.vdot(row, row).real) for row in A0]
+    if math.inf in limits:
+        raise ValueError(f"initial field {limits.index(math.inf)} has a norm too large for "
+                         "double precision: its blow-up limit overflows")
+    limits = [limit or math.inf for limit in limits]  # a zero field cannot blow up
     if single:
         A0 = A0[0]  # a lone field steps as a 1-D state, free of broadcasting
 
@@ -442,4 +453,5 @@ def evolve(phi, p: KdvParams, sample_times):
         momentum_series=momenta,
         steps_total=len(fields) * n_steps,
         params=p,
+        initial=initial[0] if single else initial,
     )

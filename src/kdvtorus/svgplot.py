@@ -52,10 +52,10 @@ def _ticks(lo: float, hi: float, log: bool):
         hi_e = math.ceil(math.log10(hi))
         step = max(1, (hi_e - lo_e) // 6)
         return [10.0**e for e in range(lo_e, hi_e + 1, step)]
-    if hi == lo:
-        return [lo]
     raw = (hi - lo) / 5.0
-    mag = 10.0 ** math.floor(math.log10(raw))
+    mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
+    if mag == 0.0:  # hi == lo, or a span whose tick step underflows
+        return [lo]
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag

@@ -336,6 +336,15 @@ class TestSimulate:
         results = read_manifest(tmp_path)["results"]
         assert 1e-12 < results["identity_defect_max"] <= 1e-12 * 1e5
 
+    def test_final_time_below_the_tick_resolution(self, tmp_path):
+        """t_final = 5e-324: the deviation plot's time axis spans one subnormal."""
+        rc = run(["simulate", "--m", "64", "--dt", "1e-3", "--t-final", "5e-324",
+                  "--samples", "2", "--out", str(tmp_path)])
+        assert rc == 0
+        written = {p.name for p in tmp_path.iterdir()}
+        assert written == set(read_manifest(tmp_path)["artifacts"]) | {"manifest.json"}
+        assert len(written) == 7
+
     @pytest.mark.parametrize("samples", ["0", "1"])
     def test_fewer_than_two_samples_is_a_config_error(self, tmp_path, capsys, samples):
         rc = run([
@@ -415,6 +424,36 @@ class TestUnresolvedWidth:
         outdir = tmp_path / "out"
         line = assert_refused(run([*argv, "--out", str(outdir)]), capsys.readouterr(), outdir)
         assert "m = 64" in line and ("epsilon = 1e-10" in line or "epsilon = 1e-200" in line)
+
+
+SMALL_RUN = ["--m", "64", "--dt", "1e-3", "--t-final", "0.01"]
+
+
+class TestBeyondDoublePrecision:
+    @pytest.mark.parametrize(
+        "argv, where",
+        [
+            (["simulate", "--amplitude", "1e150", *SMALL_RUN, "--samples", "2"], "field 0"),
+            (["return-test", "--amplitude", "1e150", "--m", "64", "--dt", "1e-3"], "field 0"),
+            (["pullback", "--amplitude", "1e150", *SMALL_RUN], "field 0"),
+            (["simulate", "--amplitude", "1e200", *SMALL_RUN, "--samples", "2"], "1e+200"),
+            (["simulate", "--amplitude", "1e307", *SMALL_RUN, "--samples", "2"], "1e+307"),
+        ],
+        ids=["simulate", "return-test", "pullback", "simulate-1e200", "simulate-1e307"],
+    )
+    def test_amplitude_whose_norm_overflows_is_refused(self, tmp_path, capsys, argv, where):
+        """The blow-up limit (1e150) or the data's norm (1e200, 1e307) is not finite."""
+        outdir = tmp_path / "out"
+        line = assert_refused(run([*argv, "--out", str(outdir)]), capsys.readouterr(), outdir)
+        assert "too large for double precision" in line and where in line
+
+    @pytest.mark.parametrize("command", ["simulate", "return-test", "pullback", "sweep"])
+    def test_step_count_that_cannot_be_counted_is_refused(self, tmp_path, capsys, command):
+        """t_final / 5e-324 is inf: refused before any table of phases is built."""
+        outdir = tmp_path / "out"
+        argv = [command, "--m", "64", "--dt", "5e-324", "--out", str(outdir)]
+        line = assert_refused(run(argv), capsys.readouterr(), outdir)
+        assert "t_final = " in line and "dt = 5e-324" in line and "2^53" in line
 
 
 class TestEntryPoint:

@@ -1,6 +1,7 @@
 """Odd-Gaussian data, near-linearity diagnostics, the return and pullback runs."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -90,6 +91,12 @@ class TestHermiteInitial:
         with pytest.raises(ValueError, match=rf"epsilon = {eps} .* m = 64 grid"):
             hermite_initial(HermiteSpec(eps), m=64)
 
+    @pytest.mark.parametrize("eps, amplitude", [(0.4, 1e200), (0.4, 1e307), (0.01, 1.7e308)])
+    def test_amplitude_whose_norm_overflows_is_refused(self, eps, amplitude):
+        """The norm is inf: a ValueError names the amplitude, with no float warning."""
+        with pytest.raises(ValueError, match=re.escape(f"amplitude = {amplitude} has a norm too large")):
+            hermite_initial(HermiteSpec(eps, amplitude), m=64)
+
 
 class TestNearLinearity:
     def test_linear_flow_shows_no_deviation(self):
@@ -130,7 +137,7 @@ class TestNearLinearity:
         assert report.errors[-1] > 0.0
         for i, t in enumerate(rec.times):
             pulled = linear_propagator(rec.snapshot(i), -t, p.a)
-            assert report.errors[i] == l2_norm(pulled - report.initial)
+            assert report.errors[i] == l2_norm(pulled - rec.initial)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_batch_rows_equal_single_field_reports(self, scheme):
@@ -140,12 +147,31 @@ class TestNearLinearity:
         times = np.linspace(0.0, 3e-4, 5)
         batch = near_linearity_report(fields, p, times)
         singles = [near_linearity_report(phi, p, times) for phi in fields]
-        assert len(batch.errors) == len(batch.initial) == len(fields)
-        for errors, initial, single in zip(batch.errors, batch.initial, singles):
+        assert len(batch.errors) == len(batch.record.initial) == len(fields)
+        for errors, initial, single in zip(batch.errors, batch.record.initial, singles):
             assert errors == single.errors
-            assert np.array_equal(initial.coeffs, single.initial.coeffs)
+            assert np.array_equal(initial.coeffs, single.record.initial.coeffs)
         assert batch.identity_defect_max == max(s.identity_defect_max for s in singles)
         assert batch.errors[0][-1] > 0.0
+
+
+    def test_diagnostics_are_the_manifest_run_block(self):
+        """The audit's defect, the worst energy drift over a batch, the record's momentum."""
+        fields = [hermite_initial(HermiteSpec(eps), 64) for eps in (0.4, 0.2, 0.3)]
+        p = KdvParams(dt=1e-3, t_final=0.05, m=64)
+        singles = [near_linearity_report(phi, p, [0.0, 0.05]) for phi in fields]
+        batch = near_linearity_report(fields, p, [0.0, 0.05])
+        for report in singles + [batch]:
+            block = report.diagnostics()
+            assert list(block) == ["identity_defect_max", "energy_drift", "max_momentum"]
+            assert block["identity_defect_max"] == report.identity_defect_max
+            assert block["max_momentum"] == report.record.max_momentum()
+        drifts = [s.diagnostics()["energy_drift"] for s in singles]
+        assert drifts == [s.record.energy_drift() for s in singles]
+        assert batch.diagnostics()["energy_drift"] == max(drifts) > drifts[0]
+        assert type(batch.diagnostics()["energy_drift"]) is float
+        assert batch.diagnostics()["identity_defect_max"] == max(
+            s.identity_defect_max for s in singles)
 
 
 class TestReturnExperiment:
@@ -167,7 +193,8 @@ class TestReturnExperiment:
         assert rep.initial_physical_energy == pytest.approx(
             SQRT_PI_OVER_2, rel=1e-6
         )
-        recomputed = l2_norm(rep.final - rep.run.initial) / l2_norm(rep.run.initial)
+        phi_run = rep.run.record.initial
+        recomputed = l2_norm(rep.final - phi_run) / l2_norm(phi_run)
         assert rep.return_error_rel == pytest.approx(recomputed, rel=1e-12)
 
     def test_snapshot_sup_ratio_matches_frozen_baseline(self):
@@ -180,7 +207,7 @@ class TestReturnExperiment:
 
 @pytest.fixture(scope="module")
 def shallow_params():
-    return KdvParams(a=1.0 / 6.0, b=1.5, dt=1e-4, m=512)
+    return KdvParams(a=1.0 / 6.0, b=1.5, dt=1e-4, t_final=1.0, m=512)
 
 
 class TestPullback:
@@ -189,9 +216,7 @@ class TestPullback:
         [(0.4, "pullback_eps0.4_T1_shallow"), (0.2, "pullback_eps0.2_T1_shallow")],
     )
     def test_discrepancy_matches_frozen_baseline(self, shallow_params, eps, key):
-        rep = pullback_comparison(
-            HermiteSpec(eps, amplitude=4.5), shallow_params, t_final=1.0
-        )
+        rep = pullback_comparison(HermiteSpec(eps, amplitude=4.5), shallow_params)
         assert within_window(key, rep.discrepancy_rel)
         assert rep.run.record.energy_drift() < 1e-6
 
@@ -203,8 +228,7 @@ class TestPullback:
     def test_pullback_is_the_reverse_propagator(self, shallow_params):
         rep = pullback_comparison(
             HermiteSpec(0.4, amplitude=4.5),
-            KdvParams(a=1.0 / 6.0, b=1.5, dt=1e-3, m=256),
-            t_final=0.5,
+            KdvParams(a=1.0 / 6.0, b=1.5, dt=1e-3, t_final=0.5, m=256),
         )
         redone = linear_propagator(rep.evolved, -rep.run.record.times[-1], 1.0 / 6.0)
         assert l2_norm(redone - rep.pulled_back) == 0.0

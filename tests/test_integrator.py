@@ -1,6 +1,7 @@
 """Time steppers: propagators, the quadratic term, evolve, conservation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -346,6 +347,33 @@ class TestEvolveBookkeeping:
         assert rec.steps_total == ref.steps_total == round(t_final / dt)
         assert not np.array_equal(rec.coeffs[0], rec.coeffs[-1])  # the state moved
 
+    def test_record_keeps_the_data_the_run_starts_from(self):
+        """One field, or a tuple for a batch: cut to the grid, made zero-mean."""
+        phi = random_real_field(5, support=4, cutoff=8) + FourierField.from_modes({0: 0.5})
+        p = KdvParams(m=32, dt=1e-2, t_final=0.1)
+        want = [f.with_cutoff(15).zero_mean().coeffs for f in (phi, 2.0 * phi)]
+        alone = evolve(phi, p, [0.0])
+        assert np.array_equal(alone.initial.coeffs, want[0])
+        batch = evolve([phi, 2.0 * phi], p, [0.0])
+        assert isinstance(batch.initial, tuple) and len(batch.initial) == 2
+        for got, coeffs in zip(batch.initial, want):
+            assert np.array_equal(got.coeffs, coeffs)
+
+    def test_step_count_that_cannot_be_counted_is_refused(self):
+        """t_final / dt overflows to inf: refused, naming both, before any step."""
+        phi = random_real_field(5, support=4, cutoff=8)
+        p = KdvParams(m=32, dt=5e-324, t_final=1.0)
+        with pytest.raises(ValueError, match=r"t_final = 1.0 over dt = 5e-324 .* 2\^53"):
+            evolve(phi, p, [1.0])
+
+    def test_norm_too_large_for_double_precision_is_refused(self):
+        """Its blow-up limit is inf; a zero field, whose limit is inf by rule, still runs."""
+        phi = random_real_field(5, support=4, cutoff=8)
+        p = KdvParams(m=32, dt=1e-2, t_final=0.1)
+        with pytest.raises(ValueError, match="field 1 has a norm too large for double"):
+            evolve([phi, 1e150 * phi], p, [0.1])
+        assert evolve(0.0 * phi, p, [0.1]).energy_series[-1] == 0.0
+
     def test_initial_support_must_fit_the_run_grid(self):
         phi = FourierField.from_modes({30: 1.0, -30: 1.0}, cutoff=40)
         p = KdvParams(m=32, dt=1e-2, t_final=0.1)
@@ -397,3 +425,81 @@ class TestEvolveBatch:
         p = KdvParams(m=32, dt=1e-2, t_final=0.1)
         with pytest.raises(GridError, match=r"field 1 has nonzero modes \[-30, 30\]"):
             evolve([ok, bad], p, sample_times=[0.1])
+
+
+class TestExactSymmetries:
+    """KdV's exact symmetries, carried over to the discrete flow (metamorphic checks).
+
+    Every draw is a unit-scale field on at most 256 points, stepped for at most
+    40 steps by either scheme, with a and b of either sign.
+    """
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def _run(seed, support, amplitude, m, steps, **params):
+        """The data (norm = amplitude) and the run: dt = 1e-4 for the given steps."""
+        f = random_real_field(seed, min(support, m // 2 - 1), cutoff=m // 2 - 1)
+        phi = (amplitude / l2_norm(f)) * f
+        return phi, KdvParams(m=m, dt=1e-4, t_final=steps * 1e-4, **params)
+
+    draws = given(
+        seed=st.integers(0, 2**32 - 1),
+        support=st.integers(1, 127),
+        amplitude=st.floats(0.01, 1.0),
+        a=st.floats(-1.5, 1.5),
+        b=st.floats(-2.0, 2.0),
+        scheme=st.sampled_from(list(Scheme)),
+        steps=st.integers(1, 40),
+        m=st.sampled_from([16, 32, 64, 128, 256]),
+    )
+
+    @draws
+    @settings(deadline=None, max_examples=40)
+    def test_sign_map_is_exact(self, seed, support, amplitude, a, b, scheme, steps, m):
+        """u -> -u with b -> -b: every sample negated, bitwise."""
+        phi, p = self._run(seed, support, amplitude, m, steps, a=a, b=b, scheme=scheme)
+        times = [0.0, p.t_final / 2, p.t_final]
+        ref = evolve(phi, p, times)
+        flipped = evolve((-1.0) * phi, replace(p, b=-b), times)
+        assert np.array_equal(flipped.coeffs, -ref.coeffs)
+        assert np.array_equal(flipped.energy_series, ref.energy_series)
+
+    @draws
+    @settings(deadline=None, max_examples=40)
+    def test_reflection_flips_both_coefficients(
+        self, seed, support, amplitude, a, b, scheme, steps, m
+    ):
+        """u_k -> u_{-k} (x -> -x) with (a, b) -> (-a, -b), to a few ulps times |phi|."""
+        phi, p = self._run(seed, support, amplitude, m, steps, a=a, b=b, scheme=scheme)
+        times = [0.0, p.t_final / 2, p.t_final]
+        ref = evolve(phi, p, times)
+        mirrored = evolve(FourierField(phi.coeffs[::-1]), replace(p, a=-a, b=-b), times)
+        gap = np.linalg.norm(mirrored.coeffs[:, ::-1] - ref.coeffs, axis=-1)
+        assert np.all(gap <= 32 * self.EPS * amplitude)
+
+    @pytest.mark.parametrize("lam", [2, 4])
+    @draws
+    @settings(deadline=None, max_examples=40)
+    def test_sub_lattice_scaling(self, lam, seed, support, amplitude, a, b, scheme, steps, m):
+        """u_{lam k} = lam^2 w_k on a grid lam times finer runs lam^3 times faster.
+
+        u(x, t) = lam^2 w(lam x, lam^3 t) carries every term to lam^5. Without
+        dealiasing both runs keep every mode of their grid and alias alike, so
+        the finer grid's modes lam*k hold the whole of w's dynamics.
+        """
+        m = max(8, m // lam)  # the finer grid has at most 256 points
+        w0, p = self._run(seed, support, amplitude, m, steps, a=a, b=b, scheme=scheme,
+                          dealias=False)
+        times = [0.0, p.t_final / 2, p.t_final]
+        w = evolve(w0, p, times)
+        ks, scale, slow = w0.wavenumbers(), float(lam**2), float(lam**3)
+        u0 = FourierField.from_modes(dict(zip(lam * ks, scale * w0.coeffs)),
+                                     cutoff=lam * m // 2 - 1)
+        fast = replace(p, m=lam * m, dt=p.dt / slow, t_final=p.t_final / slow)
+        u = evolve(u0, fast, [t / slow for t in times])
+        assert np.array_equal(u.times, w.times / slow)
+        want = np.zeros_like(u.coeffs)
+        want[:, u0.cutoff + lam * ks] = scale * w.coeffs
+        gap = np.linalg.norm(u.coeffs - want, axis=-1)
+        assert np.all(gap <= 32 * self.EPS * l2_norm(u0))

@@ -40,6 +40,12 @@ class TestRenderLinePlot:
         svg = render_line_plot(series, logy=True)
         assert svg.count("<polyline") == 1
 
+    @pytest.mark.parametrize("span", [5e-324, 2e-323], ids=["span-over-5", "decade"])
+    def test_axis_whose_tick_step_underflows(self, span):
+        """A span of a few subnormals: span/5, or its decade, rounds to 0; one tick is drawn."""
+        svg = render_line_plot([LineSeries("s", [0.0, span], [0.0, 1.0])])
+        assert svg.count("<polyline") == 1
+
     def test_rendering_is_deterministic(self):
         a = render_line_plot(two_series(), title="t", xlabel="x", ylabel="y")
         b = render_line_plot(two_series(), title="t", xlabel="x", ylabel="y")

@@ -43,7 +43,7 @@ def main() -> None:
 
     for eps in (0.4, 0.2):
         params = KdvParams(a=1.0 / 6.0, b=1.5, dt=1.0e-4, t_final=1.0, m=512)
-        result = pullback_comparison(HermiteSpec(epsilon=eps, amplitude=4.5), params, 1.0)
+        result = pullback_comparison(HermiteSpec(epsilon=eps, amplitude=4.5), params)
         key = f"pullback_eps{eps:g}_T1_shallow"
         entries[key] = {
             "value": result.discrepancy_rel,
