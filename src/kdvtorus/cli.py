@@ -4,7 +4,8 @@ Every key is declared once, in ``_KEYS`` (parser or choices, help); its flag
 is ``--`` plus the key with dashes, and config-file values go through the
 same parser. Precedence for every key: built-in defaults < profile < config
 file < explicit flags. Artifacts (CSV/JSON/SVG plus a manifest) land in
---out, or under $KDVTORUS_OUTPUT_ROOT/<subcommand> when --out is absent.
+--out, or under $KDVTORUS_OUTPUT_ROOT/<subcommand> when --out is absent; a
+run writes into a stage beside it, moved in only once the run finishes.
 CSV payloads are byte-identical across reruns of the same configuration;
 the manifest additionally records wall time and version.
 """
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -188,27 +190,10 @@ def _resolve(command: str, args: argparse.Namespace) -> dict:
     return cfg
 
 
-class _Outdir:
-    """A run's output directory; ``outdir / name`` records ``name`` as an artifact.
-
-    The directory is created on the first write, so a rejected run leaves none.
-    """
-
-    def __init__(self, path: Path) -> None:
-        self.path = path
-        self.names: set[str] = set()
-
-    def __truediv__(self, name: str) -> Path:
-        self.names.add(name)
-        self.path.mkdir(parents=True, exist_ok=True)
-        return self.path / name
-
-
-def _outdir(args: argparse.Namespace, command: str) -> _Outdir:
+def _outdir(args: argparse.Namespace, command: str) -> Path:
     if args.out:
-        return _Outdir(Path(args.out))
-    root = os.environ.get(ENV_OUTPUT_ROOT, "kdvtorus-runs")
-    return _Outdir(Path(root) / command)
+        return Path(args.out)
+    return Path(os.environ.get(ENV_OUTPUT_ROOT, "kdvtorus-runs")) / command
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -219,7 +204,7 @@ def _write_json(path: Path, payload: dict) -> None:
     )
 
 
-def _manifest(outdir: _Outdir, command: str, cfg: dict, seeds: dict,
+def _manifest(stage: Path, command: str, cfg: dict, seeds: dict,
               wall: float, results: dict) -> None:
     payload = {
         "command": command,
@@ -227,11 +212,10 @@ def _manifest(outdir: _Outdir, command: str, cfg: dict, seeds: dict,
         "parameters": {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(cfg.items())},
         "seeds": seeds,
         "results": results,
-        "artifacts": sorted(outdir.names),
+        "artifacts": sorted(p.name for p in stage.iterdir()),
         "wall_time_s": round(wall, 3),
     }
-    outdir.path.mkdir(parents=True, exist_ok=True)
-    _write_json(outdir.path / "manifest.json", payload)
+    _write_json(stage / "manifest.json", payload)
 
 
 def _kdv_params(cfg: dict) -> KdvParams:
@@ -267,7 +251,7 @@ def _plot_deviation(path: Path, run) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(cfg: dict, outdir: _Outdir):
+def _cmd_simulate(cfg: dict, outdir: Path):
     if cfg["samples"] < 2:
         raise ConfigError(
             f"samples must be at least 2 (t = 0 and t_final), got {cfg['samples']}"
@@ -294,7 +278,7 @@ def _cmd_simulate(cfg: dict, outdir: _Outdir):
     return 0, {}, results
 
 
-def _cmd_return_test(cfg: dict, outdir: _Outdir):
+def _cmd_return_test(cfg: dict, outdir: Path):
     spec = HermiteSpec(epsilon=cfg["epsilon"], amplitude=cfg["amplitude"])
     params = _kdv_params(cfg)
     report = return_experiment(spec, params)
@@ -323,7 +307,7 @@ def _cmd_return_test(cfg: dict, outdir: _Outdir):
     return 0, {}, results
 
 
-def _cmd_pullback(cfg: dict, outdir: _Outdir):
+def _cmd_pullback(cfg: dict, outdir: Path):
     spec = HermiteSpec(epsilon=cfg["epsilon"], amplitude=cfg["amplitude"])
     params = _kdv_params(cfg)
     report = pullback_comparison(spec, params)
@@ -346,7 +330,7 @@ def _cmd_pullback(cfg: dict, outdir: _Outdir):
     return 0, {}, results
 
 
-def _cmd_sweep(cfg: dict, outdir: _Outdir):
+def _cmd_sweep(cfg: dict, outdir: Path):
     params = _kdv_params(cfg)
     result = epsilon_sweep(cfg["epsilons"], params, cfg["t_final"])
     drifts = result.run.record.energy_drift()
@@ -383,7 +367,7 @@ def _identity_checks(limit: int) -> dict:
     }
 
 
-def _cmd_normalform_check(cfg: dict, outdir: _Outdir):
+def _cmd_normalform_check(cfg: dict, outdir: Path):
     dts = tuple(cfg["dts"])
     if len(dts) < 2 or len(set(dts)) != len(dts):
         raise ConfigError(f"dts must hold at least two distinct steps, got {list(dts)}")
@@ -444,7 +428,7 @@ def _cmd_normalform_check(cfg: dict, outdir: _Outdir):
     return (0 if ok else 1), seeds, results
 
 
-def _cmd_identities(cfg: dict, outdir: _Outdir):
+def _cmd_identities(cfg: dict, outdir: Path):
     limit = int(cfg["limit"])
     payload = _identity_checks(limit)
     cube_ok, fact_ok = payload["cube_identity"], payload["factorization_identity"]
@@ -455,7 +439,7 @@ def _cmd_identities(cfg: dict, outdir: _Outdir):
     return (0 if cube_ok and fact_ok else 1), {}, payload
 
 
-def _cmd_shallow_water(cfg: dict, outdir: _Outdir):
+def _cmd_shallow_water(cfg: dict, outdir: Path):
     if not 0.0 < cfg["g"] < math.inf:  # NaN fails every comparison
         raise ConfigError(f"g must be finite and positive, got {cfg['g']}")
     report = validate_regime(cfg["delta"], cfg["eps"], cfg["threshold"])
@@ -539,14 +523,20 @@ def run(argv) -> int:
         return 2
     try:
         cfg = _resolve(args.command, args)
-        outdir = _outdir(args, args.command)
-        started = time.perf_counter()
-        code, seeds, results = _COMMANDS[args.command][0](cfg, outdir)
-        wall = time.perf_counter() - started
-        _manifest(outdir, args.command, cfg, seeds, wall, results)
+        out = _outdir(args, args.command)
+        near = next(d for d in (out, *out.parents) if d.is_dir())
+        with tempfile.TemporaryDirectory(prefix=".kdvtorus-", dir=near) as tmp:
+            stage = Path(tmp)
+            started = time.perf_counter()
+            code, seeds, results = _COMMANDS[args.command][0](cfg, stage)
+            wall = time.perf_counter() - started
+            _manifest(stage, args.command, cfg, seeds, wall, results)
+            out.mkdir(parents=True, exist_ok=True)
+            for staged in stage.iterdir():
+                os.replace(staged, out / staged.name)
         return code
-    except (KdvTorusError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (KdvTorusError, ValueError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

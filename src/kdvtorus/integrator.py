@@ -353,7 +353,8 @@ def evolve(phi, p: KdvParams, sample_times):
     GridError
         If a field carries nonzero modes beyond the run grid's cutoff.
     InstabilityError
-        If the blow-up guard trips (dt too large for the grid).
+        If the blow-up guard trips (dt too large for the grid), or the state
+        overflows double precision.
     """
     t_final = float(p.t_final)
     requested = np.asarray(list(sample_times), dtype=float)
@@ -414,7 +415,11 @@ def evolve(phi, p: KdvParams, sample_times):
 
     def check_blowup(A: np.ndarray, idx: int) -> None:
         for j, (row, limit) in enumerate(zip(A.reshape(len(fields), -1), limits)):
-            if not np.vdot(row, row).real <= limit:  # catches NaN as well
+            norm2 = np.vdot(row, row).real
+            if not norm2 <= limit:  # catches NaN as well
+                if not math.isfinite(norm2):
+                    raise InstabilityError(f"field {j} overflowed double precision at "
+                                           f"t = {idx * dt_eff:.6g} (b = {p.b:g})")
                 raise InstabilityError(
                     f"l2 norm of field {j} exceeded {BLOWUP_FACTOR:.0e} times its "
                     f"initial value at t = {idx * dt_eff:.6g}; reduce dt or the grid "
@@ -436,15 +441,16 @@ def evolve(phi, p: KdvParams, sample_times):
 
     A_prev, A = None, A0.copy()  # IF-RK4 steps v, leapfrog steps u
     record_due(0)
-    for i in range(n_steps):
-        if rk4:
-            A = ws.rk4_v_step(A, step_phase(i))
-        elif i == 0:  # leapfrog bootstrap
-            A_prev, A = A, ws.phase(dt_eff) * ws.rk4_v_step(A, ws.phase(0.0))
-        else:
-            A_prev, A = A, ws.fw_step(A_prev, A)
-        check_blowup(A, i + 1)  # |v_k| = |u_k|
-        record_due(i + 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # the guard refuses inf and NaN
+        for i in range(n_steps):
+            if rk4:
+                A = ws.rk4_v_step(A, step_phase(i))
+            elif i == 0:  # leapfrog bootstrap
+                A_prev, A = A, ws.phase(dt_eff) * ws.rk4_v_step(A, ws.phase(0.0))
+            else:
+                A_prev, A = A, ws.fw_step(A_prev, A)
+            check_blowup(A, i + 1)  # |v_k| = |u_k|
+            record_due(i + 1)
 
     return TrajectoryRecord(
         times=times,

@@ -373,6 +373,8 @@ def normal_form_residual(v: FourierField, t: float, dt: float) -> float:
     assumes; else :class:`CorruptFieldError`) with support M <= K/4, K the
     storage range, so that ``B4(v)`` (support 4M) is whole. The step's later
     stages reach 2K and are cut at K, like the exact sums truncated at K.
+    A t and dt with no digits left to difference (``t +- dt == t`` or
+    ``(|t| + dt) K^3 >= 2^53``) raise ValueError.
     """
     if not 0.0 < dt < math.inf:  # NaN fails every comparison
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -382,6 +384,10 @@ def normal_form_residual(v: FourierField, t: float, dt: float) -> float:
             f"support max |k| = {int(np.max(np.abs(ks)))} exceeds a quarter of "
             f"the storage range {v.cutoff}; widen the cutoff"
         )
+    K = v.cutoff  # a non-finite t is refused by the step's phase
+    if math.isfinite(t) and (t + dt == t or t - dt == t or (abs(t) + dt) * K**3 >= 2.0**53):
+        raise ValueError(f"t = {t} and dt = {dt} leave no digits to difference: t +- dt "
+                         f"rounds to t or (|t| + dt)*K^3 >= 2^53 (K = {K})")
 
     v_plus = _alias_free_rk4_step(v, t, dt)
     v_minus = _alias_free_rk4_step(v, t, -dt)

@@ -455,17 +455,109 @@ class TestBeyondDoublePrecision:
         line = assert_refused(run(argv), capsys.readouterr(), outdir)
         assert "t_final = " in line and "dt = 5e-324" in line and "2^53" in line
 
+    @pytest.mark.parametrize("scheme", ["if-rk4", "fornberg-whitham"])
+    @pytest.mark.parametrize("b", ["1e150", "1e300"])
+    def test_nonlinearity_that_overflows_the_state_is_refused(self, tmp_path, capsys, b, scheme):
+        """The first steps overflow: one error naming the overflow, no dt advice, no warning."""
+        outdir = tmp_path / "out"
+        argv = ["simulate", "--b", b, "--scheme", scheme, *SMALL_RUN, "--samples", "2",
+                "--out", str(outdir)]
+        line = assert_refused(run(argv), capsys.readouterr(), outdir)
+        assert "field 0 overflowed double precision" in line and "reduce dt" not in line
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--t", "1e300"], ["--t", "1e150"], ["--small-dt", "1e300"], ["--small-dt", "1e150"],
+         ["--small-dt", "1e-300"], ["--small-dt", "5e-324"]],
+        ids=lambda flags: "".join(flags),
+    )
+    def test_probe_times_with_no_digits_left_are_refused(self, tmp_path, capsys, flags):
+        """No FAIL verdict and no NaN in the report: the residual probe refuses the times."""
+        outdir = tmp_path / "out"
+        argv = ["normalform-check", "--census-count", "2", "--census-support", "8",
+                "--identity-limit", "3", *flags, "--out", str(outdir)]
+        line = assert_refused(run(argv), capsys.readouterr(), outdir)
+        assert "leave no digits to difference" in line and "(K = 16)" in line
+
+
+def _cli_env() -> dict:
+    src = str(Path(kdvtorus.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _limit_address_space() -> None:
+    """Cap a child at 3 GB, so an allocation of terabytes fails at once and never pages."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (3 * 2**30, 3 * 2**30))
+
+
+BIG = str(2**40)
+
+
+class TestOneCommitPoint:
+    """A run's files reach --out only when it finishes; a failed run leaves nothing."""
+
+    def test_failure_after_the_first_write_leaves_nothing(self, tmp_path, capsys, monkeypatch):
+        def broken_plot(path, *args, **kwargs):
+            raise OSError(f"cannot write {Path(path).name}")
+
+        monkeypatch.setattr("kdvtorus.cli.write_line_plot", broken_plot)
+        argv = ["simulate", *SMALL_RUN, "--samples", "2", "--out"]
+        outdir = tmp_path / "out"
+        assert "deviation_vs_t.svg" in assert_refused(run([*argv, str(outdir)]),
+                                                      capsys.readouterr(), outdir)
+        outdir.mkdir()
+        (outdir / "sentinel.txt").write_text("kept\n")
+        assert run([*argv, str(outdir)]) == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert [p.name for p in outdir.iterdir()] == ["sentinel.txt"]
+        assert (outdir / "sentinel.txt").read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]  # no stage is left behind
+
+    def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr("kdvtorus.cli.hermite_initial", no_memory)
+        outdir = tmp_path / "out"
+        argv = ["simulate", *SMALL_RUN, "--samples", "2", "--out", str(outdir)]
+        assert assert_refused(run(argv), capsys.readouterr(), outdir) == "error: MemoryError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", *SMALL_RUN, "--m", BIG, "--samples", "2"],
+            ["return-test", "--m", BIG, "--dt", "1e-2"],
+            ["pullback", *SMALL_RUN, "--m", BIG],
+            ["sweep", *SMALL_RUN, "--m", BIG],
+            ["simulate", *SMALL_RUN, "--samples", BIG],
+            ["normalform-check", "--cutoff", BIG, "--census-count", "2"],
+            ["normalform-check", "--census-support", BIG, "--census-count", "2"],
+        ],
+        ids=["simulate-m", "return-test-m", "pullback-m", "sweep-m", "simulate-samples",
+             "normalform-check-cutoff", "normalform-check-census-support"],
+    )
+    def test_size_beyond_memory_is_one_error_line(self, tmp_path, argv):
+        """2^40 modes or samples, in a child process under an address-space cap."""
+        outdir = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-m", "kdvtorus.cli", *argv, "--out", str(outdir)],
+                              capture_output=True, text=True, env=_cli_env(), timeout=60,
+                              preexec_fn=_limit_address_space)
+        assert proc.returncode == 1, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestEntryPoint:
     def test_module_runs_as_a_program(self, tmp_path):
         """``python -m kdvtorus.cli`` goes through main(): exit codes, stderr, no traceback."""
-        src = str(Path(kdvtorus.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-
         def cli(*argv):
             return subprocess.run([sys.executable, "-m", "kdvtorus.cli", *argv],
-                                  capture_output=True, text=True, env=env, cwd=tmp_path)
+                                  capture_output=True, text=True, env=_cli_env(), cwd=tmp_path)
 
         ok = cli("identities", "--limit", "3", "--out", str(tmp_path / "ok"))
         assert ok.returncode == 0, ok.stderr

@@ -284,6 +284,16 @@ class TestEvolveNonlinear:
         with pytest.raises(InstabilityError, match="exceeded"):
             evolve(phi, p, sample_times=[50.0])
 
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    @pytest.mark.parametrize("b", [1e150, 1e300])
+    def test_overflow_is_refused_without_a_warning(self, scheme, b):
+        """A state past double precision is named as such (warnings are errors here)."""
+        phi = random_real_field(1, support=10, cutoff=20)
+        p = KdvParams(b=b, dt=1e-3, t_final=0.01, m=64, scheme=scheme)
+        with pytest.raises(InstabilityError, match="field 0 overflowed double precision") as exc:
+            evolve(phi, p, sample_times=[0.0, 0.01])
+        assert "dt" not in str(exc.value)
+
 
 class TestEvolveBookkeeping:
     def test_sample_times_land_on_the_nearest_step(self):

@@ -533,6 +533,17 @@ class TestResidual:
         zero = FourierField(np.zeros(2 * 16 + 1))
         assert normal_form_residual(zero, 0.0, 1e-3) == 0.0
 
+    @pytest.mark.parametrize(
+        "t, dt",
+        [(1e300, 1e-3), (1e150, 1e-3), (0.37, 1e300), (0.37, 1e150), (0.37, 1e-300),
+         (0.37, 5e-324), (-1e13, 1e-3)],
+    )
+    def test_times_with_no_digits_left_are_refused(self, t, dt):
+        """t +- dt rounding to t, or a phase t*k^3 beyond 2^53, is refused before stepping."""
+        ok = random_real_field(0, support=4, cutoff=16)
+        with pytest.raises(ValueError, match=r"leave no digits.*\(K = 16\)"):
+            normal_form_residual(ok, t, dt)
+
 
 class TestAprioriRatios:
     def test_single_pair_fifth_ratio_is_exactly_half(self):
