@@ -105,7 +105,6 @@ _KEYS: dict[str, tuple] = {
     "h0": (float, "rest depth (m)"),
     "l": (float, "wavelength (m)"),
     "g": (float, "gravity (m/s^2)"),
-    "emit_json": (_parse_bool, "write regime.json"),
 }
 
 # The keys every stepping subcommand shares; dt/scheme come from the profile.
@@ -128,7 +127,7 @@ _DEFAULTS: dict[str, dict] = {
     "identities": {"limit": 20},
     "shallow-water": {
         "delta": 0.01, "eps": 0.4, "threshold": 0.1,
-        "a_phys": None, "h0": None, "l": None, "g": GRAVITY, "emit_json": True,
+        "a_phys": None, "h0": None, "l": None, "g": GRAVITY,
     },
 }
 
@@ -452,7 +451,7 @@ def _cmd_shallow_water(cfg: dict, outdir: Path):
         f"threshold    {report.threshold:.6g}",
         f"regime valid {'yes' if report.valid else 'no'}",
     ]
-    results = report.as_dict()
+    results = dataclasses.asdict(report)
     dims = (cfg["a_phys"], cfg["h0"], cfg["l"])
     if any(d is not None for d in dims):
         if any(d is None for d in dims):
@@ -466,8 +465,7 @@ def _cmd_shallow_water(cfg: dict, outdir: Path):
         ]
         results["dimensional"] = dataclasses.asdict(regime)
     print("\n".join(lines))
-    if cfg["emit_json"]:
-        _write_json(outdir / "regime.json", results)
+    _write_json(outdir / "regime.json", results)
     return 0, {}, results
 
 

@@ -374,7 +374,8 @@ def normal_form_residual(v: FourierField, t: float, dt: float) -> float:
     storage range, so that ``B4(v)`` (support 4M) is whole. The step's later
     stages reach 2K and are cut at K, like the exact sums truncated at K.
     A t and dt with no digits left to difference (``t +- dt == t`` or
-    ``(|t| + dt) K^3 >= 2^53``) raise ValueError.
+    ``(|t| + dt) K^3 >= 2^53``) raise ValueError, as does a dt whose +-dt
+    step leaves every nonzero mode of v bitwise unchanged.
     """
     if not 0.0 < dt < math.inf:  # NaN fails every comparison
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -391,6 +392,10 @@ def normal_form_residual(v: FourierField, t: float, dt: float) -> float:
 
     v_plus = _alias_free_rk4_step(v, t, dt)
     v_minus = _alias_free_rk4_step(v, t, -dt)
+    on = v.coeffs != 0.0  # v's support
+    if on.any() and any(np.array_equal(w.coeffs[on], v.coeffs[on]) for w in (v_plus, v_minus)):
+        raise ValueError(f"dt = {dt} is too small to move the field at t = {t}: a step "
+                         "of +-dt leaves every nonzero mode bitwise unchanged")
 
     def combination(w: FourierField, tau: float) -> FourierField:
         return w - (1.0 / 6.0) * b2(w, tau) + (1.0 / 18.0) * b3(w, tau)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -106,13 +106,6 @@ def _finite(what: str, ratios: Callable[[], tuple]) -> tuple:
     raise DomainError(f"{what}: not finite in double precision")
 
 
-def _check_delta_eps(delta: float, eps: float) -> None:
-    if not math.isfinite(delta) or delta < 0.0:
-        raise DomainError(f"delta must be finite and nonnegative, got {delta}")
-    if not (0.0 < eps <= 1.0):
-        raise DomainError(f"eps must lie in (0, 1], got {eps}")
-
-
 def epsilon_modified(delta: float, eps: float) -> tuple[float, float]:
     """Width-modified smallness parameters.
 
@@ -128,7 +121,10 @@ def epsilon_modified(delta: float, eps: float) -> tuple[float, float]:
     Returns:
         The pair (alpha_eps, beta_eps).
     """
-    _check_delta_eps(delta, eps)
+    if not math.isfinite(delta) or delta < 0.0:
+        raise DomainError(f"delta must be finite and nonnegative, got {delta}")
+    if not (0.0 < eps <= 1.0):
+        raise DomainError(f"eps must lie in (0, 1], got {eps}")
     return _finite(f"alpha_eps, beta_eps at delta = {delta}, eps = {eps}",
                    lambda: (delta / math.sqrt(eps), delta / eps**2))
 
@@ -142,14 +138,10 @@ def mismatch(delta: float, eps: float) -> float:
         delta / sqrt(eps) + delta / eps^3.5,
 
     which is the expected relative model error over an O(1) dimensionless
-    time. Exactly 2*delta at eps = 1 and homogeneous of degree one in
-    delta.
+    time: exactly 2*delta at eps = 1, homogeneous of degree one in delta,
+    and formed once, by :func:`validate_regime`.
     """
-    alpha_eps, beta_eps = epsilon_modified(delta, eps)
-    if delta == 0.0:
-        return 0.0
-    return _finite(f"mismatch at delta = {delta}, eps = {eps}",
-                   lambda: (alpha_eps + beta_eps**2 / alpha_eps,))[0]
+    return validate_regime(delta, eps).mismatch
 
 
 @dataclass(frozen=True)
@@ -172,13 +164,7 @@ class RegimeReport:
     threshold: float
     alpha_ok: bool
     beta_ok: bool
-
-    @property
-    def valid(self) -> bool:
-        return self.alpha_ok and self.beta_ok
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "valid": self.valid}
+    valid: bool
 
 
 def validate_regime(delta: float, eps: float, threshold: float = 0.1) -> RegimeReport:
@@ -197,11 +183,9 @@ def validate_regime(delta: float, eps: float, threshold: float = 0.1) -> RegimeR
     if not math.isfinite(threshold) or threshold <= 0.0:
         raise DomainError(f"threshold must be finite and positive, got {threshold}")
     alpha_eps, beta_eps = epsilon_modified(delta, eps)
-    return RegimeReport(
-        alpha_eps=alpha_eps,
-        beta_eps=beta_eps,
-        mismatch=mismatch(delta, eps),
-        threshold=threshold,
-        alpha_ok=alpha_eps < threshold,
-        beta_ok=beta_eps < threshold,
-    )
+    error = 0.0 if delta == 0.0 else _finite(
+        f"mismatch at delta = {delta}, eps = {eps}",
+        lambda: (alpha_eps + beta_eps**2 / alpha_eps,))[0]
+    alpha_ok, beta_ok = alpha_eps < threshold, beta_eps < threshold
+    return RegimeReport(alpha_eps, beta_eps, error, threshold, alpha_ok, beta_ok,
+                        alpha_ok and beta_ok)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 __all__ = ["LineSeries", "render_line_plot", "write_line_plot"]
 
@@ -38,7 +39,7 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _transform(value, lo, hi, pix_lo, pix_hi, log):
+def _transform(lo, hi, pix_lo, pix_hi, log, value):
     if log:
         value, lo, hi = math.log10(value), math.log10(lo), math.log10(hi)
     if hi == lo:
@@ -60,9 +61,8 @@ def _ticks(lo: float, hi: float, log: bool):
         if raw <= mult * mag:
             step = mult * mag
             break
-    first = math.ceil(lo / step) * step
     out = []
-    t = first
+    t = math.ceil(lo / step) * step
     while t <= hi + 1e-9 * step:
         out.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
@@ -83,6 +83,23 @@ def _data_range(values, log: bool):
     return lo, hi
 
 
+def _num(v) -> str:
+    """A pixel coordinate: floats at two decimals, integers as they are."""
+    return f"{v:.2f}" if isinstance(v, float) else str(v)
+
+
+def _line(x1, y1, x2, y2, stroke: str, width) -> str:
+    return (f'<line x1="{_num(x1)}" y1="{_num(y1)}" x2="{_num(x2)}" y2="{_num(y2)}" '
+            f'stroke="{stroke}" stroke-width="{width}"/>')
+
+
+def _text(x, y, size: int, body: str, anchor: str | None = "middle", transform: str = "") -> str:
+    align = f' text-anchor="{anchor}"' if anchor else ""
+    turn = f' transform="{transform}"' if transform else ""
+    return (f'<text x="{_num(x)}" y="{_num(y)}" font-size="{size}"{align} '
+            f'font-family="sans-serif"{turn}>{body}</text>')
+
+
 def render_line_plot(
     series,
     title: str = "",
@@ -99,13 +116,8 @@ def render_line_plot(
     ylo, yhi = _data_range([y for s in series for y in s.ys], logy)
     x0, x1 = _ML, _WIDTH - _MR
     y0, y1 = _HEIGHT - _MB, _MT  # SVG y grows downward
-
-    def px(v):
-        return _transform(v, xlo, xhi, x0, x1, logx)
-
-    def py(v):
-        return _transform(v, ylo, yhi, y0, y1, logy)
-
+    px = partial(_transform, xlo, xhi, x0, x1, logx)
+    py = partial(_transform, ylo, yhi, y0, y1, logy)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
@@ -113,84 +125,42 @@ def render_line_plot(
     ]
     # grid + ticks + tick labels
     for tx in _ticks(xlo, xhi, logx):
-        if not (xlo <= tx <= xhi):
-            continue
-        gx = px(tx)
-        parts.append(
-            f'<line x1="{gx:.2f}" y1="{y0}" x2="{gx:.2f}" y2="{y1}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{gx:.2f}" y="{y0 + 18}" font-size="11" text-anchor="middle" '
-            f'font-family="sans-serif">{_fmt(tx)}</text>'
-        )
+        if xlo <= tx <= xhi:
+            gx = px(tx)
+            parts += [_line(gx, y0, gx, y1, "#dddddd", 1), _text(gx, y0 + 18, 11, _fmt(tx))]
     for ty in _ticks(ylo, yhi, logy):
-        if not (ylo <= ty <= yhi):
-            continue
-        gy = py(ty)
-        parts.append(
-            f'<line x1="{x0}" y1="{gy:.2f}" x2="{x1}" y2="{gy:.2f}" '
-            f'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x0 - 6}" y="{gy + 4:.2f}" font-size="11" text-anchor="end" '
-            f'font-family="sans-serif">{_fmt(ty)}</text>'
-        )
-    # axes
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x1}" y2="{y0}" stroke="black" stroke-width="1.5"/>'
-    )
-    parts.append(
-        f'<line x1="{x0}" y1="{y0}" x2="{x0}" y2="{y1}" stroke="black" stroke-width="1.5"/>'
-    )
-    # polylines (clip to the axes box)
-    parts.append(
+        if ylo <= ty <= yhi:
+            gy = py(ty)
+            parts += [_line(x0, gy, x1, gy, "#dddddd", 1),
+                      _text(x0 - 6, gy + 4, 11, _fmt(ty), anchor="end")]
+    # axes, then the polylines clipped to the axes box
+    parts += [
+        _line(x0, y0, x1, y0, "black", 1.5),
+        _line(x0, y0, x0, y1, "black", 1.5),
         f'<clipPath id="box"><rect x="{x0}" y="{y1}" width="{x1 - x0}" '
-        f'height="{y0 - y1}"/></clipPath>'
-    )
+        f'height="{y0 - y1}"/></clipPath>',
+    ]
+    legend = []
     for i, s in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
-        pts = []
-        for xv, yv in zip(s.xs, s.ys):
-            if not (math.isfinite(xv) and math.isfinite(yv)):
-                continue
-            if (logx and xv <= 0.0) or (logy and yv <= 0.0):
-                continue
-            pts.append(f"{px(xv):.2f},{py(yv):.2f}")
+        pts = [f"{px(xv):.2f},{py(yv):.2f}" for xv, yv in zip(s.xs, s.ys)
+               if math.isfinite(xv) and math.isfinite(yv)
+               and not ((logx and xv <= 0.0) or (logy and yv <= 0.0))]
         if pts:
-            parts.append(
-                f'<polyline clip-path="url(#box)" fill="none" stroke="{color}" '
-                f'stroke-width="1.8" points="{" ".join(pts)}"/>'
-            )
-    # legend
-    for i, s in enumerate(series):
-        color = _PALETTE[i % len(_PALETTE)]
+            parts.append(f'<polyline clip-path="url(#box)" fill="none" stroke="{color}" '
+                         f'stroke-width="1.8" points="{" ".join(pts)}"/>')
         ly = _MT + 8 + 16 * i
-        parts.append(
-            f'<line x1="{x1 - 150}" y1="{ly}" x2="{x1 - 126}" y2="{ly}" '
-            f'stroke="{color}" stroke-width="1.8"/>'
-        )
-        parts.append(
-            f'<text x="{x1 - 120}" y="{ly + 4}" font-size="11" '
-            f'font-family="sans-serif">{s.label}</text>'
-        )
+        legend += [_line(x1 - 150, ly, x1 - 126, ly, color, 1.8),
+                   _text(x1 - 120, ly + 4, 11, s.label, anchor=None)]
+    parts += legend
     # labels
+    mid_y = (y0 + y1) // 2
     if title:
-        parts.append(
-            f'<text x="{(_WIDTH) // 2}" y="24" font-size="14" text-anchor="middle" '
-            f'font-family="sans-serif">{title}</text>'
-        )
+        parts.append(_text(_WIDTH // 2, 24, 14, title))
     if xlabel:
-        parts.append(
-            f'<text x="{(x0 + x1) // 2}" y="{_HEIGHT - 14}" font-size="12" '
-            f'text-anchor="middle" font-family="sans-serif">{xlabel}</text>'
-        )
+        parts.append(_text((x0 + x1) // 2, _HEIGHT - 14, 12, xlabel))
     if ylabel:
-        parts.append(
-            f'<text x="16" y="{(y0 + y1) // 2}" font-size="12" text-anchor="middle" '
-            f'font-family="sans-serif" transform="rotate(-90 16 {(y0 + y1) // 2})">'
-            f"{ylabel}</text>"
-        )
+        parts.append(_text(16, mid_y, 12, ylabel, transform=f"rotate(-90 16 {mid_y})"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

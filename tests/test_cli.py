@@ -11,7 +11,15 @@ import pytest
 
 import kdvtorus
 from kdvtorus import __version__
-from kdvtorus.cli import ENV_OUTPUT_ROOT, _write_json, load_config, run
+from kdvtorus.cli import (
+    _DEFAULTS,
+    _KEYS,
+    ENV_OUTPUT_ROOT,
+    _parse_float_list,
+    _write_json,
+    load_config,
+    run,
+)
 from kdvtorus.errors import ConfigError
 
 
@@ -210,7 +218,7 @@ KEY_VALUES = {
     "identities": {"limit": 6},
     "shallow-water": {
         "delta": 0.02, "eps": 0.5, "threshold": 0.2,
-        "a_phys": 1.0, "h0": 100.0, "l": 1000.0, "g": 9.8, "emit_json": False,
+        "a_phys": 1.0, "h0": 100.0, "l": 1000.0, "g": 9.8,
     },
 }
 
@@ -479,6 +487,15 @@ class TestBeyondDoublePrecision:
         line = assert_refused(run(argv), capsys.readouterr(), outdir)
         assert "leave no digits to difference" in line and "(K = 16)" in line
 
+    @pytest.mark.parametrize("small_dt", ["1e-300", "5e-324"])
+    def test_probe_step_too_small_to_move_the_field_is_refused(self, tmp_path, capsys, small_dt):
+        """At t = 0 the digits of t +- dt survive, but the step leaves v's modes as they were."""
+        outdir = tmp_path / "out"
+        argv = ["normalform-check", "--t", "0", "--small-dt", small_dt, "--census-count", "2",
+                "--out", str(outdir)]
+        line = assert_refused(run(argv), capsys.readouterr(), outdir)
+        assert f"dt = {float(small_dt)} is too small to move the field at t = 0.0" in line
+
 
 def _cli_env() -> dict:
     src = str(Path(kdvtorus.__file__).resolve().parents[1])
@@ -550,6 +567,101 @@ class TestOneCommitPoint:
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert list(tmp_path.iterdir()) == []
+
+
+# Extreme values for the error contract: every float key takes each float,
+# every int key each int, and a float list each float as its second entry.
+# Choice and boolean keys have no extremes; TestKeySources covers them.
+EXTREME_FLOATS = ("0", "-1", "nan", "inf", "1e300", "1e150", "1e-10", "1e-300", "5e-324")
+EXTREME_INTS = ("0", "-1", "1", "3", BIG)
+EXTREME_BASE = {
+    "simulate": ["--m", "32", "--dt", "1e-3", "--t-final", "0.01", "--samples", "2"],
+    "return-test": ["--m", "32", "--dt", "1e-2"],
+    "pullback": ["--m", "32", "--dt", "1e-3", "--t-final", "0.01"],
+    "sweep": ["--m", "32", "--dt", "1e-3", "--t-final", "0.01"],
+    "normalform-check": ["--census-count", "2", "--identity-limit", "3"],
+    "identities": ["--limit", "3"],
+    "shallow-water": [],
+}
+# Valid but long runs, left out of the table.
+LONG_RUNS = {
+    **{(command, "dt", "1e-10"): "a real run of 1e8 steps (6e10 over return-test's period)"
+       for command in ("simulate", "return-test", "pullback", "sweep")},
+    ("identities", "limit", BIG): "a real check of every |k| <= 2^40",
+    ("normalform-check", "identity_limit", BIG): "a real check of every |k| <= 2^40",
+    ("normalform-check", "census_count", BIG): "a real census of 2^40 fields",
+}
+# Valid runs whose verdict is FAIL: exit 1 with every artifact and no error line.
+VERDICTS = {
+    ("normalform-check", "dts", "1e-10"): "the residual at dt = 1e-10 is rounding (9e-7), "
+                                          "so the observed order reads 0.27",
+}
+
+
+def _extreme_cases():
+    for command in EXTREME_BASE:
+        for key in _DEFAULTS[command]:
+            kind = _KEYS[key][0]
+            values = EXTREME_FLOATS if kind in (float, _parse_float_list) else (
+                EXTREME_INTS if kind is int else ())
+            for value in values:
+                if (command, key, value) not in LONG_RUNS:
+                    yield command, key, value
+
+
+EXTREME_CASES = list(_extreme_cases())
+
+# Runs each argv in turn through cli.run and prints one JSON line per run.
+_RUN_CASES = """
+import contextlib, io, json, sys, warnings
+from pathlib import Path
+from kdvtorus.cli import run
+warnings.simplefilter("always")
+for i, argv in enumerate(json.loads(sys.stdin.read())):
+    out = Path(sys.argv[1]) / str(i)
+    err, printed = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(printed):
+        code = run([*argv, "--out", str(out)])
+    manifest = out / "manifest.json"
+    print(json.dumps({"code": code, "err": err.getvalue(), "out": printed.getvalue(),
+                      "dir": out.exists(),
+                      "results": json.loads(manifest.read_text())["results"]
+                      if manifest.exists() else None}), flush=True)
+"""
+
+
+@pytest.fixture(scope="module")
+def extreme_outcomes(tmp_path_factory):
+    """Every case's outcome, one child process per subcommand (RLIMIT_AS 3 GB, 60 s)."""
+    outcomes = {}
+    for command, base in EXTREME_BASE.items():
+        cases = [case for case in EXTREME_CASES if case[0] == command]
+        argvs = [[command, *base, "--" + key.replace("_", "-"),
+                  {"dts": "1e-3,", "epsilons": "0.4,"}.get(key, "") + value]
+                 for _, key, value in cases]
+        proc = subprocess.run([sys.executable, "-c", _RUN_CASES,
+                               str(tmp_path_factory.mktemp(command))],
+                              input=json.dumps(argvs), capture_output=True, text=True,
+                              env=_cli_env(), timeout=60, preexec_fn=_limit_address_space)
+        assert proc.returncode == 0, proc.stderr
+        outcomes.update(zip(cases, map(json.loads, proc.stdout.splitlines())))
+    return outcomes
+
+
+class TestExtremeValues:
+    @pytest.mark.parametrize("case", EXTREME_CASES, ids="-".join)
+    def test_every_key_keeps_the_error_contract(self, case, extreme_outcomes):
+        """Exit 0 with a manifest, or exit 1 with one error line and no directory."""
+        got = extreme_outcomes[case]
+        if case in VERDICTS:
+            assert (got["code"], got["err"], got["results"]["pass"]) == (1, "", False)
+            assert got["out"].endswith("FAIL\n")
+        elif got["code"] == 0:
+            assert got["results"] is not None and got["err"] == ""
+        else:
+            assert got["code"] == 1
+            assert len(got["err"].splitlines()) == 1 and got["err"].startswith("error: ")
+            assert got["out"] == "" and not got["dir"]
 
 
 class TestEntryPoint:

@@ -545,6 +545,14 @@ class TestResidual:
             normal_form_residual(ok, t, dt)
 
 
+    @pytest.mark.parametrize("dt", [1e-300, 1e-30, 5e-324])
+    def test_step_too_small_to_move_the_field_is_refused(self, dt):
+        """At t = 0, t +- dt keeps its digits, but v +- dt*rhs rounds to v on v's modes."""
+        v = random_real_field(0, support=4, cutoff=16)
+        with pytest.raises(ValueError, match="too small to move the field at t = 0.0"):
+            normal_form_residual(v, 0.0, dt)
+
+
 class TestAprioriRatios:
     def test_single_pair_fifth_ratio_is_exactly_half(self):
         """For v supported on one conjugate pair the cubic-weight ratio is 1/2."""

@@ -1,5 +1,6 @@
 """Physical-scale reduction and the width-modified smallness bookkeeping."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -129,7 +130,7 @@ class TestValidateRegime:
 
     def test_report_round_trips_to_dict(self):
         report = validate_regime(0.01, 0.4, threshold=0.3)
-        d = report.as_dict()
+        d = dataclasses.asdict(report)
         assert d["valid"] == report.valid
         assert d["threshold"] == 0.3
         assert d["mismatch"] == pytest.approx(mismatch(0.01, 0.4), rel=1e-15)

@@ -1,5 +1,8 @@
 """Dependency-free SVG line plots used by the command-line reports."""
 
+import hashlib
+import math
+
 import pytest
 
 from kdvtorus.svgplot import LineSeries, render_line_plot, write_line_plot
@@ -10,6 +13,21 @@ def two_series():
         LineSeries("first", [1.0, 2.0, 3.0], [1.0, 4.0, 9.0]),
         LineSeries("second", [1.0, 2.0, 3.0], [2.0, 3.0, 5.0]),
     ]
+
+
+def pinned_plots():
+    """One linear and one log-log plot, each with a NaN point; the log axes drop 0 and -1."""
+    linear = render_line_plot(
+        [LineSeries("u(t)", (0.0, 0.5, 1.0, 1.5, 2.0), (-1.0, 0.25, math.nan, 2.5, 3.0)),
+         LineSeries("v(t)", (0.0, 1.0, 2.0), (0.5, -0.5, 1.75))],
+        title="Linear axes", xlabel="t", ylabel="value",
+    )
+    loglog = render_line_plot(
+        [LineSeries("err", (1e-3, 1e-2, 0.0, 1e-1, 1.0), (2e-8, 3e-6, 1e-4, math.nan, 0.7)),
+         LineSeries("ref", (1e-3, 1e-2, 1e-1, 1.0), (1e-7, -1.0, 1e-3, 1e-1))],
+        title="Log-log axes", xlabel="h", ylabel="error", logx=True, logy=True,
+    )
+    return {"linear": linear, "loglog": loglog}
 
 
 class TestLineSeries:
@@ -57,3 +75,15 @@ class TestRenderLinePlot:
         assert path.read_text(encoding="utf-8") == render_line_plot(
             two_series(), title="t"
         )
+
+    @pytest.mark.parametrize(
+        "name, sha256",
+        [
+            ("linear", "e8788658cc6e871c174e64489968cf6b36e0acdc5cce2169d84ec920053fe36d"),
+            ("loglog", "8dd2438123e960cf52e46f6f2c3588969c9ca2be4302cde048bbd331f669675d"),
+        ],
+    )
+    def test_markup_is_pinned(self, name, sha256):
+        """Every byte of the markup: element order, attributes, number formats."""
+        svg = pinned_plots()[name]
+        assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == sha256
