@@ -77,7 +77,7 @@ def _parse_bool(text: str) -> bool:
 # become --key/--no-key flags.
 _KEYS: dict[str, tuple] = {
     "profile": (tuple(sorted(PROFILES)), "scheme/step preset"),
-    "epsilon": (float, "odd-Gaussian width, in (0, 1]"),
+    "epsilon": (float, "width epsilon, in (0, 1]"),
     "amplitude": (float, "odd-Gaussian amplitude"),
     "epsilons": (_parse_float_list, "comma-separated widths, e.g. 0.4,0.2,0.1"),
     "a": (float, "dispersion coefficient"),
@@ -96,10 +96,8 @@ _KEYS: dict[str, tuple] = {
     "small_dt": (float, "step of the small-step residual"),
     "census_count": (int, "ratio-census field count"),
     "census_support": (int, "ratio-census field support"),
-    "identity_limit": (int, "identity checks cover |k| <= this"),
     "limit": (int, "identity checks cover |k| <= this"),
     "delta": (float, "balanced smallness parameter"),
-    "eps": (float, "width parameter, in (0, 1]"),
     "threshold": (float, "upper bound on alpha_eps and beta_eps"),
     "a_phys": (float, "amplitude (m)"),
     "h0": (float, "rest depth (m)"),
@@ -108,25 +106,24 @@ _KEYS: dict[str, tuple] = {
 }
 
 # The keys every stepping subcommand shares; dt/scheme come from the profile.
-_RUN = {"profile": "desk", "a": 1.0, "b": 1.0, "m": 512, "dt": None, "scheme": None,
-        "dealias": True}
+_RUN = {"profile": "desk", "b": 1.0, "m": 512, "dt": None, "scheme": None, "dealias": True}
 
 # Per-subcommand keys and defaults.
 _DEFAULTS: dict[str, dict] = {
-    "simulate": {**_RUN, "epsilon": 0.4, "amplitude": 1.0, "t_final": 1.0, "samples": 9},
+    "simulate": {**_RUN, "a": 1.0, "epsilon": 0.4, "amplitude": 1.0, "t_final": 1.0, "samples": 9},
     "return-test": {**_RUN, "epsilon": 0.1, "amplitude": 1.0},
     # defaults reproduce the shallow-water-normalized figure pair
     "pullback": {**_RUN, "a": 1.0 / 6.0, "b": 1.5, "epsilon": 0.4, "amplitude": 4.5,
                  "t_final": 1.0},
-    "sweep": {**_RUN, "epsilons": (0.4, 0.2, 0.1), "t_final": 1.0},
+    "sweep": {**_RUN, "a": 1.0, "epsilons": (0.4, 0.2, 0.1), "t_final": 1.0},
     "normalform-check": {
         "support": 4, "cutoff": 16, "seed": 7, "t": 0.37,
         "dts": (1.0e-3, 5.0e-4, 2.5e-4), "small_dt": 1.0e-5,
-        "census_count": 100, "census_support": 32, "identity_limit": 12,
+        "census_count": 100, "census_support": 32, "limit": 12,
     },
     "identities": {"limit": 20},
     "shallow-water": {
-        "delta": 0.01, "eps": 0.4, "threshold": 0.1,
+        "delta": 0.01, "epsilon": 0.4, "threshold": 0.1,
         "a_phys": None, "h0": None, "l": None, "g": GRAVITY,
     },
 }
@@ -208,7 +205,7 @@ def _manifest(stage: Path, command: str, cfg: dict, seeds: dict,
     payload = {
         "command": command,
         "version": __version__,
-        "parameters": {k: (list(v) if isinstance(v, tuple) else v) for k, v in sorted(cfg.items())},
+        "parameters": cfg,
         "seeds": seeds,
         "results": results,
         "artifacts": sorted(p.name for p in stage.iterdir()),
@@ -258,7 +255,7 @@ def _cmd_simulate(cfg: dict, outdir: Path):
     spec = HermiteSpec(epsilon=cfg["epsilon"], amplitude=cfg["amplitude"])
     params = _kdv_params(cfg)
     phi = hermite_initial(spec, cfg["m"])
-    times = np.linspace(0.0, cfg["t_final"], int(cfg["samples"]))
+    times = np.linspace(0.0, cfg["t_final"], cfg["samples"])
     report = near_linearity_report(phi, params, times)
     record = report.record
     rows = zip(record.times, record.energy_series, record.momentum_series, report.errors)
@@ -345,8 +342,8 @@ def _cmd_sweep(cfg: dict, outdir: Path):
             logx=True, logy=True,
         )
     results = {
-        "epsilons": list(result.epsilons),
-        "errors_at_t": list(result.errors_at_t),
+        "epsilons": result.epsilons,
+        "errors_at_t": result.errors_at_t,
         "fitted_slope": None if result.degenerate else result.fitted_slope,
         "degenerate": result.degenerate,
         **result.run.diagnostics(),
@@ -367,37 +364,36 @@ def _identity_checks(limit: int) -> dict:
 
 
 def _cmd_normalform_check(cfg: dict, outdir: Path):
-    dts = tuple(cfg["dts"])
+    dts = cfg["dts"]
     if len(dts) < 2 or len(set(dts)) != len(dts):
         raise ConfigError(f"dts must hold at least two distinct steps, got {list(dts)}")
-    rng = np.random.default_rng(int(cfg["seed"]))
-    v = random_real_field(rng, int(cfg["support"]), cutoff=int(cfg["cutoff"]))
+    rng = np.random.default_rng(cfg["seed"])
+    v = random_real_field(rng, cfg["support"], cutoff=cfg["cutoff"])
     v = (1.0 / l2_norm(v)) * v
-    t = float(cfg["t"])
+    t = cfg["t"]
     residuals = [normal_form_residual(v, t, dt) for dt in dts]
     orders = [
         math.log(residuals[i] / residuals[i + 1]) / math.log(dts[i] / dts[i + 1])
         for i in range(len(dts) - 1)
         if residuals[i + 1] > 0.0
     ]
-    small = normal_form_residual(v, t, float(cfg["small_dt"]))
-    limit = int(cfg["identity_limit"])
+    small = normal_form_residual(v, t, cfg["small_dt"])
+    limit = cfg["limit"]
     identities = _identity_checks(limit)
-    census = ratio_census(count=int(cfg["census_count"]),
-                          support=int(cfg["census_support"]))
+    census = ratio_census(count=cfg["census_count"], support=cfg["census_support"])
     orders_ok = all(1.5 <= o <= 2.5 for o in orders) and bool(orders)
     payload = {
         "residual_probe": {
-            "support": int(cfg["support"]), "cutoff": int(cfg["cutoff"]),
-            "seed": int(cfg["seed"]), "t": t,
+            "support": cfg["support"], "cutoff": cfg["cutoff"],
+            "seed": cfg["seed"], "t": t,
             "series": [{"dt": d, "residual": r} for d, r in zip(dts, residuals)],
             "observed_orders": orders,
-            "small_dt": float(cfg["small_dt"]),
+            "small_dt": cfg["small_dt"],
             "small_dt_residual": small,
         },
         "ratio_census": {
-            "count": int(cfg["census_count"]),
-            "support": int(cfg["census_support"]),
+            "count": cfg["census_count"],
+            "support": cfg["census_support"],
             "seed": CENSUS_SEED,
             "maxima": census,
         },
@@ -417,7 +413,7 @@ def _cmd_normalform_check(cfg: dict, outdir: Path):
           f"cube {'PASS' if cube_ok else 'FAIL'}, "
           f"factorization {'PASS' if fact_ok else 'FAIL'}")
     print("PASS" if ok else "FAIL")
-    seeds = {"residual_probe": int(cfg["seed"]), "ratio_census": CENSUS_SEED}
+    seeds = {"residual_probe": cfg["seed"], "ratio_census": CENSUS_SEED}
     results = {
         "orders": orders,
         "small_dt_residual": small,
@@ -428,7 +424,7 @@ def _cmd_normalform_check(cfg: dict, outdir: Path):
 
 
 def _cmd_identities(cfg: dict, outdir: Path):
-    limit = int(cfg["limit"])
+    limit = cfg["limit"]
     payload = _identity_checks(limit)
     cube_ok, fact_ok = payload["cube_identity"], payload["factorization_identity"]
     _write_json(outdir / "identities.json", payload)
@@ -441,10 +437,10 @@ def _cmd_identities(cfg: dict, outdir: Path):
 def _cmd_shallow_water(cfg: dict, outdir: Path):
     if not 0.0 < cfg["g"] < math.inf:  # NaN fails every comparison
         raise ConfigError(f"g must be finite and positive, got {cfg['g']}")
-    report = validate_regime(cfg["delta"], cfg["eps"], cfg["threshold"])
+    report = validate_regime(cfg["delta"], cfg["epsilon"], cfg["threshold"])
     lines = [
         f"delta        {cfg['delta']:.6g}",
-        f"eps          {cfg['eps']:.6g}",
+        f"eps          {cfg['epsilon']:.6g}",
         f"alpha_eps    {report.alpha_eps:.6g}",
         f"beta_eps     {report.beta_eps:.6g}",
         f"mismatch     {report.mismatch:.6g}",
@@ -489,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"kdvtorus {__version__}")
     subs = parser.add_subparsers(dest="command")
     for command, (_, command_help) in _COMMANDS.items():
-        sub = subs.add_parser(command, help=command_help)
+        sub = subs.add_parser(command, help=command_help, allow_abbrev=False)
         sub.add_argument("--config", help="flat key=value config file")
         sub.add_argument("--out", "-o", help="output directory (default: "
                          f"${ENV_OUTPUT_ROOT}/<subcommand>)")

@@ -148,11 +148,13 @@ def near_linearity_report(phi, p: KdvParams, sample_times) -> NearLinearityRepor
     ``phi`` is one field or a sequence of them, stepped together as one batch
     as in ``evolve``.  Both evaluations of the deviation are computed per
     sample: the interaction-picture difference |v(t) - v(0)| and the
-    physical-side difference |u(t) - S(t) phi|.  They are the same norm of the
-    same vector under a diagonal unitary, so a disagreement above 1e-12 *
-    max(1, |phi|) means the propagator and the evolution have fallen out of
-    step; that raises rather than returning corrupt diagnostics (the bound
-    scales with the data, as rounding does).  Momentum is checked against
+    physical-side difference |u(t) - S(t) phi|.  Both rotate the same sampled
+    row by the same phase, and a unit-modulus phase maps one vector onto the
+    other, so they agree whatever the evolution did: a disagreement above
+    1e-12 * max(1, |phi|) means the phase has left the unit circle, and that
+    raises rather than returning corrupt diagnostics (the bound scales with
+    the data, as rounding does).  It does not check the scheme; gate
+    criteria 1, 4 and 10 and the energy drift do.  Momentum is checked against
     its structural zero.  An empty ``sample_times`` raises ValueError, as in
     ``evolve``: with no sample there is nothing to audit.
     """

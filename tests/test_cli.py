@@ -128,10 +128,10 @@ class TestShallowWater:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--eps", "1e-100"],
+            ["--epsilon", "1e-100"],
             ["--a-phys", "1", "--h0", "1e200", "--l", "1"],
             ["--a-phys", "1e-300", "--h0", "1e10", "--l", "1e-200"],
-            ["--delta", "1e300", "--eps", "1e-10"],
+            ["--delta", "1e300", "--epsilon", "1e-10"],
         ],
         ids=["mismatch-overflows", "beta-overflows", "denominator-underflows",
              "beta-eps-inf"],
@@ -152,16 +152,16 @@ class TestShallowWater:
 class TestConfigFile:
     def test_file_values_overridden_by_flags(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment line\ndelta = 0.02\neps = 0.5\n")
+        cfg.write_text("# comment line\ndelta = 0.02\nepsilon = 0.5\n")
         outdir = tmp_path / "out"
         rc = run([
-            "shallow-water", "--config", str(cfg), "--eps", "0.4",
+            "shallow-water", "--config", str(cfg), "--epsilon", "0.4",
             "--out", str(outdir),
         ])
         assert rc == 0
         manifest = read_manifest(outdir)
         assert manifest["parameters"]["delta"] == 0.02  # from file
-        assert manifest["parameters"]["eps"] == 0.4  # flag wins
+        assert manifest["parameters"]["epsilon"] == 0.4  # flag wins
 
     def test_unknown_key_is_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -190,6 +190,45 @@ class TestConfigFile:
             load_config(cfg, allowed={"delta": 0.01})
 
 
+# Names that are not keys: (subcommand, base flags, name, value). eps and
+# identity_limit were second names of epsilon and limit; return-test has no
+# a, and --a must not pass for an abbreviation of --amplitude.
+NOT_KEYS = [
+    ("shallow-water", [], "eps", "0.4"),
+    ("normalform-check", [], "identity_limit", "3"),
+    ("return-test", ["--m", "32", "--dt", "1e-2"], "a", "1"),
+]
+NOT_KEY_IDS = [f"{command}-{key}" for command, _, key, _ in NOT_KEYS]
+
+
+class TestOneKeyPerQuantity:
+    @pytest.mark.parametrize("command, base, key, value", NOT_KEYS, ids=NOT_KEY_IDS)
+    def test_flag_is_a_usage_error(self, tmp_path, capsys, command, base, key, value):
+        outdir = tmp_path / "out"
+        flag = "--" + key.replace("_", "-")
+        assert run([command, *base, flag, value, "--out", str(outdir)]) == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("command, base, key, value", NOT_KEYS, ids=NOT_KEY_IDS)
+    def test_config_key_is_unknown(self, tmp_path, capsys, command, base, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        outdir = tmp_path / "out"
+        rc = run([command, *base, "--config", str(cfg), "--out", str(outdir)])
+        line = assert_refused(rc, capsys.readouterr(), outdir)
+        assert line == f"error: unknown config key: {key}"
+
+    def test_every_key_belongs_to_a_subcommand(self):
+        assert set(_KEYS) == {key for defaults in _DEFAULTS.values() for key in defaults}
+
+    def test_schemas_lists_each_subcommands_keys(self):
+        rows = (Path(__file__).resolve().parents[1] / "SCHEMAS.md").read_text(
+            encoding="utf-8").splitlines()
+        for command, defaults in _DEFAULTS.items():
+            assert f"| `{command}` | " + ", ".join(f"`{k}`" for k in defaults) + " |" in rows
+
+
 # Every key of every subcommand, each with a small run's non-default value.
 KEY_VALUES = {
     "simulate": {
@@ -198,7 +237,7 @@ KEY_VALUES = {
         "samples": 2,
     },
     "return-test": {
-        "profile": "desk", "epsilon": 0.3, "amplitude": 0.5, "a": 1.0, "b": 0.5,
+        "profile": "desk", "epsilon": 0.3, "amplitude": 0.5, "b": 0.5,
         "m": 32, "dt": 2e-3, "scheme": "fornberg-whitham", "dealias": False,
     },
     "pullback": {
@@ -213,11 +252,11 @@ KEY_VALUES = {
     "normalform-check": {
         "support": 3, "cutoff": 12, "seed": 1, "t": 0.2,
         "dts": (1e-3, 5e-4, 2.5e-4), "small_dt": 2e-5,
-        "census_count": 2, "census_support": 8, "identity_limit": 6,
+        "census_count": 2, "census_support": 8, "limit": 6,
     },
     "identities": {"limit": 6},
     "shallow-water": {
-        "delta": 0.02, "eps": 0.5, "threshold": 0.2,
+        "delta": 0.02, "epsilon": 0.5, "threshold": 0.2,
         "a_phys": 1.0, "h0": 100.0, "l": 1000.0, "g": 9.8,
     },
 }
@@ -369,7 +408,7 @@ class TestNormalFormCheck:
         rc = run([
             "normalform-check", "--support", "3", "--cutoff", "12",
             "--seed", "1", "--census-count", "2", "--census-support", "8",
-            "--identity-limit", "6", "--out", str(tmp_path),
+            "--limit", "6", "--out", str(tmp_path),
         ])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
@@ -394,8 +433,8 @@ class TestNormalFormCheck:
             (["--t", "nan"], "t must be finite"),
             (["--t", "inf"], "t must be finite"),
             (["--census-count", "0"], "census count must be at least 1"),
-            (["--identity-limit", "0"], "identity limit must be at least 1"),
-            (["--identity-limit", "-2"], "identity limit must be at least 1"),
+            (["--limit", "0"], "identity limit must be at least 1"),
+            (["--limit", "-2"], "identity limit must be at least 1"),
         ],
         ids=["one-step", "repeated", "repeated-apart", "zero", "negative",
              "zero-small-dt", "inf-small-dt", "nan-step", "nan-t", "inf-t", "no-census",
@@ -404,7 +443,7 @@ class TestNormalFormCheck:
     def test_bad_steps_and_census_are_config_errors(self, tmp_path, capsys, flags, message):
         rc = run(["normalform-check", "--support", "3", "--cutoff", "12",
                   "--census-count", "2", "--census-support", "8",
-                  "--identity-limit", "6", *flags, "--out", str(tmp_path)])
+                  "--limit", "6", *flags, "--out", str(tmp_path)])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []  # refused before the report is written
@@ -483,7 +522,7 @@ class TestBeyondDoublePrecision:
         """No FAIL verdict and no NaN in the report: the residual probe refuses the times."""
         outdir = tmp_path / "out"
         argv = ["normalform-check", "--census-count", "2", "--census-support", "8",
-                "--identity-limit", "3", *flags, "--out", str(outdir)]
+                "--limit", "3", *flags, "--out", str(outdir)]
         line = assert_refused(run(argv), capsys.readouterr(), outdir)
         assert "leave no digits to difference" in line and "(K = 16)" in line
 
@@ -579,7 +618,7 @@ EXTREME_BASE = {
     "return-test": ["--m", "32", "--dt", "1e-2"],
     "pullback": ["--m", "32", "--dt", "1e-3", "--t-final", "0.01"],
     "sweep": ["--m", "32", "--dt", "1e-3", "--t-final", "0.01"],
-    "normalform-check": ["--census-count", "2", "--identity-limit", "3"],
+    "normalform-check": ["--census-count", "2", "--limit", "3"],
     "identities": ["--limit", "3"],
     "shallow-water": [],
 }
@@ -588,7 +627,7 @@ LONG_RUNS = {
     **{(command, "dt", "1e-10"): "a real run of 1e8 steps (6e10 over return-test's period)"
        for command in ("simulate", "return-test", "pullback", "sweep")},
     ("identities", "limit", BIG): "a real check of every |k| <= 2^40",
-    ("normalform-check", "identity_limit", BIG): "a real check of every |k| <= 2^40",
+    ("normalform-check", "limit", BIG): "a real check of every |k| <= 2^40",
     ("normalform-check", "census_count", BIG): "a real census of 2^40 fields",
 }
 # Valid runs whose verdict is FAIL: exit 1 with every artifact and no error line.
@@ -702,7 +741,7 @@ class TestOutputRoot:
             ["identities", "--limit", "0"],
             ["simulate", "--samples", "1"],
             ["shallow-water", "--threshold", "-1"],
-            ["return-test", "--a", "2"],
+            ["return-test", "--epsilon", "2"],
         ],
         ids=lambda argv: argv[0],
     )

@@ -3,10 +3,12 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from kdvtorus import experiments
 from kdvtorus.experiments import (
     _DEGENERATE_ERROR,
     SNAPSHOT_TIME,
@@ -19,7 +21,14 @@ from kdvtorus.experiments import (
     return_experiment,
 )
 from kdvtorus.fields import analyze, grid_points, l2_norm, synthesize
-from kdvtorus.integrator import KdvParams, Scheme, desk_params, evolve, linear_propagator
+from kdvtorus.integrator import (
+    KdvParams,
+    Scheme,
+    _linear_phase,
+    desk_params,
+    evolve,
+    linear_propagator,
+)
 from test_acceptance import baseline_value, within_window
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi) / 2.0
@@ -154,6 +163,28 @@ class TestNearLinearity:
         assert batch.identity_defect_max == max(s.identity_defect_max for s in singles)
         assert batch.errors[0][-1] > 0.0
 
+    def test_phase_off_the_unit_circle_fails_the_audit(self, monkeypatch):
+        """A phase of modulus 1.001 on k > 0 parts the two norms once mode energies move."""
+        def scaled_phase(ks, a):
+            phase = _linear_phase(ks, a)
+            return lambda t: phase(t) * np.where(ks > 0, 1.001, 1.0)
+
+        monkeypatch.setattr(experiments, "_linear_phase", scaled_phase)
+        phi = hermite_initial(HermiteSpec(0.3), m=128)
+        p = KdvParams(dt=1e-3, t_final=0.1, m=128)
+        with pytest.raises(RuntimeError, match="identity violated at t = 0.05:"):
+            near_linearity_report(phi, p, [0.0, 0.05, 0.1])
+
+    def test_momentum_off_its_structural_zero_fails_the_check(self, monkeypatch):
+        def drifted(*args, **kwargs):
+            record = evolve(*args, **kwargs)
+            return replace(record, momentum_series=record.momentum_series + 1e-12)
+
+        monkeypatch.setattr(experiments, "evolve", drifted)
+        phi = hermite_initial(HermiteSpec(0.3), m=64)
+        p = KdvParams(dt=1e-3, t_final=0.01, m=64)
+        with pytest.raises(RuntimeError, match="momentum mode drifted to 1.000e-12"):
+            near_linearity_report(phi, p, [0.0, 0.01])
 
     def test_diagnostics_are_the_manifest_run_block(self):
         """The audit's defect, the worst energy drift over a batch, the record's momentum."""
