@@ -17,8 +17,7 @@ Each library module's ``__all__`` is its public API; the package exports
 exactly the union of those lists.
 """
 
-from . import errors, experiments, fields, integrator, normal_form, shallow_water
-from .errors import *
+from . import experiments, fields, integrator, normal_form, shallow_water
 from .fields import *
 from .integrator import *
 from .normal_form import *
@@ -29,6 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = ["__version__"] + [
     name
-    for module in (errors, fields, integrator, normal_form, experiments, shallow_water)
+    for module in (fields, integrator, normal_form, experiments, shallow_water)
     for name in module.__all__
 ]

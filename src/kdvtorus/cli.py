@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, KdvTorusError
 from .experiments import (
     HermiteSpec,
     epsilon_sweep,
@@ -35,7 +34,7 @@ from .experiments import (
     return_experiment,
 )
 from .fields import _write_csv, grid_points, l2_norm, random_real_field, synthesize, write_field_csv
-from .integrator import KdvParams, Scheme, desk_params, paper_params
+from .integrator import InstabilityError, KdvParams, Scheme, desk_params, paper_params
 from .normal_form import (
     CENSUS_SEED,
     check_cube_identity,
@@ -61,7 +60,7 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
-        raise ConfigError(f"cannot parse {text!r} as a comma-separated float list") from exc
+        raise ValueError(f"cannot parse {text!r} as a comma-separated float list") from exc
 
 
 def _parse_bool(text: str) -> bool:
@@ -70,7 +69,7 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"cannot parse {text!r} as a boolean")
+    raise ValueError(f"cannot parse {text!r} as a boolean")
 
 
 # Every key once: (parser, or tuple of choices; help). _parse_bool keys
@@ -134,36 +133,36 @@ def _parse_value(key: str, raw: str):
     kind = _KEYS[key][0]
     if isinstance(kind, tuple):
         if raw not in kind:
-            raise ConfigError(f"config key {key}: {raw!r} is not one of {list(kind)}")
+            raise ValueError(f"config key {key}: {raw!r} is not one of {list(kind)}")
         return raw
     try:
         return kind(raw)
     except ValueError as exc:
-        raise ConfigError(f"config key {key}: {exc}") from exc
+        raise ValueError(f"config key {key}: {exc}") from exc
 
 
 def load_config(path, allowed) -> dict:
     """Parse a flat key=value config file (# comments, blank lines allowed).
 
     `allowed` holds the subcommand's key names: unknown keys raise
-    ConfigError naming the key, and each value is parsed like its flag.
+    ValueError naming the key, and each value is parsed like its flag.
     """
     cfg: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ValueError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
         if key not in allowed:
-            raise ConfigError(f"unknown config key: {key}")
+            raise ValueError(f"unknown config key: {key}")
         cfg[key] = _parse_value(key, raw)
     return cfg
 
@@ -249,7 +248,7 @@ def _plot_deviation(path: Path, run) -> None:
 
 def _cmd_simulate(cfg: dict, outdir: Path):
     if cfg["samples"] < 2:
-        raise ConfigError(
+        raise ValueError(
             f"samples must be at least 2 (t = 0 and t_final), got {cfg['samples']}"
         )
     spec = HermiteSpec(epsilon=cfg["epsilon"], amplitude=cfg["amplitude"])
@@ -366,7 +365,7 @@ def _identity_checks(limit: int) -> dict:
 def _cmd_normalform_check(cfg: dict, outdir: Path):
     dts = cfg["dts"]
     if len(dts) < 2 or len(set(dts)) != len(dts):
-        raise ConfigError(f"dts must hold at least two distinct steps, got {list(dts)}")
+        raise ValueError(f"dts must hold at least two distinct steps, got {list(dts)}")
     rng = np.random.default_rng(cfg["seed"])
     v = random_real_field(rng, cfg["support"], cutoff=cfg["cutoff"])
     v = (1.0 / l2_norm(v)) * v
@@ -436,7 +435,7 @@ def _cmd_identities(cfg: dict, outdir: Path):
 
 def _cmd_shallow_water(cfg: dict, outdir: Path):
     if not 0.0 < cfg["g"] < math.inf:  # NaN fails every comparison
-        raise ConfigError(f"g must be finite and positive, got {cfg['g']}")
+        raise ValueError(f"g must be finite and positive, got {cfg['g']}")
     report = validate_regime(cfg["delta"], cfg["epsilon"], cfg["threshold"])
     lines = [
         f"delta        {cfg['delta']:.6g}",
@@ -451,7 +450,7 @@ def _cmd_shallow_water(cfg: dict, outdir: Path):
     dims = (cfg["a_phys"], cfg["h0"], cfg["l"])
     if any(d is not None for d in dims):
         if any(d is None for d in dims):
-            raise ConfigError("dimensional input needs all three of a_phys, h0, l")
+            raise ValueError("dimensional input needs all three of a_phys, h0, l")
         regime = dimensionless(PhysicalParams(a=dims[0], h0=dims[1], l=dims[2], g=cfg["g"]))
         lines += [
             f"alpha        {regime.alpha:.6g}",
@@ -502,7 +501,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    """Execute one CLI invocation; returns the process exit code."""
+    """Execute one CLI invocation; returns the process exit code.
+
+    A refused input (``ValueError``, ``OSError``, ``MemoryError``) or a run
+    that blew up (``InstabilityError``) prints one ``error:`` line and
+    returns 1; any other exception is a broken invariant and propagates.
+    """
     argv = list(argv)
     parser = build_parser()
     if not argv:
@@ -529,7 +533,7 @@ def run(argv) -> int:
             for staged in stage.iterdir():
                 os.replace(staged, out / staged.name)
         return code
-    except (KdvTorusError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, InstabilityError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CorruptFieldError, GridError
-
 __all__ = [
     "grid_points",
     "FourierField",
@@ -50,15 +48,15 @@ REALITY_TOL = 1e-12
 def _require_grid(m, minimum: int = 4) -> None:
     """The one grid-size rule: an integer power of two, at least ``minimum``."""
     if not isinstance(m, (int, np.integer)) or m < 1 or m & (m - 1):
-        raise GridError(f"grid size must be a power of two, got {m!r}")
+        raise ValueError(f"grid size must be a power of two, got {m!r}")
     if m < minimum:
-        raise GridError(f"grid size must be at least {minimum}, got {m}")
+        raise ValueError(f"grid size must be at least {minimum}, got {m}")
 
 
 def grid_points(m: int) -> np.ndarray:
     """The m torus sample points ``x_j = -pi + 2*pi*j/m`` (read-only, increasing from -pi).
 
-    Raises :class:`GridError` unless m is a power of two, at least 4.
+    Raises ``ValueError`` unless m is a power of two, at least 4.
     """
     _require_grid(m)
     pts = -np.pi + 2.0 * np.pi * np.arange(int(m)) / int(m)
@@ -135,18 +133,18 @@ class FourierField:
         return float(np.max(np.abs(self.coeffs[::-1] - np.conj(self.coeffs))))
 
     def require_real(self) -> None:
-        """Raise :class:`CorruptFieldError` if the reality invariant fails.
+        """Raise ``ValueError`` if the reality invariant fails.
 
         Any non-finite amplitude fails. The tolerance ``REALITY_TOL`` is
         relative to the largest amplitude (with a floor of 1, so exact zero
         fields pass trivially).
         """
         if not np.all(np.isfinite(self.coeffs)):
-            raise CorruptFieldError("field has non-finite amplitudes")
+            raise ValueError("field has non-finite amplitudes")
         scale = max(1.0, float(np.max(np.abs(self.coeffs))))
         defect = self.reality_defect()
         if defect > REALITY_TOL * scale:
-            raise CorruptFieldError(
+            raise ValueError(
                 f"reality invariant violated: defect {defect:.3e} exceeds "
                 f"{REALITY_TOL:.1e} * scale {scale:.3e}"
             )
@@ -216,12 +214,12 @@ def analyze(samples) -> FourierField:
 
     Raises
     ------
-    GridError
+    ValueError
         If the sample count is not a power of two, at least 4.
     """
     arr = np.asarray(samples, dtype=float)
     if arr.ndim != 1:
-        raise GridError(f"samples must be one-dimensional, got shape {arr.shape}")
+        raise ValueError(f"samples must be one-dimensional, got shape {arr.shape}")
     m = arr.size
     _require_grid(m)
     # the rfft of the samples is the field's raw half spectrum (half_spectrum)
@@ -245,10 +243,9 @@ def synthesize(fld: FourierField, m: int) -> np.ndarray:
 
     Raises
     ------
-    GridError
-        If m is too small for the field's cutoff.
-    CorruptFieldError
-        If the reality invariant is violated beyond tolerance.
+    ValueError
+        If m is too small for the field's cutoff, or the reality invariant is
+        violated beyond tolerance.
     """
     return np.fft.irfft(half_spectrum(fld, m), n=m)
 
@@ -264,7 +261,7 @@ def half_spectrum(fld: FourierField, m: int) -> np.ndarray:
     """
     cutoff = fld.cutoff
     if m < 2 * cutoff + 2:
-        raise GridError(
+        raise ValueError(
             f"grid size {m} too small for cutoff {cutoff} (need >= {2 * cutoff + 2})"
         )
     fld.require_real()
@@ -283,7 +280,7 @@ def field_from_half_spectrum(half: np.ndarray, m: int) -> FourierField:
     projected, matching :func:`analyze` of the corresponding samples.
     """
     if half.ndim != 1 or half.size != m // 2 + 1:
-        raise GridError(
+        raise ValueError(
             f"half spectrum must have length m//2 + 1 = {m // 2 + 1}, got {half.size}"
         )
     return FourierField(_coeffs_from_half_spectrum(half, m))
@@ -356,8 +353,7 @@ def read_field_csv(path) -> FourierField:
     cells or with a cell that does not parse (both naming the line), no rows,
     a repeated k, or rows that are not exactly the modes -K..K up to the
     largest |k| = K (checked before the field is allocated, so a stray huge
-    k cannot size it), and :class:`CorruptFieldError` unless the field is
-    finite, zero-mean and real.
+    k cannot size it), or a field that is not finite, zero-mean and real.
     """
     modes: dict[int, complex] = {}
     with open(path, newline="") as fh:
@@ -388,7 +384,7 @@ def read_field_csv(path) -> FourierField:
     fld = FourierField.from_modes(modes, cutoff=max(cutoff, 1))
     fld.require_real()
     if fld.mean_mode() != 0.0:
-        raise CorruptFieldError(f"field CSV has nonzero mean u_0 = {fld.mean_mode()}")
+        raise ValueError(f"field CSV has nonzero mean u_0 = {fld.mean_mode()}")
     return fld
 
 

@@ -47,7 +47,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GridError, InstabilityError
 from .fields import (
     FourierField,
     field_from_half_spectrum,
@@ -64,10 +63,15 @@ __all__ = [
     "paper_params",
     "linear_propagator",
     "evolve",
+    "InstabilityError",
 ]
 
 #: Abort when the l2 norm exceeds this factor times its initial value.
 BLOWUP_FACTOR = 1.0e6
+
+
+class InstabilityError(RuntimeError):
+    """Time integration blew up (norm exceeded the abort threshold)."""
 
 
 class Scheme(Enum):
@@ -347,11 +351,9 @@ def evolve(phi, p: KdvParams, sample_times):
     ValueError
         If sample times are empty, non-finite, unsorted or outside [0, t_final],
         ``phi`` is an empty sequence, t_final/dt is 2^53 steps or more, or a
-        field's norm is too large for double precision.
-    CorruptFieldError
-        If a field has a non-finite amplitude or fails the reality check.
-    GridError
-        If a field carries nonzero modes beyond the run grid's cutoff.
+        field has a norm too large for double precision, a non-finite
+        amplitude, a reality defect past tolerance or nonzero modes beyond
+        the run grid's cutoff.
     InstabilityError
         If the blow-up guard trips (dt too large for the grid), or the state
         overflows double precision.
@@ -379,7 +381,7 @@ def evolve(phi, p: KdvParams, sample_times):
     for j, fld in enumerate(fields):
         beyond = [k for k in fld.support() if abs(k) > run_cutoff]
         if beyond:
-            raise GridError(
+            raise ValueError(
                 f"initial field {j} has nonzero modes {beyond[:4]}... beyond "
                 f"the grid cutoff {run_cutoff}"
             )

@@ -66,7 +66,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import TruncationError, UndefinedRatioError
 from .fields import FourierField, l2_norm, random_real_field, sobolev_norm
 from .integrator import _alias_free_rk4_step, _linear_phase
 
@@ -370,9 +369,9 @@ def normal_form_residual(v: FourierField, t: float, dt: float) -> float:
     error in the operator chain leaves an O(1) floor instead.
 
     v must be real (``v_{-k} = conj(v_k)``, as the closed-form resonant term
-    assumes; else :class:`CorruptFieldError`) with support M <= K/4, K the
-    storage range, so that ``B4(v)`` (support 4M) is whole. The step's later
-    stages reach 2K and are cut at K, like the exact sums truncated at K.
+    assumes) with support M <= K/4, K the storage range, so that ``B4(v)``
+    (support 4M) is whole; else ValueError. The step's later stages reach 2K
+    and are cut at K, like the exact sums truncated at K.
     A t and dt with no digits left to difference (``t +- dt == t`` or
     ``(|t| + dt) K^3 >= 2^53``) raise ValueError, as does a dt whose +-dt
     step leaves every nonzero mode of v bitwise unchanged.
@@ -381,7 +380,7 @@ def normal_form_residual(v: FourierField, t: float, dt: float) -> float:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     ks, _vals = _support(v)
     if 4 * int(np.max(np.abs(ks), initial=0)) > v.cutoff:
-        raise TruncationError(
+        raise ValueError(
             f"support max |k| = {int(np.max(np.abs(ks)))} exceeds a quarter of "
             f"the storage range {v.cutoff}; widen the cutoff"
         )
@@ -419,11 +418,11 @@ def apriori_ratios(v: FourierField) -> dict[str, float]:
     corresponding estimate allows, so boundedness of the ratio across a
     field census is the numerical content of the estimate. The fractional
     exponents in r3/r4 instantiate the estimates' "epsilon of room" at 0.1.
-    A non-finite ratio raises :class:`UndefinedRatioError` naming it.
+    A non-finite ratio raises ValueError naming it.
     """
     norm_l2 = l2_norm(v)
     if norm_l2 == 0.0:
-        raise UndefinedRatioError("a-priori ratios are undefined for the zero field")
+        raise ValueError("a-priori ratios are undefined for the zero field")
     norm_hm = sobolev_norm(v, -0.5)
     b4_field = b4(v, 0.0)
     ratios = {
@@ -440,7 +439,7 @@ def apriori_ratios(v: FourierField) -> dict[str, float]:
     }
     bad = [name for name, value in ratios.items() if not math.isfinite(value)]
     if bad:
-        raise UndefinedRatioError(f"non-finite a-priori ratios: {', '.join(bad)}")
+        raise ValueError(f"non-finite a-priori ratios: {', '.join(bad)}")
     return ratios
 
 

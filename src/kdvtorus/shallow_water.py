@@ -6,7 +6,7 @@ parameters: alpha = a/h0 (amplitude over depth) and beta = h0^2/l^2
 alpha ~ beta << 1; the width-modified scaling a -> a/sqrt(eps),
 l -> eps*l trades smallness for frequency content and pays for it with
 the mismatch term alpha_eps + beta_eps^2/alpha_eps. A ratio that is not
-finite in double precision raises DomainError rather than reading inf.
+finite in double precision raises ValueError rather than reading inf.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-
-from .errors import DomainError
 
 __all__ = [
     "GRAVITY",
@@ -52,9 +50,9 @@ class PhysicalParams:
         for name in ("a", "h0", "l", "g"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0.0:
-                raise DomainError(f"{name} must be finite and positive, got {value}")
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not self.a < self.h0:
-            raise DomainError(
+            raise ValueError(
                 f"small-amplitude regime requires a < h0, got a = {self.a}, h0 = {self.h0}"
             )
 
@@ -96,14 +94,14 @@ def dimensionless(p: PhysicalParams) -> ShallowWaterRegime:
 
 
 def _finite(what: str, ratios: Callable[[], tuple]) -> tuple:
-    """``ratios()``, or DomainError naming ``what`` when one of them is not finite."""
+    """``ratios()``, or ValueError naming ``what`` when one of them is not finite."""
     try:
         values = ratios()
         if all(math.isfinite(v) for v in values):
             return values
     except (OverflowError, ZeroDivisionError):  # from ``**``; from a denominator that underflowed
         pass
-    raise DomainError(f"{what}: not finite in double precision")
+    raise ValueError(f"{what}: not finite in double precision")
 
 
 def epsilon_modified(delta: float, eps: float) -> tuple[float, float]:
@@ -122,9 +120,9 @@ def epsilon_modified(delta: float, eps: float) -> tuple[float, float]:
         The pair (alpha_eps, beta_eps).
     """
     if not math.isfinite(delta) or delta < 0.0:
-        raise DomainError(f"delta must be finite and nonnegative, got {delta}")
+        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
     if not (0.0 < eps <= 1.0):
-        raise DomainError(f"eps must lie in (0, 1], got {eps}")
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
     return _finite(f"alpha_eps, beta_eps at delta = {delta}, eps = {eps}",
                    lambda: (delta / math.sqrt(eps), delta / eps**2))
 
@@ -174,14 +172,14 @@ def validate_regime(delta: float, eps: float, threshold: float = 0.1) -> RegimeR
         delta: Balanced smallness parameter.
         eps: Width parameter in (0, 1].
         threshold: Cutoff for "much smaller than one" (default 0.1); must
-            be finite and positive, else DomainError.
+            be finite and positive, else ValueError.
 
     Returns:
         A report flagging each ratio against the threshold and carrying
         the mismatch value as the expected relative model error.
     """
     if not math.isfinite(threshold) or threshold <= 0.0:
-        raise DomainError(f"threshold must be finite and positive, got {threshold}")
+        raise ValueError(f"threshold must be finite and positive, got {threshold}")
     alpha_eps, beta_eps = epsilon_modified(delta, eps)
     error = 0.0 if delta == 0.0 else _finite(
         f"mismatch at delta = {delta}, eps = {eps}",

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kdvtorus
@@ -20,7 +21,7 @@ from kdvtorus.cli import (
     load_config,
     run,
 )
-from kdvtorus.errors import ConfigError
+from kdvtorus.integrator import _linear_phase
 
 
 def read_manifest(outdir):
@@ -186,7 +187,7 @@ class TestConfigFile:
     def test_malformed_line_is_reported(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("delta 0.02\n")
-        with pytest.raises(ConfigError, match="expected key=value"):
+        with pytest.raises(ValueError, match="expected key=value"):
             load_config(cfg, allowed={"delta": 0.01})
 
 
@@ -298,11 +299,17 @@ class TestKeySources:
 
     @pytest.mark.parametrize("command", sorted(KEY_VALUES))
     def test_manifest_lists_exactly_the_files_written(self, command, tmp_path):
-        """artifacts plus manifest.json is the directory; every CSV line ends in \\n."""
+        """artifacts plus manifest.json is the directory; every CSV line ends in \\n.
+
+        Only normalform-check draws random data, so only it records seeds.
+        """
         outdir = tmp_path / "out"
         assert run([command, "--out", str(outdir), *as_flags(KEY_VALUES[command])]) == 0
         written = {p.name for p in outdir.iterdir()}
-        assert set(read_manifest(outdir)["artifacts"]) | {"manifest.json"} == written
+        manifest = read_manifest(outdir)
+        assert set(manifest["artifacts"]) | {"manifest.json"} == written
+        seeds = {"normalform-check": {"ratio_census": 1729, "residual_probe": 1}}
+        assert manifest["seeds"] == seeds.get(command, {})
         for name in written:
             if name.endswith(".csv"):
                 assert b"\r" not in (outdir / name).read_bytes(), name
@@ -435,10 +442,13 @@ class TestNormalFormCheck:
             (["--census-count", "0"], "census count must be at least 1"),
             (["--limit", "0"], "identity limit must be at least 1"),
             (["--limit", "-2"], "identity limit must be at least 1"),
+            (["--cutoff", "8"], "support max |k| = 3 exceeds a quarter of the storage range 8"),
+            (["--support", "13"], "support must lie in 1..cutoff"),
         ],
         ids=["one-step", "repeated", "repeated-apart", "zero", "negative",
              "zero-small-dt", "inf-small-dt", "nan-step", "nan-t", "inf-t", "no-census",
-             "zero-identity-limit", "negative-identity-limit"],
+             "zero-identity-limit", "negative-identity-limit", "support-past-a-quarter",
+             "support-past-the-cutoff"],
     )
     def test_bad_steps_and_census_are_config_errors(self, tmp_path, capsys, flags, message):
         rc = run(["normalform-check", "--support", "3", "--cutoff", "12",
@@ -581,6 +591,21 @@ class TestOneCommitPoint:
         outdir = tmp_path / "out"
         argv = ["simulate", *SMALL_RUN, "--samples", "2", "--out", str(outdir)]
         assert assert_refused(run(argv), capsys.readouterr(), outdir) == "error: MemoryError"
+
+    def test_a_broken_invariant_propagates_and_leaves_nothing(self, tmp_path, monkeypatch):
+        """Neither a refusal nor a blow-up: the audit's RuntimeError leaves run as a traceback."""
+        def scaled_phase(ks, a):
+            phase = _linear_phase(ks, a)
+            return lambda t: phase(t) * np.where(ks > 0, 1.001, 1.0)
+
+        monkeypatch.setattr("kdvtorus.experiments._linear_phase", scaled_phase)
+        outdir = tmp_path / "out"
+        argv = ["simulate", "--epsilon", "0.3", "--m", "128", "--dt", "1e-3",
+                "--t-final", "0.1", "--samples", "3", "--out", str(outdir)]
+        with pytest.raises(RuntimeError, match="identity violated at t = 0.05:") as exc:
+            run(argv)
+        assert type(exc.value) is RuntimeError
+        assert list(tmp_path.iterdir()) == []  # no output directory, no stage
 
     @pytest.mark.parametrize(
         "argv",

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvtorus import normal_form
-from kdvtorus.errors import CorruptFieldError, TruncationError, UndefinedRatioError
 from kdvtorus.experiments import HermiteSpec, hermite_initial
 from kdvtorus.fields import FourierField, l2_norm, random_real_field, sobolev_norm
 from kdvtorus.integrator import _alias_free_rk4_step
@@ -462,7 +461,7 @@ class TestResidual:
 
     def test_non_real_field_is_rejected(self):
         v = FourierField.from_modes({1: 1.0, -1: 2.0}, cutoff=16)
-        with pytest.raises(CorruptFieldError, match="reality"):
+        with pytest.raises(ValueError, match="reality"):
             normal_form_residual(v, 0.0, 1e-3)
 
     def test_residual_shrinks_at_second_order(self):
@@ -521,7 +520,7 @@ class TestResidual:
 
     def test_guard_rails(self):
         wide = random_real_field(0, support=8, cutoff=16)
-        with pytest.raises(TruncationError, match="quarter"):
+        with pytest.raises(ValueError, match="quarter"):
             normal_form_residual(wide, 0.0, 1e-3)
         ok = random_real_field(0, support=4, cutoff=16)
         for dt in (0.0, -1e-3, math.nan, math.inf):
@@ -578,7 +577,7 @@ class TestAprioriRatios:
         assert r["r1"] == pytest.approx(l2_norm(b2(v, 0.0)) / hm**2, rel=1e-12)
 
     def test_zero_field_is_rejected(self):
-        with pytest.raises(UndefinedRatioError, match="zero field"):
+        with pytest.raises(ValueError, match="zero field"):
             apriori_ratios(FourierField(np.zeros(2 * 8 + 1)))
 
     def test_census_smoke(self):
@@ -597,7 +596,7 @@ class TestAprioriRatios:
             return FourierField(out)
 
         monkeypatch.setattr(normal_form, "b4", broken_b4)
-        with pytest.raises(UndefinedRatioError, match="r3, r4"):
+        with pytest.raises(ValueError, match="r3, r4"):
             ratio_census(count=3, support=8)
 
     @pytest.mark.parametrize("count", [0, -1])

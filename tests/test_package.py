@@ -15,11 +15,11 @@ import pytest
 
 import kdvtorus
 import test_acceptance
-from kdvtorus import errors, experiments, fields, integrator, normal_form, shallow_water
+from kdvtorus import experiments, fields, integrator, normal_form, shallow_water
 
 ROOT = Path(__file__).resolve().parents[1]
 
-MODULES = (errors, fields, integrator, normal_form, experiments, shallow_water)
+MODULES = (fields, integrator, normal_form, experiments, shallow_water)
 
 
 def test_package_exports_exactly_the_module_lists():

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from kdvtorus.errors import DomainError
 from kdvtorus.shallow_water import (
     GRAVITY,
     PhysicalParams,
@@ -35,12 +34,12 @@ class TestPhysicalParams:
         )
 
     def test_amplitude_must_stay_below_depth(self):
-        with pytest.raises(DomainError, match="a < h0"):
+        with pytest.raises(ValueError, match="a < h0"):
             PhysicalParams(a=100.0, h0=100.0, l=1000.0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_scales_must_be_positive_and_finite(self, bad):
-        with pytest.raises(DomainError, match="finite and positive"):
+        with pytest.raises(ValueError, match="finite and positive"):
             PhysicalParams(a=1.0, h0=100.0, l=bad)
 
 
@@ -57,16 +56,16 @@ class TestEpsilonModified:
         assert epsilon_modified(0.0, 0.3) == (0.0, 0.0)
 
     def test_domain_guards(self):
-        with pytest.raises(DomainError, match="delta must be finite"):
+        with pytest.raises(ValueError, match="delta must be finite"):
             epsilon_modified(-0.1, 0.4)
-        with pytest.raises(DomainError, match=r"eps must lie in \(0, 1\]"):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
             epsilon_modified(0.01, 0.0)
-        with pytest.raises(DomainError, match=r"eps must lie in \(0, 1\]"):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
             epsilon_modified(0.01, 1.2)
 
 
 class TestRatiosOutOfRange:
-    """Ratios double precision cannot hold raise DomainError instead of reading inf."""
+    """Ratios double precision cannot hold raise ValueError instead of reading inf."""
 
     @pytest.mark.parametrize(
         "compute",
@@ -83,7 +82,7 @@ class TestRatiosOutOfRange:
              "beta-overflows", "l-squared-underflows", "alpha-underflows"],
     )
     def test_non_finite_ratio_is_a_domain_error(self, compute):
-        with pytest.raises(DomainError, match="not finite in double precision"):
+        with pytest.raises(ValueError, match="not finite in double precision"):
             compute()
 
 
@@ -137,7 +136,7 @@ class TestValidateRegime:
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
     def test_threshold_must_be_finite_and_positive(self, threshold):
-        with pytest.raises(DomainError, match="threshold"):
+        with pytest.raises(ValueError, match="threshold"):
             validate_regime(0.01, 0.4, threshold=threshold)
 
     def test_zero_delta_is_trivially_valid(self):
