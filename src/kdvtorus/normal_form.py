@@ -43,7 +43,8 @@ and ``k2+k3 = K-k1``, so each kernel is a convolution read at K alone:
 with ``beta(k) = v_k/(K-k)``, ``alpha(k) = beta(k)/k``, ``gamma(s) =
 W(s)/(K-s)``, ``W(s) = sum_{k3+k4=s} v3*v4`` and W(0) := 0; each is 0 where
 its index equals K, exactly the star's exclusions. B2 is one ``np.convolve``,
-B3 and B4 one FFT along the rows K = 0..top of a (K, n) array. With
+B3 and B4 one in-place FFT along the rows K = 0..top of a (K, n) array per
+spectrum, each row a window of one vector of reciprocals ``1/(K-k)``. With
 ``v~_k = conj(v_{-k})``, ``B(v)_{-K} = conj(B(v~)_K)`` for B3 and
 ``-conj(B(v~)_K)`` for B4 (real coefficients, even resp. odd under k -> -k);
 a real field is its own v~ and costs one set of rows, any other two. Outputs
@@ -202,18 +203,33 @@ def _fft_length(span: int) -> int:
     return span if rest == 1 else _fft_length(span + 1)
 
 
-def _row_spectra(big_k: np.ndarray, modes: np.ndarray, amps: np.ndarray, n: int,
-                 shift: np.ndarray | int = 0) -> np.ndarray:
-    """Length-n FFT of each row K of ``amps_k/(K-k)`` (0 at k = K), at ``k - shift`` mod n.
+def _row_spectra(top: int, reach: int, n: int, shifted: bool,
+                 *amps: np.ndarray) -> list[np.ndarray]:
+    """Length-n FFT of each row K = 0..top of ``a_k/(K-k)`` (0 at k = K), k = -reach..reach.
 
-    With one factor shifted by K, the mean of a product of spectra is the sum
-    over indices adding up to K; n >= the convolution's span avoids wrap-around.
+    One spectrum per ``a`` in amps; row K holds term k at column ``k - K`` mod n
+    if shifted, else k mod n. With one factor shifted, the mean of a product
+    of spectra is the sum over indices adding up to K; n >= the convolution's
+    span avoids wrap-around. Each factor that varies with K is a window view
+    of one vector; ``a * fl(1/g)`` has the bits of NumPy's ``a/g``.
     """
-    gap = big_k - modes
-    rows = np.divide(amps, gap, out=np.zeros(gap.shape, dtype=np.complex128), where=gap != 0)
-    grid = np.zeros((big_k.size, n), dtype=np.complex128)
-    grid[np.arange(big_k.size)[:, None], (modes - shift) % n] = rows
-    return np.fft.fft(grid, axis=-1)
+    def window(x, width):  # a view, no copy: row K is x[K:K + width]
+        return np.ndarray((top + 1, width), x.dtype, x, strides=2 * x.strides)
+
+    gaps = np.arange(top + reach, -reach - 1, -1)
+    recip = np.divide(1.0, gaps, out=np.zeros(gaps.shape), where=gaps != 0)
+    spectra, split = [], top + reach if shifted else reach  # the columns c < 0
+    for a in amps:
+        if shifted:  # column c = -split..reach holds a_{K+c} * 1/(-c)
+            padded = np.concatenate([np.zeros(top), a, np.zeros(top)])
+            amp, rec = window(padded, a.size + top), recip
+        else:  # column c = -split..reach holds a_c * 1/(K-c)
+            amp, rec = a, window(recip, a.size)[::-1]
+        grid = np.zeros((top + 1, n), dtype=np.complex128)
+        np.multiply(amp[..., :split], rec[..., :split], out=grid[:, n - split:])
+        np.multiply(amp[..., split:], rec[..., split:], out=grid[:, :reach + 1])
+        spectra.append(np.fft.fft(grid, axis=-1, out=grid))
+    return spectra
 
 
 def _mirrored(rows: Callable, sign: float, v: FourierField) -> FourierField:
@@ -298,11 +314,14 @@ def b3(v: FourierField, t: float) -> FourierField:
 def _b3_rows(v: FourierField) -> np.ndarray:
     """B3 at t = 0, rows K = 0..top: ``(alpha_K * beta_K * beta_K)(K)``."""
     modes, vals, w = _dense_support(v)
-    top = min(v.cutoff, 3 * int(modes[-1]))
-    big_k = np.arange(top + 1)[:, None]
-    n = _fft_length(3 * int(modes[-1]) + top + 1)
-    alpha = _row_spectra(big_k, modes, w, n, shift=big_k)
-    beta = _row_spectra(big_k, modes, vals, n)
+    reach = int(modes[-1])
+    top = min(v.cutoff, 3 * reach)
+    n = _fft_length(3 * reach + top + 1)
+    [alpha] = _row_spectra(top, reach, n, True, w)
+    [beta] = _row_spectra(top, reach, n, False, vals)
+    # Keep the product as written: with FMA, complex a*b and b*a can differ in
+    # the last bit, and NumPy's temporary elision (arrays >= 256 KiB) turns
+    # ``x * (temporary)`` into ``temporary * x``; reordering or out= moves digits.
     return np.mean(alpha * beta * beta, axis=-1)
 
 
@@ -327,13 +346,10 @@ def _b4_rows(v: FourierField) -> np.ndarray:
     pair[2 * reach] = 0.0
     pair_modes = np.arange(-2 * reach, 2 * reach + 1)
     top = min(v.cutoff, 4 * reach)
-    big_k = np.arange(top + 1)[:, None]
     n = _fft_length(4 * reach + top + 1)
-    alpha = _row_spectra(big_k, modes, w, n)
-    beta = _row_spectra(big_k, modes, vals, n)
-    gamma = _row_spectra(big_k, pair_modes, pair, n, shift=big_k)
-    s_gamma = _row_spectra(big_k, pair_modes, pair_modes * pair, n, shift=big_k)
-    spectral = beta * (alpha * s_gamma + 0.5 * beta * gamma)
+    alpha, beta = _row_spectra(top, reach, n, False, w, vals)
+    gamma, s_gamma = _row_spectra(top, 2 * reach, n, True, pair, pair_modes * pair)
+    spectral = beta * (alpha * s_gamma + 0.5 * beta * gamma)  # as written: see _b3_rows
     return np.mean(spectral, axis=-1)
 
 

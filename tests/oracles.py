@@ -10,13 +10,7 @@ import numpy as np
 
 from kdvtorus.fields import FourierField, field_from_half_spectrum, half_spectrum
 from kdvtorus.integrator import _grid_for_cutoff, _Workspace
-from kdvtorus.normal_form import (
-    _accumulate,
-    _dense_support,
-    _fft_length,
-    _row_spectra,
-    _support,
-)
+from kdvtorus.normal_form import _accumulate, _dense_support, _fft_length, _support
 
 
 def nonlinear_term(u: FourierField, b: float, dealias: bool = True) -> FourierField:
@@ -75,34 +69,67 @@ def b4_split(v: FourierField, t: float) -> tuple[FourierField, FourierField]:
     return FourierField(out1), FourierField(out2)
 
 
-def b3_all_rows(v: FourierField) -> FourierField:
-    """``normal_form.b3`` at t = 0 with every output row K = -top..top transformed.
+def _seed_row_spectra(big_k: np.ndarray, modes: np.ndarray, amps: np.ndarray, n: int,
+                      shift: np.ndarray | int = 0) -> np.ndarray:
+    """Length-n FFT of each row K of ``amps_k/(K-k)`` (0 at k = K), at ``k - shift`` mod n.
 
-    The same rows, FFT length and mean as the package kernel, which forms only
-    the rows K >= 0 and mirrors the rest.
+    The kernels' row spectra as first written: a masked complex division into
+    a fresh array, a 2-D scatter and an out-of-place FFT, rebuilt per spectrum.
+    """
+    gap = big_k - modes
+    rows = np.divide(amps, gap, out=np.zeros(gap.shape, dtype=np.complex128), where=gap != 0)
+    grid = np.zeros((big_k.size, n), dtype=np.complex128)
+    grid[np.arange(big_k.size)[:, None], (modes - shift) % n] = rows
+    return np.fft.fft(grid, axis=-1)
+
+
+def seed_b2_time_zero(v: FourierField) -> FourierField:
+    """``normal_form.b2`` at t = 0 as first written: the self-convolution of ``v_k/k``."""
+    w = _dense_support(v)[2]
+    return FourierField(np.convolve(w, w)).with_cutoff(v.cutoff)
+
+
+def seed_b3_rows(v: FourierField, all_rows: bool = False) -> np.ndarray:
+    """The rows K = 0..top (-top..top with ``all_rows``) of ``normal_form.b3`` at t = 0.
+
+    The same FFT length, products and mean as the package kernel, with the
+    spectra from :func:`_seed_row_spectra`.
     """
     modes, vals, w = _dense_support(v)
     top = min(v.cutoff, 3 * int(modes[-1]))
-    big_k = np.arange(-top, top + 1)[:, None]
+    big_k = np.arange(-top if all_rows else 0, top + 1)[:, None]
     n = _fft_length(3 * int(modes[-1]) + top + 1)
-    alpha = _row_spectra(big_k, modes, w, n, shift=big_k)
-    beta = _row_spectra(big_k, modes, vals, n)
-    return FourierField(np.mean(alpha * beta * beta, axis=-1)).with_cutoff(v.cutoff)
+    alpha = _seed_row_spectra(big_k, modes, w, n, shift=big_k)
+    beta = _seed_row_spectra(big_k, modes, vals, n)
+    return np.mean(alpha * beta * beta, axis=-1)
 
 
-def b4_all_rows(v: FourierField) -> FourierField:
-    """``normal_form.b4`` at t = 0 with every output row K = -top..top transformed."""
+def seed_b4_rows(v: FourierField, all_rows: bool = False) -> np.ndarray:
+    """The rows K = 0..top (-top..top with ``all_rows``) of ``normal_form.b4`` at t = 0."""
     modes, vals, w = _dense_support(v)
     reach = int(modes[-1])
     pair = np.convolve(vals, vals)
     pair[2 * reach] = 0.0
     pair_modes = np.arange(-2 * reach, 2 * reach + 1)
     top = min(v.cutoff, 4 * reach)
-    big_k = np.arange(-top, top + 1)[:, None]
+    big_k = np.arange(-top if all_rows else 0, top + 1)[:, None]
     n = _fft_length(4 * reach + top + 1)
-    alpha = _row_spectra(big_k, modes, w, n)
-    beta = _row_spectra(big_k, modes, vals, n)
-    gamma = _row_spectra(big_k, pair_modes, pair, n, shift=big_k)
-    s_gamma = _row_spectra(big_k, pair_modes, pair_modes * pair, n, shift=big_k)
+    alpha = _seed_row_spectra(big_k, modes, w, n)
+    beta = _seed_row_spectra(big_k, modes, vals, n)
+    gamma = _seed_row_spectra(big_k, pair_modes, pair, n, shift=big_k)
+    s_gamma = _seed_row_spectra(big_k, pair_modes, pair_modes * pair, n, shift=big_k)
     spectral = beta * (alpha * s_gamma + 0.5 * beta * gamma)
-    return FourierField(np.mean(spectral, axis=-1)).with_cutoff(v.cutoff)
+    return np.mean(spectral, axis=-1)
+
+
+def b3_all_rows(v: FourierField) -> FourierField:
+    """``normal_form.b3`` at t = 0 with every output row K = -top..top transformed.
+
+    The package kernel forms only the rows K >= 0 and mirrors the rest.
+    """
+    return FourierField(seed_b3_rows(v, all_rows=True)).with_cutoff(v.cutoff)
+
+
+def b4_all_rows(v: FourierField) -> FourierField:
+    """``normal_form.b4`` at t = 0 with every output row K = -top..top transformed."""
+    return FourierField(seed_b4_rows(v, all_rows=True)).with_cutoff(v.cutoff)

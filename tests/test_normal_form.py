@@ -29,7 +29,14 @@ from kdvtorus.normal_form import (
     resonant_term,
     rhs_v,
 )
-from oracles import b3_all_rows, b4_all_rows, b4_split
+from oracles import (
+    b3_all_rows,
+    b4_all_rows,
+    b4_split,
+    seed_b2_time_zero,
+    seed_b3_rows,
+    seed_b4_rows,
+)
 
 
 def pair_field(c: complex, k: int = 1, cutoff: int = 8) -> FourierField:
@@ -114,6 +121,10 @@ def assert_matches_oracle(name: str, v: FourierField, t: float, tol: float = 1e-
     op, oracle = ORACLES[name]
     want = _at_time(oracle, v, t)
     assert l2_norm(op(v, t) - want) <= tol * l2_norm(want)
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def rk4_exact(w: FourierField, t0: float, h: float) -> FourierField:
@@ -416,6 +427,38 @@ class TestMirror:
         v = hermite_initial(HermiteSpec(0.1), 512)
         want = _at_time(all_rows, v, 0.37)
         assert l2_norm(op(v, 0.37) - want) <= 1e-13 * l2_norm(want)
+
+
+class TestSeedBits:
+    """b2/b3/b4 keep the bits of the kernels as first written (``tests/oracles.py``).
+
+    Both sides run here, so the pin holds on any CPU; it fails if a change to
+    the reciprocal windows, the column placement or the in-place FFT moves
+    one bit, the sign of a zero included.
+    """
+
+    SEEDS = {
+        "b2": seed_b2_time_zero,
+        "b3": lambda v: normal_form._mirrored(seed_b3_rows, 1.0, v),
+        "b4": lambda v: normal_form._mirrored(seed_b4_rows, -1.0, v),
+    }
+    FIELDS = [(4, 8), (4, 16), (16, 32), (16, 64), (32, 64), (32, 128), (64, 128), (64, 256)]
+
+    @pytest.mark.parametrize("name", ["b2", "b3", "b4"])
+    @pytest.mark.parametrize("t", [0.0, 0.37, -1.3])
+    def test_random_fields_keep_their_bits(self, name, t):
+        op, seed = getattr(normal_form, name), self.SEEDS[name]
+        real = [random_real_field(40 + i, support, cutoff)
+                for i, (support, cutoff) in enumerate(self.FIELDS)]
+        rotated = FourierField(cmath.exp(0.3j) * real[2].coeffs)
+        for v in [*real, rotated]:
+            assert_same_bits(op(v, t).coeffs, _at_time(seed, v, t).coeffs)
+
+    @pytest.mark.parametrize("name", ["b2", "b3", "b4"])
+    def test_full_hermite_field_keeps_its_bits(self, name):
+        v = hermite_initial(HermiteSpec(0.1), 512)
+        want = _at_time(self.SEEDS[name], v, 0.37)
+        assert_same_bits(getattr(normal_form, name)(v, 0.37).coeffs, want.coeffs)
 
 
 class TestResonantSum:
