@@ -257,7 +257,8 @@ def _cmd_simulate(cfg: dict, outdir: Path):
     times = np.linspace(0.0, cfg["t_final"], cfg["samples"])
     report = near_linearity_report(phi, params, times)
     record = report.record
-    rows = zip(record.times, record.energy_series, record.momentum_series, report.errors)
+    rows = zip(record.times.tolist(), record.energy_series.tolist(),
+               record.momentum_series.tolist(), report.errors)
     _write_csv(outdir / "trajectory.csv", ["t", "energy", "momentum", "deviation"], rows)
     write_field_csv(record.initial, outdir / "spectrum_initial.csv")
     final = record.snapshot(-1)

@@ -183,13 +183,20 @@ def _audit(
     ``rows`` is that field's ``(S, 2K+1)`` slice of ``record.coeffs``; one
     row is processed at a time, so no second array of that size is formed.
     Returns the deviations and the largest identity defect.
+
+    The phase ``exp(+i*a*k^3*t)`` is formed on the modes 0..K and mirrored,
+    conjugated, onto -K..-1: the full-range ``exp`` up to the sign of zero
+    imaginary parts (at t = 0), which the norms square away.
     """
-    phase_at = _linear_phase(phi_run.wavenumbers(), record.params.a)
+    cutoff = phi_run.cutoff
+    phase_at = _linear_phase(np.arange(cutoff + 1), record.params.a)
+    phase = np.empty(2 * cutoff + 1, dtype=np.complex128)  # modes -K..K
     bound = _IDENTITY_TOLERANCE * max(1.0, l2_norm(phi_run))
     errors = []
     defect_max = 0.0
     for t, u in zip(record.times, rows):
-        phase = phase_at(-t)  # exp(+i*a*k^3*t); its conjugate is S(t)
+        phase[cutoff:] = phase_at(-t)  # exp(+i*a*k^3*t); its conjugate is S(t)
+        np.conj(phase[:cutoff:-1], out=phase[:cutoff])
         err_ip = float(np.linalg.norm(u * phase - phi_run.coeffs))
         err_phys = float(np.linalg.norm(u - phi_run.coeffs * np.conj(phase)))
         defect = abs(err_ip - err_phys)

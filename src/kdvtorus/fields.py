@@ -26,6 +26,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -267,9 +268,16 @@ def half_spectrum(fld: FourierField, m: int) -> np.ndarray:
     fld.require_real()
     half = np.zeros(m // 2 + 1, dtype=np.complex128)
     pos = 0.5 * (fld.coeffs[cutoff:] + np.conj(fld.coeffs[cutoff::-1]))
-    ks = np.arange(cutoff + 1)
-    half[: cutoff + 1] = np.where(ks % 2 == 0, 1.0, -1.0) * pos * m
+    half[: cutoff + 1] = _alternating_signs(m)[: cutoff + 1] * pos * m
     return half
+
+
+@cache
+def _alternating_signs(m: int) -> np.ndarray:
+    """``(-1)^k`` over the modes 0..m/2 - 1 of an m-point grid: built once per m, read-only."""
+    signs = np.where(np.arange(m // 2) % 2 == 0, 1.0, -1.0)
+    signs.flags.writeable = False
+    return signs
 
 
 def field_from_half_spectrum(half: np.ndarray, m: int) -> FourierField:
@@ -293,8 +301,8 @@ def _coeffs_from_half_spectrum(half: np.ndarray, m: int) -> np.ndarray:
     rows (modes -K..K, K = m//2 - 1).
     """
     cutoff = m // 2 - 1
-    ks = np.arange(cutoff + 1)
-    pos = np.where(ks % 2 == 0, 1.0, -1.0) * half[..., : cutoff + 1] / m
+    # (signs * half) / m: dividing first would move signs of zero, and so the CSVs
+    pos = _alternating_signs(m) * half[..., : cutoff + 1] / m
     out = np.empty(half.shape[:-1] + (2 * cutoff + 1,), dtype=np.complex128)
     out[..., cutoff:] = pos
     out[..., :cutoff] = np.conj(pos[..., :0:-1])

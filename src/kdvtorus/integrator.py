@@ -410,39 +410,39 @@ def evolve(phi, p: KdvParams, sample_times):
         A0 = A0[0]  # a lone field steps as a 1-D state, free of broadcasting
 
     times = np.asarray(sample_idx, dtype=float) * dt_eff
-    series = A0.shape[:-1] + (len(sample_idx),)  # (..., S)
+    n_samples = len(sample_idx)
+    series = A0.shape[:-1] + (n_samples,)  # (..., S)
     coeffs = np.empty(series + (2 * run_cutoff + 1,), dtype=np.complex128)
     energies = np.empty(series)
     momenta = np.empty(series)
-
-    def check_blowup(A: np.ndarray, idx: int) -> None:
-        for j, (row, limit) in enumerate(zip(A.reshape(len(fields), -1), limits)):
-            norm2 = np.vdot(row, row).real
-            if not norm2 <= limit:  # catches NaN as well
-                if not math.isfinite(norm2):
-                    raise InstabilityError(f"field {j} overflowed double precision at "
-                                           f"t = {idx * dt_eff:.6g} (b = {p.b:g})")
-                raise InstabilityError(
-                    f"l2 norm of field {j} exceeded {BLOWUP_FACTOR:.0e} times its "
-                    f"initial value at t = {idx * dt_eff:.6g}; reduce dt or the grid "
-                    "cutoff"
-                )
-
-    pointer = 0
     rk4 = p.scheme is Scheme.INTEGRATING_FACTOR_RK4
     step_phase = _phase_table(ws.phase, dt_eff, n_steps) if rk4 else None
 
-    def record_due(idx: int) -> None:
-        nonlocal pointer
-        while pointer < len(sample_idx) and sample_idx[pointer] == idx:
-            A_u = ws.phase(idx * dt_eff) * A if rk4 else A
+    def record(A: np.ndarray, pointer: int) -> int:
+        """Record every sample due at step ``sample_idx[pointer]``; returns the next pointer."""
+        idx = sample_idx[pointer]
+        A_u = ws.phase(idx * dt_eff) * A if rk4 else A
+        while pointer < n_samples and sample_idx[pointer] == idx:
             coeffs[..., pointer, :] = _coeffs_from_half_spectrum(A_u, p.m)
             energies[..., pointer] = ws.energy(A_u)
             momenta[..., pointer] = A_u[..., 0].real / p.m
             pointer += 1
+        return pointer
+
+    def blown_up(A: np.ndarray, idx: int) -> InstabilityError:
+        """The error naming the first field past its limit at step ``idx`` (cold path)."""
+        norms = [np.vdot(row, row).real for row in A.reshape(len(fields), -1)]
+        j = next(j for j, (norm2, limit) in enumerate(zip(norms, limits)) if not norm2 <= limit)
+        if not math.isfinite(norms[j]):
+            return InstabilityError(f"field {j} overflowed double precision at "
+                                    f"t = {idx * dt_eff:.6g} (b = {p.b:g})")
+        return InstabilityError(
+            f"l2 norm of field {j} exceeded {BLOWUP_FACTOR:.0e} times its initial value "
+            f"at t = {idx * dt_eff:.6g}; reduce dt or the grid cutoff"
+        )
 
     A_prev, A = None, A0.copy()  # IF-RK4 steps v, leapfrog steps u
-    record_due(0)
+    pointer = record(A, 0) if sample_idx[0] == 0 else 0
     with np.errstate(over="ignore", invalid="ignore"):  # the guard refuses inf and NaN
         for i in range(n_steps):
             if rk4:
@@ -451,8 +451,12 @@ def evolve(phi, p: KdvParams, sample_times):
                 A_prev, A = A, ws.phase(dt_eff) * ws.rk4_v_step(A, ws.phase(0.0))
             else:
                 A_prev, A = A, ws.fw_step(A_prev, A)
-            check_blowup(A, i + 1)  # |v_k| = |u_k|
-            record_due(i + 1)
+            # the blow-up guard, one vdot per field row (|v_k| = |u_k|); NaN fails it too
+            for row, limit in zip((A,) if single else A, limits):
+                if not np.vdot(row, row).real <= limit:
+                    raise blown_up(A, i + 1)
+            if pointer < n_samples and sample_idx[pointer] == i + 1:
+                pointer = record(A, pointer)
 
     return TrajectoryRecord(
         times=times,

@@ -70,10 +70,16 @@ def _criterion(n: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {n}: {detail}"
 
 
-def test_criterion_01_linear_periodicity():
-    """a = 1, b = 0: every mode returns exactly after T = 2 pi, both schemes."""
+# Each seeded criterion measures through one helper of the generator, so the
+# fast loop can run the same check on fresh seeds (tests/test_fresh_draws.py).
+
+
+def free_flow_return_error(rng) -> float:
+    """Criterion 1's number: the worst relative return error after T = 2 pi.
+
+    Three fields of support 10 from ``rng`` per scheme, a = 1, b = 0, m = 64.
+    """
     worst = 0.0
-    rng = np.random.default_rng(2)
     for scheme in Scheme:
         fields = [random_real_field(rng, support=10, cutoff=16) for _ in range(3)]
         p = KdvParams(a=1.0, b=0.0, dt=1e-3, t_final=TWO_PI, m=64, scheme=scheme)
@@ -81,6 +87,61 @@ def test_criterion_01_linear_periodicity():
         for j, phi in enumerate(fields):
             err = l2_norm(batch.snapshot((j, -1)) - batch.snapshot((j, 0))) / l2_norm(phi)
             worst = max(worst, err)
+    return worst
+
+
+#: Criterion 5's field support: the brute-force sum runs over (2*6 + 1)^3 triples.
+RESONANT_SUPPORT = 6
+
+
+def resonant_sum_defect(rng, n_fields: int) -> float:
+    """Criterion 5's number: the worst |brute-force S1+S2+S3 sum - closed form|.
+
+    ``n_fields`` fields of support ``RESONANT_SUPPORT`` from ``rng``.
+    """
+    worst = 0.0
+    support = RESONANT_SUPPORT
+    ks = range(-support, support + 1)
+    for _ in range(n_fields):
+        v = random_real_field(rng, support=support, cutoff=2 * support)
+        sums: dict[int, complex] = {}
+        for k1 in ks:
+            for k2 in ks:
+                for k3 in ks:
+                    cls = classify_resonance(k1, k2, k3)
+                    if cls in (
+                        ResonanceClass.S1,
+                        ResonanceClass.S2,
+                        ResonanceClass.S3,
+                    ):
+                        k = k1 + k2 + k3
+                        term = v.mode(k1) * v.mode(k2) * v.mode(k3) / k1
+                        sums[k] = sums.get(k, 0.0) + term
+        brute = FourierField.from_modes(sums, cutoff=2 * support)
+        worst = max(worst, l2_norm(brute - resonant_term(v)))
+    return worst
+
+
+def homogeneity_defect(rng) -> float:
+    """Criterion 8's first number: the worst relative homogeneity defect of b2/b3/b4.
+
+    Three fields of support 4 from ``rng``, each with a scale s and a time t drawn after it.
+    """
+    worst = 0.0
+    for _ in range(3):
+        v = random_real_field(rng, support=4, cutoff=16)
+        s = float(rng.uniform(0.3, 2.5))
+        t = float(rng.uniform(0.0, 1.0))
+        for op, deg in ((b2, 2), (b3, 3), (b4, 4)):
+            ref = (s**deg) * op(v, t)
+            defect = l2_norm(op(s * v, t) - ref) / max(1.0, l2_norm(ref))
+            worst = max(worst, defect)
+    return worst
+
+
+def test_criterion_01_linear_periodicity():
+    """a = 1, b = 0: every mode returns exactly after T = 2 pi, both schemes."""
+    worst = free_flow_return_error(np.random.default_rng(2))
     _criterion(
         1, worst < 1e-10,
         f"free-flow return error {worst:.3e} over both schemes "
@@ -146,31 +207,11 @@ def test_criterion_04_normal_form_residual():
 
 def test_criterion_05_resonant_closed_form():
     """Brute-force S1+S2+S3 sum equals -v_k|v_k|^2/k on 100 seeded fields."""
-    rng = np.random.default_rng(5)
-    worst = 0.0
-    support = 6
-    ks = range(-support, support + 1)
-    for _ in range(100):
-        v = random_real_field(rng, support=support, cutoff=2 * support)
-        sums: dict[int, complex] = {}
-        for k1 in ks:
-            for k2 in ks:
-                for k3 in ks:
-                    cls = classify_resonance(k1, k2, k3)
-                    if cls in (
-                        ResonanceClass.S1,
-                        ResonanceClass.S2,
-                        ResonanceClass.S3,
-                    ):
-                        k = k1 + k2 + k3
-                        term = v.mode(k1) * v.mode(k2) * v.mode(k3) / k1
-                        sums[k] = sums.get(k, 0.0) + term
-        brute = FourierField.from_modes(sums, cutoff=2 * support)
-        worst = max(worst, l2_norm(brute - resonant_term(v)))
+    worst = resonant_sum_defect(np.random.default_rng(5), n_fields=100)
     _criterion(
         5, worst < 1e-12,
         f"max |brute force - closed form| = {worst:.3e} over 100 fields, "
-        f"support <= {support} (tolerance 1e-12)",
+        f"support <= {RESONANT_SUPPORT} (tolerance 1e-12)",
     )
 
 
@@ -201,16 +242,7 @@ def test_criterion_07_conservation():
 
 def test_criterion_08_multilinearity_and_census():
     """Operator homogeneity degrees 2/3/4; census bounded by frozen maxima."""
-    rng = np.random.default_rng(8)
-    worst_scaling = 0.0
-    for _ in range(3):
-        v = random_real_field(rng, support=4, cutoff=16)
-        s = float(rng.uniform(0.3, 2.5))
-        t = float(rng.uniform(0.0, 1.0))
-        for op, deg in ((b2, 2), (b3, 3), (b4, 4)):
-            ref = (s**deg) * op(v, t)
-            defect = l2_norm(op(s * v, t) - ref) / max(1.0, l2_norm(ref))
-            worst_scaling = max(worst_scaling, defect)
+    worst_scaling = homogeneity_defect(np.random.default_rng(8))
     census = ratio_census()
     ok_census = all(
         within_window(f"census_{name}", value) for name, value in census.items()

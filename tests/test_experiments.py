@@ -30,6 +30,7 @@ from kdvtorus.integrator import (
     linear_propagator,
 )
 from test_acceptance import baseline_value, within_window
+from test_normal_form import assert_same_bits
 
 SQRT_PI_OVER_2 = math.sqrt(math.pi) / 2.0
 
@@ -147,6 +148,31 @@ class TestNearLinearity:
         for i, t in enumerate(rec.times):
             pulled = linear_propagator(rec.snapshot(i), -t, p.a)
             assert report.errors[i] == l2_norm(pulled - rec.initial)
+
+    @pytest.mark.parametrize("a", [1.0, 1.0 / 6.0])
+    def test_audit_matches_the_full_range_phase_bitwise(self, a):
+        """The phase mirrored from modes 0..K gives the full-range norms, every bit.
+
+        The mirror differs from exp over -K..K only in the sign of zero
+        imaginary parts (at t = 0); the norms square that away.
+        """
+        phi = hermite_initial(HermiteSpec(0.2), m=512)
+        p = KdvParams(a=a, b=1.0, dt=1e-6, t_final=3e-4, m=512,
+                      scheme=Scheme.FORNBERG_WHITHAM)
+        rec = evolve(phi, p, np.linspace(0.0, 3e-4, 7))
+        phi_run = rec.initial
+        errors, defect = experiments._audit(rec, rec.coeffs, phi_run)
+        phase_at = _linear_phase(phi_run.wavenumbers(), a)
+        want, want_defect = [], 0.0
+        for t, u in zip(rec.times, rec.coeffs):
+            phase = phase_at(-t)
+            err_ip = float(np.linalg.norm(u * phase - phi_run.coeffs))
+            err_phys = float(np.linalg.norm(u - phi_run.coeffs * np.conj(phase)))
+            want.append(err_ip)
+            want_defect = max(want_defect, abs(err_ip - err_phys))
+        assert rec.times[0] == 0.0 and want[-1] > 0.0
+        assert_same_bits(errors, want)
+        assert_same_bits(defect, want_defect)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_batch_rows_equal_single_field_reports(self, scheme):

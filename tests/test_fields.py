@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kdvtorus.fields import (
     FourierField,
+    _alternating_signs,
     analyze,
     field_from_half_spectrum,
     grid_points,
@@ -21,6 +22,7 @@ from kdvtorus.fields import (
     write_field_csv,
 )
 from kdvtorus.integrator import KdvParams
+from test_normal_form import assert_same_bits
 
 
 class TestGrid:
@@ -152,6 +154,30 @@ class TestHalfSpectrum:
         f = random_real_field(rng, support=6, cutoff=15)
         back = field_from_half_spectrum(half_spectrum(f, 32), 32)
         assert l2_norm(back - f) < 1e-13
+
+    def test_the_shared_sign_vector_refuses_writes(self):
+        """(-1)^k is built once per grid size and shared, so no caller may change it."""
+        signs = _alternating_signs(8)
+        assert signs is _alternating_signs(8)
+        assert signs.tolist() == [1.0, -1.0, 1.0, -1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            signs[1] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.negative(signs, out=signs)
+
+    def test_field_rows_keep_the_signs_of_zero(self):
+        """Half spectrum to coefficients: (-1)^k * half / m in that order, zeros' signs too."""
+        m = 64
+        rng = np.random.default_rng(9)
+        half = rng.standard_normal(m // 2 + 1) + 1j * rng.standard_normal(m // 2 + 1)
+        half[1::3] = complex(-0.0, 0.0)
+        half[2::5] = complex(0.0, -0.0)
+        half[-1] = 0.0
+        ks = np.arange(m // 2)
+        pos = np.where(ks % 2 == 0, 1.0, -1.0) * half[: m // 2] / m
+        want = np.concatenate([np.conj(pos[:0:-1]), [0.0], pos[1:]])
+        got = field_from_half_spectrum(half, m).coeffs
+        assert_same_bits(got, want)
 
 
 @st.composite

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kdvtorus.fields import FourierField, l2_norm, random_real_field
+from kdvtorus.fields import (
+    FourierField,
+    field_from_half_spectrum,
+    half_spectrum,
+    l2_norm,
+    random_real_field,
+)
 from kdvtorus.integrator import (
     InstabilityError,
     KdvParams,
@@ -23,6 +29,7 @@ from kdvtorus.integrator import (
 )
 from kdvtorus.normal_form import b2, b3, b4
 from oracles import nonlinear_term
+from test_normal_form import assert_same_bits
 
 TWO_PI = 2.0 * math.pi
 
@@ -287,12 +294,22 @@ class TestEvolveNonlinear:
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("b", [1e150, 1e300])
     def test_overflow_is_refused_without_a_warning(self, scheme, b):
-        """A state past double precision is named as such (warnings are errors here)."""
+        """A state past double precision is named as such (warnings are errors here).
+
+        As row j of a batch (the other rows zero fields, which stay zero) the
+        same field overflows at the same step, under the same message for field j.
+        """
         phi = random_real_field(1, support=10, cutoff=20)
         p = KdvParams(b=b, dt=1e-3, t_final=0.01, m=64, scheme=scheme)
         with pytest.raises(InstabilityError, match="field 0 overflowed double precision") as exc:
             evolve(phi, p, sample_times=[0.0, 0.01])
         assert "dt" not in str(exc.value)
+        for j in range(3):
+            batch = [0.0 * phi] * 3
+            batch[j] = phi
+            with pytest.raises(InstabilityError, match=f"field {j} overflowed") as row:
+                evolve(batch, p, sample_times=[0.0, 0.01])
+            assert str(row.value) == str(exc.value).replace("field 0", f"field {j}")
 
 
 class TestEvolveBookkeeping:
@@ -391,6 +408,50 @@ class TestEvolveBookkeeping:
             evolve(phi, p, sample_times=[0.1])
 
 
+class TestDenseSamplingBits:
+    """With a sample on every step, evolve's record is the state read by hand, bitwise.
+
+    The same ``_Workspace`` is stepped outside ``evolve`` and each state read
+    through ``field_from_half_spectrum``, ``ws.energy`` and ``A[..., 0].real / m``
+    (m = 512, 50 steps): the guard and the sample bookkeeping change no bit.
+    """
+
+    M = 512
+    STEPS = 50
+
+    @pytest.mark.parametrize("scheme, dt", [(Scheme.INTEGRATING_FACTOR_RK4, 1e-5),
+                                            (Scheme.FORNBERG_WHITHAM, 1e-6)])
+    @pytest.mark.parametrize("n_fields", [1, 3])
+    def test_every_sample_is_the_state_stepped_by_hand(self, scheme, dt, n_fields):
+        fields = [random_real_field(seed, support=170, cutoff=255) for seed in range(n_fields)]
+        p = KdvParams(dt=dt, t_final=self.STEPS * dt, m=self.M, scheme=scheme)
+        rec = evolve(fields[0] if n_fields == 1 else fields, p,
+                     sample_times=np.arange(self.STEPS + 1) * dt)
+        assert rec.coeffs.shape[-2] == self.STEPS + 1
+
+        dt_eff = p.t_final / self.STEPS
+        ws = _Workspace(m=self.M, a=p.a, b=p.b, dt=dt_eff, mask_cutoff=2 * p.cutoff // 3)
+        initial = [rec.initial] if n_fields == 1 else rec.initial
+        A = np.stack([half_spectrum(f, self.M) for f in initial])
+        A = A[0] if n_fields == 1 else A
+        rk4 = scheme is Scheme.INTEGRATING_FACTOR_RK4
+        step_phase = _phase_table(ws.phase, dt_eff, self.STEPS)
+        A_prev = None
+        for i in range(self.STEPS + 1):
+            if i > 0 and rk4:
+                A = ws.rk4_v_step(A, step_phase(i - 1))
+            elif i == 1:
+                A_prev, A = A, ws.phase(dt_eff) * ws.rk4_v_step(A, ws.phase(0.0))
+            elif i > 1:
+                A_prev, A = A, ws.fw_step(A_prev, A)
+            A_u = ws.phase(i * dt_eff) * A if rk4 else A
+            want = np.stack([field_from_half_spectrum(row, self.M).coeffs
+                             for row in A_u.reshape(n_fields, -1)])
+            assert_same_bits(rec.coeffs[..., i, :], want.reshape(rec.coeffs[..., i, :].shape))
+            assert_same_bits(rec.energy_series[..., i], ws.energy(A_u))
+            assert_same_bits(rec.momentum_series[..., i], A_u[..., 0].real / self.M)
+
+
 class TestEvolveBatch:
     @given(
         seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
@@ -421,13 +482,27 @@ class TestEvolveBatch:
             assert np.all(np.abs(batch.momentum_series[j]) <= 1e-14)
         assert batch.max_momentum() <= 1e-14
 
-    def test_one_unstable_field_stops_the_batch(self):
-        """Each field is guarded against its own initial norm."""
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_one_unstable_field_stops_the_batch(self, scheme):
+        """Each field is guarded against its own initial norm.
+
+        A field that trips alone trips as row j of a batch at the same step
+        (t = 3 here, the sixth), under the same message for field j.
+        """
         phi = random_real_field(1, support=20, cutoff=30)
-        p = KdvParams(a=1e-6, b=50.0, dt=0.5, t_final=50.0, m=64)
+        p = KdvParams(a=1e-6, b=50.0, dt=0.5, t_final=50.0, m=64, scheme=scheme)
         evolve(1e-9 * phi, p, sample_times=[50.0])  # stable alone
         with pytest.raises(InstabilityError, match="field 1 exceeded"):
             evolve([1e-9 * phi, 5.0 * phi], p, sample_times=[50.0])
+        with pytest.raises(InstabilityError, match="field 0 exceeded") as alone:
+            evolve(1e-3 * phi, p, sample_times=[50.0])
+        assert "at t = 3;" in str(alone.value)
+        for j in range(3):
+            batch = [1e-9 * phi] * 3
+            batch[j] = 1e-3 * phi
+            with pytest.raises(InstabilityError, match=f"field {j} exceeded") as row:
+                evolve(batch, p, sample_times=[50.0])
+            assert str(row.value) == str(alone.value).replace("field 0", f"field {j}")
 
     def test_grid_error_names_the_offending_field_and_modes(self):
         ok = random_real_field(5, support=4, cutoff=8)

@@ -123,8 +123,10 @@ def assert_matches_oracle(name: str, v: FourierField, t: float, tol: float = 1e-
     assert l2_norm(op(v, t) - want) <= tol * l2_norm(want)
 
 
-def assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
-    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+def assert_same_bits(got, want) -> None:
+    """Every bit equal, signs of zero included."""
+    np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                  np.asarray(want).view(np.uint64))
 
 
 def rk4_exact(w: FourierField, t0: float, h: float) -> FourierField:

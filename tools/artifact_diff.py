@@ -53,6 +53,8 @@ COMMANDS = [
     ["pullback", "--t-final", "0.05", "--scheme", "fornberg-whitham", "--dt", "1e-6"],
     ["sweep", "--m", "512", "--dt", "1e-5", "--t-final", "0.005",
      "--epsilons", "0.37,0.19,0.09"],
+    ["sweep", "--scheme", "fornberg-whitham", "--dt", "1e-6", "--t-final", "0.002",
+     "--epsilons", "0.37,0.19,0.09"],
     ["sweep", "--b", "0", "--dt", "1e-4", "--t-final", "0.1"],
     ["normalform-check"],
     ["identities"],
