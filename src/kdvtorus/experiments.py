@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import FourierField, analyze, grid_points, l2_norm, sobolev_norm, synthesize
+from .fields import (FourierField, _coeffs_from_half_spectrum, analyze, grid_points, l2_norm,
+                     sobolev_norm, synthesize)
 from .integrator import KdvParams, TrajectoryRecord, _linear_phase, evolve, linear_propagator
 
 __all__ = [
@@ -166,7 +167,7 @@ def near_linearity_report(phi, p: KdvParams, sample_times) -> NearLinearityRepor
         )
     single = isinstance(record.initial, FourierField)
     initial = (record.initial,) if single else record.initial
-    rows = record.coeffs.reshape((len(initial),) + record.coeffs.shape[-2:])
+    rows = record.half_spectra.reshape((len(initial),) + record.half_spectra.shape[-2:])
     errors, defects = zip(*(_audit(record, r, f) for r, f in zip(rows, initial)))
     return NearLinearityReport(
         errors=errors[0] if single else errors,
@@ -180,9 +181,9 @@ def _audit(
 ) -> tuple[tuple[float, ...], float]:
     """Deviation series of one field's sample rows, with the identity check.
 
-    ``rows`` is that field's ``(S, 2K+1)`` slice of ``record.coeffs``; one
-    row is processed at a time, so no second array of that size is formed.
-    Returns the deviations and the largest identity defect.
+    ``rows`` is that field's ``(S, m/2+1)`` slice of ``record.half_spectra``.
+    One row at a time is mirrored out to modes -K..K, so no ``(S, 2K+1)``
+    array is formed. Returns the deviations and the largest identity defect.
 
     The phase ``exp(+i*a*k^3*t)`` is formed on the modes 0..K and mirrored,
     conjugated, onto -K..-1: the full-range ``exp`` up to the sign of zero
@@ -194,7 +195,8 @@ def _audit(
     bound = _IDENTITY_TOLERANCE * max(1.0, l2_norm(phi_run))
     errors = []
     defect_max = 0.0
-    for t, u in zip(record.times, rows):
+    for t, half in zip(record.times, rows):
+        u = _coeffs_from_half_spectrum(half, record.params.m)
         phase[cutoff:] = phase_at(-t)  # exp(+i*a*k^3*t); its conjugate is S(t)
         np.conj(phase[:cutoff:-1], out=phase[:cutoff])
         err_ip = float(np.linalg.norm(u * phase - phi_run.coeffs))

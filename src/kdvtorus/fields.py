@@ -289,7 +289,8 @@ def field_from_half_spectrum(half: np.ndarray, m: int) -> FourierField:
     """
     if half.ndim != 1 or half.size != m // 2 + 1:
         raise ValueError(
-            f"half spectrum must have length m//2 + 1 = {m // 2 + 1}, got {half.size}"
+            f"half spectrum must be one row of m//2 + 1 = {m // 2 + 1} bins, "
+            f"got shape {half.shape}"
         )
     return FourierField(_coeffs_from_half_spectrum(half, m))
 

@@ -21,9 +21,11 @@ scheme bootstraps its first step with it, so one step of either scheme gives
 the same state. Both advance through one step loop in ``evolve``, which
 guards against blow-up and records samples the same way for each; the scheme
 decides only how the state advances and how ``u`` is read from it (IF-RK4
-steps ``v``, leapfrog steps ``u``). No Robert-Asselin filter is applied, so
-the leapfrog scheme's weak computational mode is left undamped — prefer the
-RK4 scheme for very long runs.
+steps ``v``, leapfrog steps ``u``). A sample stores ``u``'s raw half spectrum
+as one row copy; ``TrajectoryRecord.snapshot`` mirrors a row out to modes
+-K..K when it is read. No Robert-Asselin filter is applied, so the leapfrog
+scheme's weak computational mode is left undamped — prefer the RK4 scheme
+for very long runs.
 
 The quadratic term is ``_Workspace.nl``, masked at one cutoff: 2K/3 (the 2/3
 rule) or K in ``evolve``, K itself on the residual probe's wider grid; its
@@ -51,7 +53,6 @@ from .fields import (
     FourierField,
     field_from_half_spectrum,
     half_spectrum,
-    _coeffs_from_half_spectrum,
     _require_grid,
 )
 
@@ -143,17 +144,20 @@ class TrajectoryRecord:
     """Sampled output of one ``evolve`` call.
 
     ``times`` holds the S actual sample instants (requested times snapped to
-    the nearest step). ``coeffs`` has shape ``(..., S, 2K+1)``: modes -K..K
-    at each sample, K the run grid's cutoff. ``energy_series`` and
-    ``momentum_series`` have shape ``(..., S)``. The leading ``...`` is empty
-    for one field and the field axis for a batch, where ``steps_total``
-    counts field-steps (the steps of every field, summed). ``initial`` is the
-    data the run starts from, each field cut to the grid and made zero-mean:
-    one field, or a tuple with one per field for a batch.
+    the nearest step). ``half_spectra`` has shape ``(..., S, m/2+1)``: the
+    integrator's raw half spectrum at each sample (see
+    ``fields.half_spectrum``), half the memory of modes -K..K, K the run
+    grid's cutoff. ``snapshot`` is the coefficient view, mirrored out one
+    row at a time. ``energy_series`` and ``momentum_series`` have shape
+    ``(..., S)``. The leading ``...`` is empty for one field and the field
+    axis for a batch, where ``steps_total`` counts field-steps (the steps of
+    every field, summed). ``initial`` is the data the run starts from, each
+    field cut to the grid and made zero-mean: one field, or a tuple with one
+    per field for a batch.
     """
 
     times: np.ndarray
-    coeffs: np.ndarray
+    half_spectra: np.ndarray
     energy_series: np.ndarray
     momentum_series: np.ndarray
     steps_total: int
@@ -162,7 +166,7 @@ class TrajectoryRecord:
 
     def snapshot(self, i) -> FourierField:
         """The state at sample i; for a batch, i is a (field, sample) pair."""
-        return FourierField(self.coeffs[i])
+        return field_from_half_spectrum(self.half_spectra[i], self.params.m)
 
     def energy_drift(self):
         """Max relative deviation of the energy series from its first entry.
@@ -412,7 +416,7 @@ def evolve(phi, p: KdvParams, sample_times):
     times = np.asarray(sample_idx, dtype=float) * dt_eff
     n_samples = len(sample_idx)
     series = A0.shape[:-1] + (n_samples,)  # (..., S)
-    coeffs = np.empty(series + (2 * run_cutoff + 1,), dtype=np.complex128)
+    half_spectra = np.empty(series + (p.m // 2 + 1,), dtype=np.complex128)
     energies = np.empty(series)
     momenta = np.empty(series)
     rk4 = p.scheme is Scheme.INTEGRATING_FACTOR_RK4
@@ -423,7 +427,7 @@ def evolve(phi, p: KdvParams, sample_times):
         idx = sample_idx[pointer]
         A_u = ws.phase(idx * dt_eff) * A if rk4 else A
         while pointer < n_samples and sample_idx[pointer] == idx:
-            coeffs[..., pointer, :] = _coeffs_from_half_spectrum(A_u, p.m)
+            half_spectra[..., pointer, :] = A_u
             energies[..., pointer] = ws.energy(A_u)
             momenta[..., pointer] = A_u[..., 0].real / p.m
             pointer += 1
@@ -460,7 +464,7 @@ def evolve(phi, p: KdvParams, sample_times):
 
     return TrajectoryRecord(
         times=times,
-        coeffs=coeffs,
+        half_spectra=half_spectra,
         energy_series=energies,
         momentum_series=momenta,
         steps_total=len(fields) * n_steps,

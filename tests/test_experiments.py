@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -161,10 +162,11 @@ class TestNearLinearity:
                       scheme=Scheme.FORNBERG_WHITHAM)
         rec = evolve(phi, p, np.linspace(0.0, 3e-4, 7))
         phi_run = rec.initial
-        errors, defect = experiments._audit(rec, rec.coeffs, phi_run)
+        errors, defect = experiments._audit(rec, rec.half_spectra, phi_run)
         phase_at = _linear_phase(phi_run.wavenumbers(), a)
         want, want_defect = [], 0.0
-        for t, u in zip(rec.times, rec.coeffs):
+        for i, t in enumerate(rec.times):
+            u = rec.snapshot(i).coeffs
             phase = phase_at(-t)
             err_ip = float(np.linalg.norm(u * phase - phi_run.coeffs))
             err_phys = float(np.linalg.norm(u - phi_run.coeffs * np.conj(phase)))
@@ -229,6 +231,26 @@ class TestNearLinearity:
         assert type(batch.diagnostics()["energy_drift"]) is float
         assert batch.diagnostics()["identity_defect_max"] == max(
             s.identity_defect_max for s in singles)
+
+    def test_a_dense_run_holds_one_half_spectrum_per_sample(self):
+        """A report's traced peak stays below its S stored half spectra plus 1 MiB.
+
+        The record keeps S rows of m/2 + 1 bins, and the audit mirrors one
+        row at a time out to modes -K..K, so no (S, 2K+1) array (16 MB here)
+        is formed: 2,001 leapfrog samples at m = 512, one per step.
+        """
+        m, samples = 512, 2001
+        phi = hermite_initial(HermiteSpec(0.2), m)
+        p = KdvParams(dt=1e-6, t_final=2e-3, m=m, scheme=Scheme.FORNBERG_WHITHAM)
+        times = np.linspace(0.0, p.t_final, samples)
+        near_linearity_report(phi, replace(p, t_final=1e-5), [0.0, 1e-5])  # warm-up
+        tracemalloc.start()
+        try:
+            near_linearity_report(phi, p, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < samples * (m // 2 + 1) * 16 + 2**20
 
 
 class TestReturnExperiment:

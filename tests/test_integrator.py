@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from kdvtorus.fields import (
     FourierField,
-    field_from_half_spectrum,
     half_spectrum,
     l2_norm,
     random_real_field,
@@ -32,6 +31,11 @@ from oracles import nonlinear_term
 from test_normal_form import assert_same_bits
 
 TWO_PI = 2.0 * math.pi
+
+
+def coeff_rows(rec) -> np.ndarray:
+    """A lone field's samples as ``(S, 2K+1)`` coefficient rows, read through ``snapshot``."""
+    return np.stack([rec.snapshot(i).coeffs for i in range(rec.times.size)])
 
 
 class TestParams:
@@ -318,7 +322,7 @@ class TestEvolveBookkeeping:
         p = KdvParams(a=1.0, b=1.0, dt=1e-3, t_final=1.0, m=32)
         rec = evolve(phi, p, sample_times=[0.0, 0.25004, 1.0])
         assert rec.times[1] == pytest.approx(0.25, abs=1e-9)
-        assert rec.coeffs.shape == (3, 31)  # modes -15..15 of the m = 32 grid
+        assert rec.half_spectra.shape == (3, 17)  # bins 0..16 of the m = 32 grid
         assert rec.energy_series.shape == rec.momentum_series.shape == (3,)
         assert rec.steps_total == 1000
 
@@ -368,11 +372,19 @@ class TestEvolveBookkeeping:
         ref = evolve(phi, p, sample_times=unique)
         rows = [unique.index(t) for t in times]
         assert np.array_equal(rec.times, ref.times[rows])
-        assert np.array_equal(rec.coeffs, ref.coeffs[rows])
+        assert np.array_equal(rec.half_spectra, ref.half_spectra[rows])
         assert np.array_equal(rec.energy_series, ref.energy_series[rows])
         assert np.array_equal(rec.momentum_series, ref.momentum_series[rows])
         assert rec.steps_total == ref.steps_total == round(t_final / dt)
-        assert not np.array_equal(rec.coeffs[0], rec.coeffs[-1])  # the state moved
+        assert not np.array_equal(rec.half_spectra[0], rec.half_spectra[-1])  # it moved
+
+    def test_a_batch_snapshot_takes_a_field_and_a_sample(self):
+        """A bare sample index on a batch record is refused, naming the rows it would read."""
+        phi = random_real_field(5, support=4, cutoff=8)
+        rec = evolve([phi, 2.0 * phi], KdvParams(m=32, dt=1e-2, t_final=0.02), [0.0, 0.02])
+        with pytest.raises(ValueError, match=r"one row of .* = 17 bins, got shape \(2, 17\)"):
+            rec.snapshot(0)
+        assert np.array_equal(rec.snapshot((1, 0)).coeffs, 2.0 * rec.snapshot((0, 0)).coeffs)
 
     def test_record_keeps_the_data_the_run_starts_from(self):
         """One field, or a tuple for a batch: cut to the grid, made zero-mean."""
@@ -409,11 +421,12 @@ class TestEvolveBookkeeping:
 
 
 class TestDenseSamplingBits:
-    """With a sample on every step, evolve's record is the state read by hand, bitwise.
+    """With a sample on every step, evolve's record is the state stepped by hand, bitwise.
 
-    The same ``_Workspace`` is stepped outside ``evolve`` and each state read
-    through ``field_from_half_spectrum``, ``ws.energy`` and ``A[..., 0].real / m``
-    (m = 512, 50 steps): the guard and the sample bookkeeping change no bit.
+    The same ``_Workspace`` is stepped outside ``evolve``; each stored row is
+    that raw state ``A_u`` itself, and the series are ``ws.energy(A_u)`` and
+    ``A_u[..., 0].real / m`` (m = 512, 50 steps): the guard and the sample
+    bookkeeping change no bit.
     """
 
     M = 512
@@ -427,7 +440,7 @@ class TestDenseSamplingBits:
         p = KdvParams(dt=dt, t_final=self.STEPS * dt, m=self.M, scheme=scheme)
         rec = evolve(fields[0] if n_fields == 1 else fields, p,
                      sample_times=np.arange(self.STEPS + 1) * dt)
-        assert rec.coeffs.shape[-2] == self.STEPS + 1
+        assert rec.half_spectra.shape[-2] == self.STEPS + 1
 
         dt_eff = p.t_final / self.STEPS
         ws = _Workspace(m=self.M, a=p.a, b=p.b, dt=dt_eff, mask_cutoff=2 * p.cutoff // 3)
@@ -445,11 +458,40 @@ class TestDenseSamplingBits:
             elif i > 1:
                 A_prev, A = A, ws.fw_step(A_prev, A)
             A_u = ws.phase(i * dt_eff) * A if rk4 else A
-            want = np.stack([field_from_half_spectrum(row, self.M).coeffs
-                             for row in A_u.reshape(n_fields, -1)])
-            assert_same_bits(rec.coeffs[..., i, :], want.reshape(rec.coeffs[..., i, :].shape))
+            assert_same_bits(rec.half_spectra[..., i, :], A_u)
             assert_same_bits(rec.energy_series[..., i], ws.energy(A_u))
             assert_same_bits(rec.momentum_series[..., i], A_u[..., 0].real / self.M)
+
+
+class TestRecordedInvariants:
+    """What each stored sample keeps, on fresh draws at m = 512.
+
+    A row read back through ``snapshot`` and ``half_spectrum`` is the row
+    stored: m is a power of two, so the /m and *m between them are exact
+    (the FFTs' rounding keeps every entry far above the subnormal range).
+    Each snapshot is real and zero-mean to the bit, and momentum is 0.
+    """
+
+    M = 512
+    STEPS = 5
+
+    @pytest.mark.parametrize("scheme, dt", [(Scheme.INTEGRATING_FACTOR_RK4, 1e-5),
+                                            (Scheme.FORNBERG_WHITHAM, 1e-6)])
+    @given(seeds=st.lists(st.integers(0, 2**32 - 1), min_size=3, max_size=3),
+           support=st.integers(1, 170))
+    @settings(deadline=None, max_examples=10)
+    def test_snapshots_read_back_the_stored_rows(self, scheme, dt, seeds, support):
+        fields = [random_real_field(seed, support, cutoff=255) for seed in seeds]
+        p = KdvParams(dt=dt, t_final=self.STEPS * dt, m=self.M, scheme=scheme)
+        times = np.arange(self.STEPS + 1) * dt
+        for phi in (fields[0], fields):
+            rec = evolve(phi, p, times)
+            for key in np.ndindex(rec.half_spectra.shape[:-1]):
+                snap = rec.snapshot(key)
+                assert np.array_equal(half_spectrum(snap, self.M), rec.half_spectra[key])
+                assert snap.reality_defect() == 0.0
+                assert snap.mean_mode() == 0
+            assert np.all(rec.momentum_series == 0.0)
 
 
 class TestEvolveBatch:
@@ -471,12 +513,12 @@ class TestEvolveBatch:
         fields = [amplitude * random_real_field(s, support, cutoff=31) for s in seeds]
         p = KdvParams(a=a, b=b, dt=2e-5, t_final=0.002, m=m, scheme=scheme)
         batch = evolve(fields, p, times)
-        assert batch.coeffs.shape == (len(fields), len(times), m - 1)
+        assert batch.half_spectra.shape == (len(fields), len(times), m // 2 + 1)
         assert batch.steps_total == len(fields) * 100
         for j, phi in enumerate(fields):
             alone = evolve(phi, p, times)
             assert np.array_equal(batch.times, alone.times)
-            assert np.array_equal(batch.coeffs[j], alone.coeffs)
+            assert np.array_equal(batch.half_spectra[j], alone.half_spectra)
             assert np.array_equal(batch.energy_series[j], alone.energy_series)
             assert np.array_equal(batch.momentum_series[j], alone.momentum_series)
             assert np.all(np.abs(batch.momentum_series[j]) <= 1e-14)
@@ -547,7 +589,7 @@ class TestExactSymmetries:
         times = [0.0, p.t_final / 2, p.t_final]
         ref = evolve(phi, p, times)
         flipped = evolve((-1.0) * phi, replace(p, b=-b), times)
-        assert np.array_equal(flipped.coeffs, -ref.coeffs)
+        assert np.array_equal(flipped.half_spectra, -ref.half_spectra)
         assert np.array_equal(flipped.energy_series, ref.energy_series)
 
     @draws
@@ -560,7 +602,7 @@ class TestExactSymmetries:
         times = [0.0, p.t_final / 2, p.t_final]
         ref = evolve(phi, p, times)
         mirrored = evolve(FourierField(phi.coeffs[::-1]), replace(p, a=-a, b=-b), times)
-        gap = np.linalg.norm(mirrored.coeffs[:, ::-1] - ref.coeffs, axis=-1)
+        gap = np.linalg.norm(coeff_rows(mirrored)[:, ::-1] - coeff_rows(ref), axis=-1)
         assert np.all(gap <= 32 * self.EPS * amplitude)
 
     @pytest.mark.parametrize("lam", [2, 4])
@@ -584,7 +626,8 @@ class TestExactSymmetries:
         fast = replace(p, m=lam * m, dt=p.dt / slow, t_final=p.t_final / slow)
         u = evolve(u0, fast, [t / slow for t in times])
         assert np.array_equal(u.times, w.times / slow)
-        want = np.zeros_like(u.coeffs)
-        want[:, u0.cutoff + lam * ks] = scale * w.coeffs
-        gap = np.linalg.norm(u.coeffs - want, axis=-1)
+        u_rows = coeff_rows(u)
+        want = np.zeros_like(u_rows)
+        want[:, u0.cutoff + lam * ks] = scale * coeff_rows(w)
+        gap = np.linalg.norm(u_rows - want, axis=-1)
         assert np.all(gap <= 32 * self.EPS * l2_norm(u0))
