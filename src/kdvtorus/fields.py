@@ -150,10 +150,6 @@ class FourierField:
                 f"{REALITY_TOL:.1e} * scale {scale:.3e}"
             )
 
-    def mean_mode(self) -> complex:
-        """The k = 0 amplitude."""
-        return complex(self.coeffs[self.cutoff])
-
     def zero_mean(self) -> "FourierField":
         """Copy with the k = 0 mode projected out."""
         out = np.array(self.coeffs, copy=True)
@@ -392,8 +388,8 @@ def read_field_csv(path) -> FourierField:
         )
     fld = FourierField.from_modes(modes, cutoff=max(cutoff, 1))
     fld.require_real()
-    if fld.mean_mode() != 0.0:
-        raise ValueError(f"field CSV has nonzero mean u_0 = {fld.mean_mode()}")
+    if fld.mode(0) != 0.0:
+        raise ValueError(f"field CSV has nonzero mean u_0 = {fld.mode(0)}")
     return fld
 
 

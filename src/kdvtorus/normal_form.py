@@ -165,7 +165,7 @@ def check_factorization_identity(limit: int = 20) -> bool:
 
 def _support(v: FourierField) -> tuple[np.ndarray, np.ndarray]:
     """Nonzero modes of a zero-mean field as aligned (k, amplitude) arrays."""
-    if v.mean_mode() != 0.0:
+    if v.mode(0) != 0.0:
         raise ValueError("operators require a zero-mean field (u_0 = 0)")
     ks = v.wavenumbers()
     sel = np.abs(v.coeffs) != 0.0

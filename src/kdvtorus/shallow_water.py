@@ -20,8 +20,6 @@ __all__ = [
     "PhysicalParams",
     "ShallowWaterRegime",
     "dimensionless",
-    "epsilon_modified",
-    "mismatch",
     "RegimeReport",
     "validate_regime",
 ]
@@ -104,44 +102,6 @@ def _finite(what: str, ratios: Callable[[], tuple]) -> tuple:
     raise ValueError(f"{what}: not finite in double precision")
 
 
-def epsilon_modified(delta: float, eps: float) -> tuple[float, float]:
-    """Width-modified smallness parameters.
-
-    Boosting the amplitude by 1/sqrt(eps) and shrinking the wavelength by
-    eps turns a balanced alpha = beta = delta configuration into
-
-        alpha_eps = delta / sqrt(eps),    beta_eps = delta / eps^2.
-
-    Args:
-        delta: The balanced smallness parameter (alpha = beta = delta).
-        eps: Width parameter in (0, 1]; eps = 1 recovers (delta, delta).
-
-    Returns:
-        The pair (alpha_eps, beta_eps).
-    """
-    if not math.isfinite(delta) or delta < 0.0:
-        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
-    if not (0.0 < eps <= 1.0):
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    return _finite(f"alpha_eps, beta_eps at delta = {delta}, eps = {eps}",
-                   lambda: (delta / math.sqrt(eps), delta / eps**2))
-
-
-def mismatch(delta: float, eps: float) -> float:
-    """Size of the neglected terms in the width-modified KdV reduction.
-
-    The reduction drops terms of order alpha + beta^2/alpha; under the
-    modified scaling this evaluates to
-
-        delta / sqrt(eps) + delta / eps^3.5,
-
-    which is the expected relative model error over an O(1) dimensionless
-    time: exactly 2*delta at eps = 1, homogeneous of degree one in delta,
-    and formed once, by :func:`validate_regime`.
-    """
-    return validate_regime(delta, eps).mismatch
-
-
 @dataclass(frozen=True)
 class RegimeReport:
     """Outcome of a smallness audit of the width-modified parameters.
@@ -166,11 +126,21 @@ class RegimeReport:
 
 
 def validate_regime(delta: float, eps: float, threshold: float = 0.1) -> RegimeReport:
-    """Audit whether the modified parameters still qualify as small.
+    """Audit whether the width-modified parameters still qualify as small.
+
+    Boosting the amplitude by 1/sqrt(eps) and shrinking the wavelength by
+    eps turns a balanced alpha = beta = delta configuration into
+    alpha_eps = delta/sqrt(eps), beta_eps = delta/eps^2. The reduction
+    drops terms of order alpha + beta^2/alpha, so the mismatch
+
+        alpha_eps + beta_eps^2/alpha_eps = delta/sqrt(eps) + delta/eps^3.5
+
+    is the expected relative model error over an O(1) dimensionless time:
+    exactly 2*delta at eps = 1, homogeneous of degree one in delta.
 
     Args:
-        delta: Balanced smallness parameter.
-        eps: Width parameter in (0, 1].
+        delta: Balanced smallness parameter; finite and nonnegative.
+        eps: Width parameter in (0, 1]; eps = 1 recovers (delta, delta).
         threshold: Cutoff for "much smaller than one" (default 0.1); must
             be finite and positive, else ValueError.
 
@@ -180,7 +150,12 @@ def validate_regime(delta: float, eps: float, threshold: float = 0.1) -> RegimeR
     """
     if not math.isfinite(threshold) or threshold <= 0.0:
         raise ValueError(f"threshold must be finite and positive, got {threshold}")
-    alpha_eps, beta_eps = epsilon_modified(delta, eps)
+    if not math.isfinite(delta) or delta < 0.0:
+        raise ValueError(f"delta must be finite and nonnegative, got {delta}")
+    if not (0.0 < eps <= 1.0):
+        raise ValueError(f"eps must lie in (0, 1], got {eps}")
+    alpha_eps, beta_eps = _finite(f"alpha_eps, beta_eps at delta = {delta}, eps = {eps}",
+                                  lambda: (delta / math.sqrt(eps), delta / eps**2))
     error = 0.0 if delta == 0.0 else _finite(
         f"mismatch at delta = {delta}, eps = {eps}",
         lambda: (alpha_eps + beta_eps**2 / alpha_eps,))[0]

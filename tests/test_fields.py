@@ -66,6 +66,17 @@ class TestFourierField:
         assert f.mode(-2) == 1 - 2j
         assert f.mode(0) == 0
         assert f.cutoff == 4
+        assert f.mode(5) == 0j and f.mode(-9) == 0j  # beyond the cutoff
+
+    @pytest.mark.parametrize("shape", [(4,), (0,), (3, 3)], ids=["even", "empty", "2-D"])
+    def test_coefficients_must_be_one_dimensional_with_odd_length(self, shape):
+        with pytest.raises(ValueError, match="one-dimensional with odd length"):
+            FourierField(np.zeros(shape))
+
+    def test_cutoff_must_be_positive(self):
+        f = FourierField.from_modes({1: 1.0, -1: 1.0}, cutoff=2)
+        with pytest.raises(ValueError, match="cutoff must be positive"):
+            f.with_cutoff(0)
 
     def test_mode_outside_cutoff_raises(self):
         with pytest.raises(ValueError, match="outside cutoff"):
@@ -82,7 +93,7 @@ class TestFourierField:
         f = FourierField.from_modes({1: 2j, -1: -2j}, cutoff=1)
         f = f + FourierField.from_modes({0: 5.0})
         g = f.zero_mean()
-        assert g.mean_mode() == 0
+        assert g.mode(0) == 0
         assert g.mode(1) == 2j
 
     def test_arithmetic_is_modewise(self):
@@ -124,11 +135,15 @@ class TestAnalyzeSynthesize:
 
     def test_analysis_projects_the_mean(self):
         f = analyze(np.cos(grid_points(16)) + 7.5)
-        assert f.mean_mode() == 0
+        assert f.mode(0) == 0
 
     def test_rejects_odd_sample_counts(self):
         with pytest.raises(ValueError, match="power of two"):
             analyze(np.zeros(24))
+
+    def test_rejects_multidimensional_samples(self):
+        with pytest.raises(ValueError, match="samples must be one-dimensional"):
+            analyze(np.zeros((4, 4)))
 
     def test_synthesis_needs_room_for_the_modes(self):
         f = FourierField.from_modes({10: 1.0, -10: 1.0}, cutoff=10)
@@ -209,7 +224,7 @@ class TestRoundTripProperties:
         samples = synthesize(f, m)
         assert samples.dtype == np.float64
         g = analyze(samples)
-        assert g.mean_mode() == 0 and g.reality_defect() == 0.0
+        assert g.mode(0) == 0 and g.reality_defect() == 0.0
         assert l2_norm(g - f.zero_mean().with_cutoff(g.cutoff)) <= 1e-13 * l2_norm(f)
 
     @given(
@@ -221,7 +236,7 @@ class TestRoundTripProperties:
     def test_analysis_of_any_samples(self, samples):
         """Analysis drops the mean (and the Nyquist mode) and is idempotent."""
         g = analyze(samples)
-        assert g.mean_mode() == 0 and g.reality_defect() == 0.0
+        assert g.mode(0) == 0 and g.reality_defect() == 0.0
         back = synthesize(g, len(samples))
         scale = 1.0 + float(np.max(np.abs(samples)))
         assert abs(float(np.mean(back))) <= 1e-12 * scale
@@ -232,9 +247,9 @@ class TestRoundTripProperties:
     def test_half_spectrum_then_field(self, f, extra):
         m = grid_for(f.cutoff, extra)
         half = half_spectrum(f, m)
-        assert half[0] == m * f.mean_mode() and half[-1] == 0
+        assert half[0] == m * f.mode(0) and half[-1] == 0
         g = field_from_half_spectrum(half, m)
-        assert g.mean_mode() == 0 and g.reality_defect() == 0.0
+        assert g.mode(0) == 0 and g.reality_defect() == 0.0
         assert l2_norm(g - f.zero_mean().with_cutoff(g.cutoff)) <= 1e-15 * l2_norm(f)
 
 
@@ -288,6 +303,12 @@ class TestSerialization:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
+            read_field_csv(path)
+
+    def test_csv_with_only_its_header_is_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("k,re,im\n")
+        with pytest.raises(ValueError, match="contains no rows"):
             read_field_csv(path)
 
     def test_csv_with_nonzero_mean_is_rejected(self, tmp_path):
@@ -360,7 +381,7 @@ class TestRandomRealField:
         for _ in range(25):
             f = random_real_field(rng, support=7, cutoff=10)
             assert f.reality_defect() < 1e-15
-            assert f.mean_mode() == 0
+            assert f.mode(0) == 0
             assert max(abs(k) for k in f.support()) <= 7
 
     def test_support_must_fit_the_cutoff(self):

@@ -149,7 +149,7 @@ class TestNonlinearTerm:
             {k: 0.5j * k * b * conv.mode(k) for k in range(-kc, kc + 1)}, cutoff=cutoff
         )
         out = nonlinear_term(u, b=b)
-        assert out.mean_mode() == 0
+        assert out.mode(0) == 0
         scale = (1.0 + abs(b)) * cutoff * l2_norm(u) ** 2
         assert l2_norm(out - want) <= 1e-14 * scale
         assert out.reality_defect() <= 1e-14 * scale
@@ -490,7 +490,7 @@ class TestRecordedInvariants:
                 snap = rec.snapshot(key)
                 assert np.array_equal(half_spectrum(snap, self.M), rec.half_spectra[key])
                 assert snap.reality_defect() == 0.0
-                assert snap.mean_mode() == 0
+                assert snap.mode(0) == 0
             assert np.all(rec.momentum_series == 0.0)
 
 

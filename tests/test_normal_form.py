@@ -516,6 +516,25 @@ class TestResidual:
         for coarse, fine in zip(r, r[1:]):
             assert 3.0 < coarse / fine < 5.0
 
+    @pytest.mark.parametrize("t", [0.0, 0.37])
+    @pytest.mark.parametrize("width, reach, dt", [(0.4, 20, 1e-4), (0.2, 40, 1e-5)])
+    def test_residual_shrinks_at_second_order_on_hermite_data(self, width, reach, dt, t):
+        """The tool's own data: unit-norm Hermite modes above 1e-13 of the largest.
+
+        The cutoff is 4x the reach, the least the probe accepts, and dt halves
+        three times from a step in the window where the residual is still
+        well above rounding.
+        """
+        v = hermite_initial(HermiteSpec(width), 512)
+        v = v * (1.0 / l2_norm(v))
+        big = np.abs(v.coeffs) >= 1e-13 * np.max(np.abs(v.coeffs))
+        v = FourierField(np.where(big, v.coeffs, 0.0))
+        assert max(v.support()) == reach
+        v = v.with_cutoff(4 * reach)
+        r = [normal_form_residual(v, t, dt / 2**i) for i in range(4)]
+        for coarse, fine in zip(r, r[1:]):
+            assert 1.9 <= math.log2(coarse / fine) <= 2.1
+
     def test_small_step_residual_is_far_below_operator_scale(self):
         v = random_real_field(4, support=4, cutoff=16)
         v = v * (1.0 / l2_norm(v))

@@ -10,8 +10,6 @@ from kdvtorus.shallow_water import (
     GRAVITY,
     PhysicalParams,
     dimensionless,
-    epsilon_modified,
-    mismatch,
     validate_regime,
 )
 
@@ -43,25 +41,27 @@ class TestPhysicalParams:
             PhysicalParams(a=1.0, h0=100.0, l=bad)
 
 
-class TestEpsilonModified:
+class TestModifiedRatios:
     def test_reference_values(self):
-        alpha_eps, beta_eps = epsilon_modified(0.01, 0.4)
-        assert alpha_eps == pytest.approx(0.01 / math.sqrt(0.4), rel=1e-15)
-        assert beta_eps == pytest.approx(0.01 / 0.16, rel=1e-15)
+        report = validate_regime(0.01, 0.4)
+        assert report.alpha_eps == pytest.approx(0.01 / math.sqrt(0.4), rel=1e-15)
+        assert report.beta_eps == pytest.approx(0.01 / 0.16, rel=1e-15)
 
     def test_unit_width_changes_nothing(self):
-        assert epsilon_modified(0.02, 1.0) == (0.02, 0.02)
+        report = validate_regime(0.02, 1.0)
+        assert (report.alpha_eps, report.beta_eps) == (0.02, 0.02)
 
     def test_zero_delta_collapses_both(self):
-        assert epsilon_modified(0.0, 0.3) == (0.0, 0.0)
+        report = validate_regime(0.0, 0.3)
+        assert (report.alpha_eps, report.beta_eps) == (0.0, 0.0)
 
     def test_domain_guards(self):
         with pytest.raises(ValueError, match="delta must be finite"):
-            epsilon_modified(-0.1, 0.4)
+            validate_regime(-0.1, 0.4)
         with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
-            epsilon_modified(0.01, 0.0)
+            validate_regime(0.01, 0.0)
         with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
-            epsilon_modified(0.01, 1.2)
+            validate_regime(0.01, 1.2)
 
 
 class TestRatiosOutOfRange:
@@ -70,15 +70,14 @@ class TestRatiosOutOfRange:
     @pytest.mark.parametrize(
         "compute",
         [
-            lambda: epsilon_modified(1e300, 1e-10),
-            lambda: epsilon_modified(0.01, 1e-200),
-            lambda: mismatch(0.01, 1e-100),
+            lambda: validate_regime(1e300, 1e-10),
+            lambda: validate_regime(0.01, 1e-200),
             lambda: validate_regime(0.01, 1e-100),
             lambda: dimensionless(PhysicalParams(a=1.0, h0=1e200, l=1.0)),
             lambda: dimensionless(PhysicalParams(a=1e-300, h0=1e10, l=1e-200)),
             lambda: dimensionless(PhysicalParams(a=5e-324, h0=1e10, l=1.0)),
         ],
-        ids=["beta-eps-inf", "eps-squared-underflows", "mismatch-overflows", "regime",
+        ids=["beta-eps-inf", "eps-squared-underflows", "mismatch-overflows",
              "beta-overflows", "l-squared-underflows", "alpha-underflows"],
     )
     def test_non_finite_ratio_is_a_domain_error(self, compute):
@@ -89,16 +88,19 @@ class TestRatiosOutOfRange:
 class TestMismatch:
     def test_reference_value(self):
         """delta/sqrt(eps) + delta/eps^3.5 at (0.01, 0.4)."""
-        assert mismatch(0.01, 0.4) == pytest.approx(0.2628639, abs=1e-6)
+        value = validate_regime(0.01, 0.4).mismatch
+        assert value == pytest.approx(0.2628639, abs=1e-6)
         expected = 0.01 / math.sqrt(0.4) + 0.01 / 0.4**3.5
-        assert mismatch(0.01, 0.4) == pytest.approx(expected, rel=1e-14)
+        assert value == pytest.approx(expected, rel=1e-14)
 
     def test_unit_width_gives_twice_delta(self):
         for delta in (0.001, 0.02, 0.3):
-            assert mismatch(delta, 1.0) == pytest.approx(2.0 * delta, rel=1e-15)
+            assert validate_regime(delta, 1.0).mismatch == pytest.approx(
+                2.0 * delta, rel=1e-15
+            )
 
     def test_zero_delta_is_exactly_zero(self):
-        assert mismatch(0.0, 0.7) == 0.0
+        assert validate_regime(0.0, 0.7).mismatch == 0.0
 
     def test_homogeneous_of_degree_one_in_delta(self):
         rng = np.random.default_rng(8)
@@ -106,12 +108,12 @@ class TestMismatch:
             delta = float(rng.uniform(1e-4, 0.1))
             eps = float(rng.uniform(0.05, 1.0))
             c = float(rng.uniform(0.1, 10.0))
-            assert mismatch(c * delta, eps) == pytest.approx(
-                c * mismatch(delta, eps), rel=1e-12
+            assert validate_regime(c * delta, eps).mismatch == pytest.approx(
+                c * validate_regime(delta, eps).mismatch, rel=1e-12
             )
 
     def test_grows_as_the_width_shrinks(self):
-        values = [mismatch(0.01, eps) for eps in (1.0, 0.7, 0.4, 0.2, 0.1)]
+        values = [validate_regime(0.01, eps).mismatch for eps in (1.0, 0.7, 0.4, 0.2, 0.1)]
         assert all(a < b for a, b in zip(values, values[1:]))
 
 
@@ -132,7 +134,7 @@ class TestValidateRegime:
         d = dataclasses.asdict(report)
         assert d["valid"] == report.valid
         assert d["threshold"] == 0.3
-        assert d["mismatch"] == pytest.approx(mismatch(0.01, 0.4), rel=1e-15)
+        assert d["mismatch"] == pytest.approx(validate_regime(0.01, 0.4).mismatch, rel=1e-15)
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, 0.0, -1.0])
     def test_threshold_must_be_finite_and_positive(self, threshold):

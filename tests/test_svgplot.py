@@ -64,6 +64,16 @@ class TestRenderLinePlot:
         svg = render_line_plot([LineSeries("s", [0.0, span], [0.0, 1.0])])
         assert svg.count("<polyline") == 1
 
+    @pytest.mark.parametrize("log, ticks", [(False, ["0", "0.2", "1"]), (True, ["0.1", "1"])],
+                             ids=["linear", "log"])
+    def test_all_nan_series_renders_on_the_default_range(self, log, ticks):
+        """No finite point: no polyline, and both axes span (0, 1), or (0.1, 1) on log axes."""
+        nan = (math.nan, math.nan)
+        svg = render_line_plot([LineSeries("s", nan, nan)], logx=log, logy=log)
+        assert svg.count("<polyline") == 0
+        for tick in ticks:
+            assert svg.count(f">{tick}</text>") == 2
+
     def test_rendering_is_deterministic(self):
         a = render_line_plot(two_series(), title="t", xlabel="x", ylabel="y")
         b = render_line_plot(two_series(), title="t", xlabel="x", ylabel="y")
