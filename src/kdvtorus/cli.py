@@ -279,11 +279,12 @@ def _cmd_return_test(cfg: dict, outdir: Path):
     params = _kdv_params(cfg)
     report = return_experiment(spec, params)
     run = report.run
+    final = run.record.snapshot(-1)
     _write_csv(outdir / "deviation.csv", ["t", "deviation"], zip(run.record.times, run.errors))
     write_field_csv(run.record.initial, outdir / "spectrum_initial.csv")
-    write_field_csv(report.final, outdir / "spectrum_final.csv")
+    write_field_csv(final, outdir / "spectrum_final.csv")
     write_field_csv(report.snapshot, outdir / "spectrum_snapshot.csv")
-    pair = [("initial", run.record.initial), ("after one period", report.final)]
+    pair = [("initial", run.record.initial), ("after one period", final)]
     _plot_fields(outdir / "spectrum_pair.svg", pair, "Mode amplitudes: initial vs one period")
     _plot_fields(outdir / "physical_pair.svg", pair, "Return after one linear period", cfg["m"])
     _plot_fields(outdir / "physical_snapshot.svg",
@@ -308,12 +309,13 @@ def _cmd_pullback(cfg: dict, outdir: Path):
     params = _kdv_params(cfg)
     report = pullback_comparison(spec, params)
     t_final = report.run.record.times[-1]
+    evolved = report.run.record.snapshot(-1)
     write_field_csv(report.run.record.initial, outdir / "spectrum_initial.csv")
-    write_field_csv(report.evolved, outdir / "spectrum_evolved.csv")
+    write_field_csv(evolved, outdir / "spectrum_evolved.csv")
     write_field_csv(report.pulled_back, outdir / "spectrum_pulled_back.csv")
     pair = [("initial", report.run.record.initial), ("pulled back", report.pulled_back)]
     _plot_fields(outdir / "physical_pullback.svg",
-                 pair + [(f"evolved (t = {t_final:.4g})", report.evolved)],
+                 pair + [(f"evolved (t = {t_final:.4g})", evolved)],
                  "Reverse-linear pullback", cfg["m"])
     _plot_fields(outdir / "spectrum_pullback.svg", pair, "Mode amplitudes: initial vs pulled back")
     results = {
@@ -329,11 +331,12 @@ def _cmd_pullback(cfg: dict, outdir: Path):
 def _cmd_sweep(cfg: dict, outdir: Path):
     params = _kdv_params(cfg)
     result = epsilon_sweep(cfg["epsilons"], params, cfg["t_final"])
+    degenerate = math.isnan(result.fitted_slope)
     drifts = result.run.record.energy_drift()
     rows = zip(result.epsilons, result.hm_norms, result.errors_at_t, drifts)
     _write_csv(outdir / "sweep.csv",
                ["epsilon", "hm_half_norm", "deviation_at_t", "energy_drift"], rows)
-    if not result.degenerate:
+    if not degenerate:
         write_line_plot(
             outdir / "sweep_loglog.svg",
             [LineSeries("deviation at T", result.hm_norms, result.errors_at_t)],
@@ -344,11 +347,11 @@ def _cmd_sweep(cfg: dict, outdir: Path):
     results = {
         "epsilons": result.epsilons,
         "errors_at_t": result.errors_at_t,
-        "fitted_slope": None if result.degenerate else result.fitted_slope,
-        "degenerate": result.degenerate,
+        "fitted_slope": None if degenerate else result.fitted_slope,
+        "degenerate": degenerate,
         **result.run.diagnostics(),
     }
-    slope_text = "undefined" if result.degenerate else f"{result.fitted_slope:.4f}"
+    slope_text = "undefined" if degenerate else f"{result.fitted_slope:.4f}"
     print(f"fitted log-log slope: {slope_text}")
     for eps, err in zip(result.epsilons, result.errors_at_t):
         print(f"  epsilon = {eps:<5g} deviation at T = {err:.6e}")
@@ -508,13 +511,9 @@ def run(argv) -> int:
     that blew up (``InstabilityError``) prints one ``error:`` line and
     returns 1; any other exception is a broken invariant and propagates.
     """
-    argv = list(argv)
     parser = build_parser()
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 2
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.command is None:

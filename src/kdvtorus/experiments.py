@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import (FourierField, _coeffs_from_half_spectrum, analyze, grid_points, l2_norm,
+from .fields import (FourierField, analyze, field_from_half_spectrum, grid_points, l2_norm,
                      sobolev_norm, synthesize)
 from .integrator import KdvParams, TrajectoryRecord, _linear_phase, evolve, linear_propagator
 
@@ -196,7 +196,7 @@ def _audit(
     errors = []
     defect_max = 0.0
     for t, half in zip(record.times, rows):
-        u = _coeffs_from_half_spectrum(half, record.params.m)
+        u = field_from_half_spectrum(half, record.params.m).coeffs
         phase[cutoff:] = phase_at(-t)  # exp(+i*a*k^3*t); its conjugate is S(t)
         np.conj(phase[:cutoff:-1], out=phase[:cutoff])
         err_ip = float(np.linalg.norm(u * phase - phi_run.coeffs))
@@ -220,7 +220,6 @@ class ReturnReport:
     snapshot_time: float
     snapshot_sup_ratio: float
     initial_physical_energy: float
-    final: FourierField
     snapshot: FourierField
     run: NearLinearityReport
 
@@ -250,16 +249,14 @@ def return_experiment(spec: HermiteSpec, p: KdvParams) -> ReturnReport:
     run = near_linearity_report(phi, p_run, times)
     record = run.record
     phi_run = record.initial
-    final = record.snapshot(-1)
     snap_pos = int(np.argmin(np.abs(record.times - SNAPSHOT_TIME)))
     snapshot = record.snapshot(snap_pos)
     norm0 = l2_norm(phi_run)
     return ReturnReport(
-        return_error_rel=l2_norm(final - phi_run) / norm0,
+        return_error_rel=l2_norm(record.snapshot(-1) - phi_run) / norm0,
         snapshot_time=record.times[snap_pos],
         snapshot_sup_ratio=_sup_norm(snapshot, p.m) / _sup_norm(phi_run, p.m),
         initial_physical_energy=2.0 * math.pi * norm0**2,
-        final=final,
         snapshot=snapshot,
         run=run,
     )
@@ -274,7 +271,6 @@ class PullbackReport:
     """
 
     discrepancy_rel: float
-    evolved: FourierField
     pulled_back: FourierField
     run: NearLinearityReport
 
@@ -288,11 +284,9 @@ def pullback_comparison(spec: HermiteSpec, p: KdvParams) -> PullbackReport:
     """
     phi = hermite_initial(spec, p.m)
     run = near_linearity_report(phi, p, [0.0, p.t_final])
-    evolved = run.record.snapshot(-1)
     return PullbackReport(
         discrepancy_rel=run.errors[-1] / l2_norm(run.record.initial),
-        evolved=evolved,
-        pulled_back=linear_propagator(evolved, -run.record.times[-1], p.a),
+        pulled_back=linear_propagator(run.record.snapshot(-1), -run.record.times[-1], p.a),
         run=run,
     )
 
@@ -303,15 +297,14 @@ class SweepResult:
 
     Runs are ordered by decreasing epsilon.  fitted_slope is the
     least-squares slope of log(error at T) against log |phi|_{H^-1/2}; it
-    is NaN (with degenerate = True) when any terminal error sits at
-    rounding level, as happens with the nonlinearity switched off.
+    is NaN when any terminal error sits at rounding level, as happens with
+    the nonlinearity switched off.
     """
 
     epsilons: tuple[float, ...]
     hm_norms: tuple[float, ...]
     errors_at_t: tuple[float, ...]
     fitted_slope: float
-    degenerate: bool
     run: NearLinearityReport
 
 
@@ -340,8 +333,7 @@ def epsilon_sweep(epsilons, p: KdvParams, t_final: float) -> SweepResult:
     run = near_linearity_report(fields, replace(p, t_final=t_final), [0.0, t_final])
     hm_norms = tuple(sobolev_norm(phi, -0.5) for phi in fields)
     errors = tuple(errs[-1] for errs in run.errors)
-    degenerate = any(err <= _DEGENERATE_ERROR for err in errors)
-    if degenerate:
+    if any(err <= _DEGENERATE_ERROR for err in errors):
         slope = float("nan")
     else:
         slope = float(np.polyfit(np.log(hm_norms), np.log(errors), 1)[0])
@@ -350,6 +342,5 @@ def epsilon_sweep(epsilons, p: KdvParams, t_final: float) -> SweepResult:
         hm_norms=hm_norms,
         errors_at_t=errors,
         fitted_slope=slope,
-        degenerate=degenerate,
         run=run,
     )

@@ -220,7 +220,7 @@ def analyze(samples) -> FourierField:
     m = arr.size
     _require_grid(m)
     # the rfft of the samples is the field's raw half spectrum (half_spectrum)
-    return FourierField(_coeffs_from_half_spectrum(np.fft.rfft(arr), m))
+    return field_from_half_spectrum(np.fft.rfft(arr), m)
 
 
 def synthesize(fld: FourierField, m: int) -> np.ndarray:
@@ -288,23 +288,14 @@ def field_from_half_spectrum(half: np.ndarray, m: int) -> FourierField:
             f"half spectrum must be one row of m//2 + 1 = {m // 2 + 1} bins, "
             f"got shape {half.shape}"
         )
-    return FourierField(_coeffs_from_half_spectrum(half, m))
-
-
-def _coeffs_from_half_spectrum(half: np.ndarray, m: int) -> np.ndarray:
-    """Array form of :func:`field_from_half_spectrum` over any leading axes.
-
-    Maps ``(..., m//2 + 1)`` half spectra to ``(..., m - 1)`` coefficient
-    rows (modes -K..K, K = m//2 - 1).
-    """
     cutoff = m // 2 - 1
     # (signs * half) / m: dividing first would move signs of zero, and so the CSVs
-    pos = _alternating_signs(m) * half[..., : cutoff + 1] / m
-    out = np.empty(half.shape[:-1] + (2 * cutoff + 1,), dtype=np.complex128)
-    out[..., cutoff:] = pos
-    out[..., :cutoff] = np.conj(pos[..., :0:-1])
-    out[..., cutoff] = 0.0
-    return out
+    pos = _alternating_signs(m) * half[: cutoff + 1] / m
+    out = np.empty(2 * cutoff + 1, dtype=np.complex128)
+    out[cutoff:] = pos
+    out[:cutoff] = np.conj(pos[:0:-1])
+    out[cutoff] = 0.0
+    return FourierField(out)
 
 
 # ---------------------------------------------------------------------------

@@ -169,7 +169,7 @@ def test_criterion_03_epsilon_sweep_scaling():
     result = epsilon_sweep([0.4, 0.2, 0.1], desk_params(), t_final=1.0)
     errs = result.errors_at_t
     ok_monotone = errs[0] > errs[1] > errs[2]
-    ok_slope = (not result.degenerate) and result.fitted_slope >= 0.8
+    ok_slope = result.fitted_slope >= 0.8  # NaN, a degenerate fit, compares False
     _criterion(
         3, ok_monotone and ok_slope,
         f"errors at T=1: {errs[0]:.4e} > {errs[1]:.4e} > {errs[2]:.4e}; "
@@ -260,7 +260,7 @@ def test_criterion_08_multilinearity_and_census():
 
 
 def test_criterion_09_shallow_water_mismatch():
-    """mismatch(0.01, 0.4) = 0.263 +/- 0.001; reference triple gives 0.01."""
+    """validate_regime(0.01, 0.4).mismatch = 0.263 +/- 0.001; reference triple gives 0.01."""
     value = validate_regime(0.01, 0.4).mismatch
     regime = dimensionless(PhysicalParams(a=1.0, h0=100.0, l=1000.0))
     ok_mismatch = abs(value - 0.263) <= 1e-3

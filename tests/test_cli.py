@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import kdvtorus
-from kdvtorus import __version__
+from kdvtorus import __version__, cli
 from kdvtorus.cli import (
     _DEFAULTS,
     _KEYS,
@@ -183,6 +183,22 @@ class TestConfigFile:
         params = read_manifest(outdir)["parameters"]
         assert params["profile"] == "paper"
         assert params["scheme"] == "fornberg-whitham"
+
+    def test_unparsable_float_list_is_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epsilons = 0.4,abc\n")
+        outdir = tmp_path / "out"
+        rc = run(["sweep", "--config", str(cfg), "--out", str(outdir)])
+        line = assert_refused(rc, capsys.readouterr(), outdir)
+        assert line == ("error: config key epsilons: cannot parse '0.4,abc' as a "
+                        "comma-separated float list")
+
+    def test_missing_file_is_refused(self, tmp_path, capsys):
+        missing = tmp_path / "absent.cfg"
+        outdir = tmp_path / "out"
+        rc = run(["sweep", "--config", str(missing), "--out", str(outdir)])
+        line = assert_refused(rc, capsys.readouterr(), outdir)
+        assert line.startswith(f"error: cannot read config file {missing}: ")
 
     def test_malformed_line_is_reported(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -457,6 +473,24 @@ class TestNormalFormCheck:
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []  # refused before the report is written
+
+
+    @pytest.mark.parametrize(
+        "order, small, verdict",
+        [(1.45, 1e-8, "FAIL"), (1.55, 1e-8, "PASS"), (2.45, 1e-8, "PASS"),
+         (2.55, 1e-8, "FAIL"), (2.0, 2e-6, "FAIL"), (2.0, 5e-7, "PASS")],
+    )
+    def test_verdict_bounds(self, tmp_path, capsys, monkeypatch, order, small, verdict):
+        """Orders must lie in 1.5..2.5 and the small-dt residual below 1e-6."""
+        def residual(v, t, dt):
+            return small if dt == 1e-5 else dt**order
+
+        monkeypatch.setattr(cli, "normal_form_residual", residual)
+        rc = run(["normalform-check", "--dts", "2e-3,1e-3", "--small-dt", "1e-5",
+                  "--census-count", "2", "--census-support", "8", "--limit", "3",
+                  "--out", str(tmp_path)])
+        assert rc == (0 if verdict == "PASS" else 1)
+        assert capsys.readouterr().out.splitlines()[-1] == verdict
 
 
 class TestUnresolvedWidth:

@@ -89,6 +89,12 @@ class TestFourierField:
         with pytest.raises(ValueError, match="reality"):
             f.require_real()
 
+    def test_reality_tolerance_is_1e_12_of_a_unit_scale(self):
+        """A +-1 pair off conjugacy by 1e-10 is refused; one off by 1e-13 passes."""
+        with pytest.raises(ValueError, match="defect 1.000e-10 exceeds"):
+            FourierField.from_modes({1: 1.0, -1: 1.0 + 1e-10}).require_real()
+        FourierField.from_modes({1: 1.0, -1: 1.0 + 1e-13}).require_real()
+
     def test_zero_mean_projects_only_the_mean(self):
         f = FourierField.from_modes({1: 2j, -1: -2j}, cutoff=1)
         f = f + FourierField.from_modes({0: 5.0})

@@ -62,6 +62,12 @@ class TestParams:
         with pytest.raises(ValueError, match="power of two"):
             KdvParams(m=100)
 
+    @pytest.mark.parametrize("name", ["a", "b", "dt", "t_final"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_numbers_are_refused(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            KdvParams(**{name: value})
+
 
 class TestLinearPropagator:
     def test_quarter_period_rotates_the_first_mode(self):
@@ -335,6 +341,15 @@ class TestEvolveBookkeeping:
             evolve(phi, p, sample_times=[2.0])
         with pytest.raises(ValueError, match="flat sequence of finite times"):
             evolve(phi, p, sample_times=[0.0, math.nan])
+
+    def test_a_sample_just_past_t_final_is_refused(self):
+        """The end of the run is matched to 1e-9 * max(1, t_final): 1e-7 past it is refused."""
+        phi = random_real_field(5, support=4, cutoff=8)
+        p = KdvParams(t_final=0.01, m=32, dt=1e-3)
+        with pytest.raises(ValueError, match="within"):
+            evolve(phi, p, sample_times=[0.0, 0.01 + 1e-7])
+        rec = evolve(phi, p, sample_times=[0.0, 0.01 + 1e-10])
+        assert rec.times[-1] == pytest.approx(0.01, abs=1e-15)
 
     def test_no_sample_times_is_an_error(self):
         phi = random_real_field(5, support=4, cutoff=8)

@@ -37,6 +37,7 @@ from oracles import (
     seed_b3_rows,
     seed_b4_rows,
 )
+from test_acceptance import baseline_value
 
 
 def pair_field(c: complex, k: int = 1, cutoff: int = 8) -> FourierField:
@@ -586,6 +587,10 @@ class TestResidual:
         wide = random_real_field(0, support=8, cutoff=16)
         with pytest.raises(ValueError, match="quarter"):
             normal_form_residual(wide, 0.0, 1e-3)
+        # the quarter rule is 4 * max|k| <= cutoff: support 4 needs cutoff 16
+        with pytest.raises(ValueError, match="quarter of the storage range 15"):
+            normal_form_residual(random_real_field(7, support=4, cutoff=15), 0.37, 1e-3)
+        assert normal_form_residual(random_real_field(7, support=4, cutoff=16), 0.37, 1e-3) > 0.0
         ok = random_real_field(0, support=4, cutoff=16)
         for dt in (0.0, -1e-3, math.nan, math.inf):
             with pytest.raises(ValueError, match="dt must be positive"):
@@ -650,6 +655,15 @@ class TestAprioriRatios:
         assert sorted(maxima) == ["r1", "r2", "r3", "r4", "r5"]
         for value in maxima.values():
             assert 0.0 < value < 100.0
+
+    def test_census_maxima_equal_their_frozen_values(self):
+        """CENSUS_SEED makes the census deterministic: criterion 8's maxima to rounding.
+
+        Criterion 8 allows +-20 % around these values; this pins them exactly.
+        """
+        maxima = ratio_census(count=100, support=32)
+        for name, value in maxima.items():
+            assert value == pytest.approx(baseline_value(f"census_{name}"), rel=1e-12)
 
     def test_a_non_finite_ratio_is_refused(self, monkeypatch):
         """A NaN output mode of B4 must not vanish inside the census maxima."""
