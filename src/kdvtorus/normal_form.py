@@ -196,40 +196,39 @@ def _dense_support(v: FourierField) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _fft_length(span: int) -> int:
     """Smallest 2*3*5-smooth integer >= span (a fast FFT length)."""
-    rest = span
-    for p in (2, 3, 5):
-        while rest % p == 0:
-            rest //= p
-    return span if rest == 1 else _fft_length(span + 1)
+    while True:
+        rest = span
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return span
+        span += 1
 
 
-def _row_spectra(top: int, reach: int, n: int, shifted: bool,
-                 *amps: np.ndarray) -> list[np.ndarray]:
+def _row_spectrum(top: int, reach: int, n: int, shifted: bool, a: np.ndarray) -> np.ndarray:
     """Length-n FFT of each row K = 0..top of ``a_k/(K-k)`` (0 at k = K), k = -reach..reach.
 
-    One spectrum per ``a`` in amps; row K holds term k at column ``k - K`` mod n
-    if shifted, else k mod n. With one factor shifted, the mean of a product
-    of spectra is the sum over indices adding up to K; n >= the convolution's
-    span avoids wrap-around. Each factor that varies with K is a window view
-    of one vector; ``a * fl(1/g)`` has the bits of NumPy's ``a/g``.
+    Row K holds term k at column ``k - K`` mod n if shifted, else k mod n. With one
+    factor shifted, the mean of a product of spectra is the sum over indices adding up
+    to K; n >= the convolution's span avoids wrap-around. Each factor that varies with K
+    is a window view of one vector; ``a * fl(1/g)`` has the bits of NumPy's ``a/g``.
     """
     def window(x, width):  # a view, no copy: row K is x[K:K + width]
         return np.ndarray((top + 1, width), x.dtype, x, strides=2 * x.strides)
 
     gaps = np.arange(top + reach, -reach - 1, -1)
     recip = np.divide(1.0, gaps, out=np.zeros(gaps.shape), where=gaps != 0)
-    spectra, split = [], top + reach if shifted else reach  # the columns c < 0
-    for a in amps:
-        if shifted:  # column c = -split..reach holds a_{K+c} * 1/(-c)
-            padded = np.concatenate([np.zeros(top), a, np.zeros(top)])
-            amp, rec = window(padded, a.size + top), recip
-        else:  # column c = -split..reach holds a_c * 1/(K-c)
-            amp, rec = a, window(recip, a.size)[::-1]
-        grid = np.zeros((top + 1, n), dtype=np.complex128)
-        np.multiply(amp[..., :split], rec[..., :split], out=grid[:, n - split:])
-        np.multiply(amp[..., split:], rec[..., split:], out=grid[:, :reach + 1])
-        spectra.append(np.fft.fft(grid, axis=-1, out=grid))
-    return spectra
+    split = top + reach if shifted else reach  # the columns c < 0
+    if shifted:  # column c = -split..reach holds a_{K+c} * 1/(-c)
+        padded = np.concatenate([np.zeros(top), a, np.zeros(top)])
+        amp, rec = window(padded, a.size + top), recip
+    else:  # column c = -split..reach holds a_c * 1/(K-c)
+        amp, rec = a, window(recip, a.size)[::-1]
+    grid = np.zeros((top + 1, n), dtype=np.complex128)
+    np.multiply(amp[..., :split], rec[..., :split], out=grid[:, n - split:])
+    np.multiply(amp[..., split:], rec[..., split:], out=grid[:, :reach + 1])
+    return np.fft.fft(grid, axis=-1, out=grid)
 
 
 def _mirrored(rows: Callable, sign: float, v: FourierField) -> FourierField:
@@ -317,12 +316,12 @@ def _b3_rows(v: FourierField) -> np.ndarray:
     reach = int(modes[-1])
     top = min(v.cutoff, 3 * reach)
     n = _fft_length(3 * reach + top + 1)
-    [alpha] = _row_spectra(top, reach, n, True, w)
-    [beta] = _row_spectra(top, reach, n, False, vals)
-    # Keep the product as written: with FMA, complex a*b and b*a can differ in
-    # the last bit, and NumPy's temporary elision (arrays >= 256 KiB) turns
-    # ``x * (temporary)`` into ``temporary * x``; reordering or out= moves digits.
-    return np.mean(alpha * beta * beta, axis=-1)
+    beta = _row_spectrum(top, reach, n, False, vals)
+    # Unnamed spectra let NumPy's temporary elision (arrays >= 256 KiB) reuse
+    # their buffers; the operand order stays fixed, since with FMA complex a*b
+    # and b*a can differ in the last bit. ``x * (temporary)`` is elided to
+    # ``temporary * x`` above the threshold only, so a name or out= moves digits.
+    return np.mean(_row_spectrum(top, reach, n, True, w) * beta * beta, axis=-1)
 
 
 def b4(v: FourierField, t: float) -> FourierField:
@@ -347,9 +346,10 @@ def _b4_rows(v: FourierField) -> np.ndarray:
     pair_modes = np.arange(-2 * reach, 2 * reach + 1)
     top = min(v.cutoff, 4 * reach)
     n = _fft_length(4 * reach + top + 1)
-    alpha, beta = _row_spectra(top, reach, n, False, w, vals)
-    gamma, s_gamma = _row_spectra(top, 2 * reach, n, True, pair, pair_modes * pair)
-    spectral = beta * (alpha * s_gamma + 0.5 * beta * gamma)  # as written: see _b3_rows
+    beta = _row_spectrum(top, reach, n, False, vals)  # the shape: see _b3_rows
+    spectral = beta * (_row_spectrum(top, reach, n, False, w)
+                       * _row_spectrum(top, 2 * reach, n, True, pair_modes * pair)
+                       + 0.5 * beta * _row_spectrum(top, 2 * reach, n, True, pair))
     return np.mean(spectral, axis=-1)
 
 

@@ -651,9 +651,12 @@ class TestOneCommitPoint:
             ["simulate", *SMALL_RUN, "--samples", BIG],
             ["normalform-check", "--cutoff", BIG, "--census-count", "2"],
             ["normalform-check", "--census-support", BIG, "--census-count", "2"],
+            # b4's FFT length, 101,250, lies 1,249 candidates past its span
+            ["normalform-check", "--census-support", "12500", "--census-count", "1"],
         ],
         ids=["simulate-m", "return-test-m", "pullback-m", "sweep-m", "simulate-samples",
-             "normalform-check-cutoff", "normalform-check-census-support"],
+             "normalform-check-cutoff", "normalform-check-census-support",
+             "normalform-check-census-fft-length"],
     )
     def test_size_beyond_memory_is_one_error_line(self, tmp_path, argv):
         """2^40 modes or samples, in a child process under an address-space cap."""

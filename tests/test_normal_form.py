@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from kdvtorus.normal_form import (
     ResonanceClass,
     _accumulate,
     _at_time,
+    _fft_length,
     _support,
     apriori_ratios,
     b2,
@@ -462,6 +464,41 @@ class TestSeedBits:
         v = hermite_initial(HermiteSpec(0.1), 512)
         want = _at_time(self.SEEDS[name], v, 0.37)
         assert_same_bits(getattr(normal_form, name)(v, 0.37).coeffs, want.coeffs)
+
+
+class TestRowGrids:
+    """The (top+1, n) complex row grids of b3 and b4: their length n and how many live at once."""
+
+    @pytest.mark.parametrize("span, n", [(1, 1), (7, 8), (257, 270), (1276, 1280),
+                                         (100001, 101250), (200001, 202500)])
+    def test_fft_length_is_the_next_5_smooth_length(self, span, n):
+        """A loop, not a call per candidate: 100,001 -> 101,250 tries 1,250 lengths."""
+        assert _fft_length(span) == n
+
+    @pytest.mark.parametrize(
+        "op, v, t, rows, n, grids",
+        [(b4, random_real_field(1, 32, cutoff=128), 0.0, 129, 270, 5.0),
+         (b4, hermite_initial(HermiteSpec(0.1), 512), 0.37, 256, 1280, 5.0),
+         (b3, hermite_initial(HermiteSpec(0.1), 512), 0.37, 256, 1024, 2.5)],
+        ids=["b4-census", "b4-full", "b3-full"],
+    )
+    def test_traced_peak_stays_below_its_grid_count(self, op, v, t, rows, n, grids):
+        """Each spectrum used once is built inside the product that consumes it.
+
+        b4 then holds at most four grids and b3 two (a name for every spectrum
+        would hold six and three); the rest of the peak is the fills'
+        column-slice products. The bound relies on NumPy's temporary elision
+        reusing a spectrum's buffer; checked with CPython 3.11.7 and NumPy
+        2.4.6 (CI runs Python 3.11).
+        """
+        op(v, t)  # warm-up
+        tracemalloc.start()
+        try:
+            op(v, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < grids * rows * n * 16
 
 
 class TestResonantSum:
