@@ -37,8 +37,7 @@ from .fields import _write_csv, grid_points, l2_norm, random_real_field, synthes
 from .integrator import InstabilityError, KdvParams, Scheme, desk_params, paper_params
 from .normal_form import (
     CENSUS_SEED,
-    check_cube_identity,
-    check_factorization_identity,
+    check_identities,
     normal_form_residual,
     ratio_census,
 )
@@ -358,14 +357,6 @@ def _cmd_sweep(cfg: dict, outdir: Path):
     return 0, {}, results
 
 
-def _identity_checks(limit: int) -> dict:
-    return {
-        "limit": limit,
-        "cube_identity": check_cube_identity(limit),
-        "factorization_identity": check_factorization_identity(limit),
-    }
-
-
 def _cmd_normalform_check(cfg: dict, outdir: Path):
     dts = cfg["dts"]
     if len(dts) < 2 or len(set(dts)) != len(dts):
@@ -382,7 +373,7 @@ def _cmd_normalform_check(cfg: dict, outdir: Path):
     ]
     small = normal_form_residual(v, t, cfg["small_dt"])
     limit = cfg["limit"]
-    identities = _identity_checks(limit)
+    identities = check_identities(limit)
     census = ratio_census(count=cfg["census_count"], support=cfg["census_support"])
     orders_ok = all(1.5 <= o <= 2.5 for o in orders) and bool(orders)
     payload = {
@@ -428,7 +419,7 @@ def _cmd_normalform_check(cfg: dict, outdir: Path):
 
 def _cmd_identities(cfg: dict, outdir: Path):
     limit = cfg["limit"]
-    payload = _identity_checks(limit)
+    payload = check_identities(limit)
     cube_ok, fact_ok = payload["cube_identity"], payload["factorization_identity"]
     _write_json(outdir / "identities.json", payload)
     print(f"cube identity, all |k| <= {limit}: {'PASS' if cube_ok else 'FAIL'}")

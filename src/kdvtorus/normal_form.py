@@ -61,6 +61,7 @@ package on its path.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from enum import Enum
@@ -80,8 +81,7 @@ __all__ = [
     "normal_form_residual",
     "apriori_ratios",
     "ratio_census",
-    "check_cube_identity",
-    "check_factorization_identity",
+    "check_identities",
 ]
 
 #: Fixed seed for the ratio census suite (recorded in run manifests).
@@ -120,42 +120,29 @@ def classify_resonance(k1: int, k2: int, k3: int) -> ResonanceClass:
     return ResonanceClass.NON_RESONANT
 
 
-def _require_limit(limit: int) -> None:
+def check_identities(limit: int = 20) -> dict:
+    """Check the cube and factorization identities for every index in -limit..limit.
+
+    Cube: ``(k1+k2)^3 - k1^3 - k2^3 = 3*(k1+k2)*k1*k2`` over all pairs.
+    Factorization: ``k*k1 + mu*lam = (k1+mu)*(k1+lam)`` at ``k = k1+mu+lam``
+    over all triples; it turns the cubic terms' mixed phase into linear
+    factors. Exact integer arithmetic; each check stops at its first failure.
+    Raises ValueError for a limit below 1, which checks nothing.
+    """
     if limit < 1:
         raise ValueError(f"identity limit must be at least 1, got {limit}")
-
-
-def check_cube_identity(limit: int = 20) -> bool:
-    """Exhaustively verify ``(k1+k2)^3 - k1^3 - k2^3 = 3*(k1+k2)*k1*k2``.
-
-    Checked for all integer pairs with |k1|, |k2| <= limit in exact
-    arithmetic. Raises ValueError for a limit below 1, which checks nothing.
-    """
-    _require_limit(limit)
-    for k1 in range(-limit, limit + 1):
-        for k2 in range(-limit, limit + 1):
-            if (k1 + k2) ** 3 - k1**3 - k2**3 != 3 * (k1 + k2) * k1 * k2:
-                return False
-    return True
-
-
-def check_factorization_identity(limit: int = 20) -> bool:
-    """Exhaustively verify ``k*k1 + mu*lam = (k1+mu)*(k1+lam)`` at ``k = k1+mu+lam``.
-
-    Checked for all integer triples with |k1|, |mu|, |lam| <= limit in exact
-    arithmetic. This is the factorization that turns the mixed phase of the
-    cubic terms into a product of linear factors. Raises ValueError for a
-    limit below 1.
-    """
-    _require_limit(limit)
     rng = range(-limit, limit + 1)
-    for k1 in rng:
-        for mu in rng:
-            for lam in rng:
-                k = k1 + mu + lam
-                if k * k1 + mu * lam != (k1 + mu) * (k1 + lam):
-                    return False
-    return True
+    report = {"limit": limit, "cube_identity": True, "factorization_identity": True}
+    for k1, k2 in itertools.product(rng, repeat=2):
+        if (k1 + k2) ** 3 - k1**3 - k2**3 != 3 * (k1 + k2) * k1 * k2:
+            report["cube_identity"] = False
+            break
+    for k1, mu, lam in itertools.product(rng, repeat=3):
+        k = k1 + mu + lam
+        if k * k1 + mu * lam != (k1 + mu) * (k1 + lam):
+            report["factorization_identity"] = False
+            break
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +156,6 @@ def _support(v: FourierField) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("operators require a zero-mean field (u_0 = 0)")
     ks = v.wavenumbers()
     sel = np.abs(v.coeffs) != 0.0
-    sel[v.cutoff] = False  # k = 0 never participates
     return ks[sel].astype(np.int64), v.coeffs[sel]
 
 

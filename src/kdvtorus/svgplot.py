@@ -9,6 +9,7 @@ would be all dependency and no benefit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -18,6 +19,7 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _WIDTH, _HEIGHT = 640, 420
 _ML, _MR, _MT, _MB = 72, 18, 42, 52  # margins: left, right, top, bottom
+_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -47,13 +49,20 @@ def _transform(lo, hi, pix_lo, pix_hi, log, value):
     return pix_lo + (value - lo) / (hi - lo) * (pix_hi - pix_lo)
 
 
+def _axis(lo, hi, pix_lo, pix_hi, log):
+    """One axis's value -> pixel map; a span past the largest double maps at half scale."""
+    if hi - lo < math.inf:
+        return partial(_transform, lo, hi, pix_lo, pix_hi, log)
+    return lambda value: _transform(0.5 * lo, 0.5 * hi, pix_lo, pix_hi, log, 0.5 * value)
+
+
 def _ticks(lo: float, hi: float, log: bool):
     if log:
         lo_e = math.floor(math.log10(lo))
         hi_e = math.ceil(math.log10(hi))
         step = max(1, (hi_e - lo_e) // 6)
-        return [10.0**e for e in range(lo_e, hi_e + 1, step)]
-    raw = (hi - lo) / 5.0
+        return [10.0**e for e in range(lo_e, hi_e + 1, step) if e <= sys.float_info.max_10_exp]
+    raw = (hi - lo) / 5.0 if hi - lo < math.inf else hi / 5.0 - lo / 5.0
     mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
     if mag == 0.0:  # hi == lo, or a span whose tick step underflows
         return [lo]
@@ -63,7 +72,7 @@ def _ticks(lo: float, hi: float, log: bool):
             break
     out = []
     t = math.ceil(lo / step) * step
-    while t <= hi + 1e-9 * step:
+    while t <= min(hi + 1e-9 * step, _MAX):
         out.append(0.0 if abs(t) < 1e-12 * step else t)
         t += step
     return out
@@ -76,11 +85,11 @@ def _data_range(values, log: bool):
     lo, hi = min(finite), max(finite)
     if lo == hi:
         pad = abs(lo) * 0.5 + (1.0 if lo == 0.0 else 0.0)
-        return (lo / 2.0, hi * 2.0) if log else (lo - pad, hi + pad)
-    if not log:
+        lo, hi = (max(lo / 2.0, math.ulp(0.0)), hi * 2.0) if log else (lo - pad, hi + pad)
+    elif not log:
         pad = 0.04 * (hi - lo)
-        return lo - pad, hi + pad
-    return lo, hi
+        lo, hi = lo - pad, hi + pad
+    return max(lo, -_MAX), min(hi, _MAX)  # an end past the largest double stops there
 
 
 def _num(v) -> str:
@@ -96,6 +105,7 @@ def _line(x1, y1, x2, y2, stroke: str, width) -> str:
 def _text(x, y, size: int, body: str, anchor: str | None = "middle", transform: str = "") -> str:
     align = f' text-anchor="{anchor}"' if anchor else ""
     turn = f' transform="{transform}"' if transform else ""
+    body = body.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return (f'<text x="{_num(x)}" y="{_num(y)}" font-size="{size}"{align} '
             f'font-family="sans-serif"{turn}>{body}</text>')
 
@@ -116,8 +126,8 @@ def render_line_plot(
     ylo, yhi = _data_range([y for s in series for y in s.ys], logy)
     x0, x1 = _ML, _WIDTH - _MR
     y0, y1 = _HEIGHT - _MB, _MT  # SVG y grows downward
-    px = partial(_transform, xlo, xhi, x0, x1, logx)
-    py = partial(_transform, ylo, yhi, y0, y1, logy)
+    px = _axis(xlo, xhi, x0, x1, logx)
+    py = _axis(ylo, yhi, y0, y1, logy)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',

@@ -26,8 +26,7 @@ from kdvtorus.normal_form import (
     b2,
     b3,
     b4,
-    check_cube_identity,
-    check_factorization_identity,
+    check_identities,
     classify_resonance,
     normal_form_residual,
     ratio_census,
@@ -217,8 +216,8 @@ def test_criterion_05_resonant_closed_form():
 
 def test_criterion_06_integer_identities():
     """Cube and factorization identities, exact integers, all |.| <= 20."""
-    ok_cube = check_cube_identity(20)
-    ok_fact = check_factorization_identity(20)
+    report = check_identities(20)
+    ok_cube, ok_fact = report["cube_identity"], report["factorization_identity"]
     _criterion(
         6, ok_cube and ok_fact,
         f"cube identity {'holds' if ok_cube else 'FAILS'}, factorization "

@@ -50,6 +50,11 @@ class TestArgHandling:
         assert run(["frobnicate"]) == 2
 
 
+def cube_identity_fails(limit):
+    """Stands in for ``check_identities`` with a cube identity that does not hold."""
+    return {"limit": limit, "cube_identity": False, "factorization_identity": True}
+
+
 class TestIdentities:
     def test_writes_report_and_manifest(self, tmp_path, capsys):
         rc = run(["identities", "--limit", "8", "--out", str(tmp_path)])
@@ -77,6 +82,21 @@ class TestIdentities:
         assert "error: identity limit must be at least 1" in captured.err
         assert "PASS" not in captured.out
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_failed_identity_is_a_verdict_not_a_refusal(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "check_identities", cube_identity_fails)
+        rc = run(["identities", "--limit", "3", "--out", str(tmp_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error:" not in captured.err
+        assert captured.out.splitlines() == [
+            "cube identity, all |k| <= 3: FAIL",
+            "factorization identity, all |k| <= 3: PASS",
+            "FAIL",
+        ]
+        payload = json.loads((tmp_path / "identities.json").read_text())
+        assert payload == cube_identity_fails(3)
+        assert read_manifest(tmp_path)["artifacts"] == ["identities.json"]
 
 
 class TestShallowWater:
@@ -491,6 +511,20 @@ class TestNormalFormCheck:
                   "--out", str(tmp_path)])
         assert rc == (0 if verdict == "PASS" else 1)
         assert capsys.readouterr().out.splitlines()[-1] == verdict
+
+    def test_a_failed_identity_fails_the_verdict(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "check_identities", cube_identity_fails)
+        rc = run(["normalform-check", "--support", "3", "--cutoff", "12",
+                  "--census-count", "2", "--census-support", "8", "--limit", "3",
+                  "--out", str(tmp_path)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error:" not in captured.err
+        lines = captured.out.splitlines()
+        assert "identity checks (|k| <= 3): cube FAIL, factorization PASS" in lines
+        assert lines[-1] == "FAIL"
+        payload = json.loads((tmp_path / "normalform_report.json").read_text())
+        assert payload["identity_checks"] == cube_identity_fails(3)
 
 
 class TestUnresolvedWidth:

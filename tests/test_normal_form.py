@@ -23,8 +23,7 @@ from kdvtorus.normal_form import (
     b2,
     b3,
     b4,
-    check_cube_identity,
-    check_factorization_identity,
+    check_identities,
     classify_resonance,
     normal_form_residual,
     ratio_census,
@@ -168,16 +167,15 @@ class TestClassification:
 
 
 class TestPhases:
-    def test_identity_checks_pass(self):
-        assert check_cube_identity(12)
-        assert check_factorization_identity(8)
+    def test_both_identities_hold(self):
+        assert check_identities(12) == {
+            "limit": 12, "cube_identity": True, "factorization_identity": True,
+        }
 
     @pytest.mark.parametrize("limit", [0, -3])
-    def test_identity_checks_reject_a_limit_below_one(self, limit):
-        with pytest.raises(ValueError, match="at least 1"):
-            check_cube_identity(limit)
-        with pytest.raises(ValueError, match="at least 1"):
-            check_factorization_identity(limit)
+    def test_a_limit_below_one_is_refused(self, limit):
+        with pytest.raises(ValueError, match=f"at least 1, got {limit}"):
+            check_identities(limit)
 
 
 class TestClosedForms:

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import re
+from xml.dom import minidom
 
 import pytest
 
@@ -73,6 +75,31 @@ class TestRenderLinePlot:
         assert svg.count("<polyline") == 0
         for tick in ticks:
             assert svg.count(f">{tick}</text>") == 2
+
+    @pytest.mark.parametrize(
+        "label, ys, log",
+        [
+            ("a<b & c", (0.0, 1.0), False),
+            ("s", (5e-324,), True),
+            ("s", (1e308, 1e308), True),
+            ("s", (1.7e308,), False),
+            ("s", (-1e308, 1e308), False),
+            ("s", (1e-297, 1.7e308), True),
+        ],
+        ids=["markup-in-a-label", "log-halving-underflows", "log-doubling-overflows",
+             "linear-pad-overflows", "linear-span-overflows", "log-tick-overflows"],
+    )
+    def test_labels_and_ranges_at_the_ends_of_double_precision(self, label, ys, log):
+        """Well-formed XML, the label as written, and every coordinate finite."""
+        xs = tuple(float(i) for i in range(len(ys)))
+        svg = render_line_plot([LineSeries(label, xs, ys)], logy=log)
+        doc = minidom.parseString(svg)
+        bodies = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+        assert bodies[-1] == label
+        coords = [float(c) for c in re.findall(r' (?:x1|y1|x2|y2|x|y)="([^"]*)"', svg)]
+        coords += [float(c) for pt in doc.getElementsByTagName("polyline")[0]
+                   .getAttribute("points").split() for c in pt.split(",")]
+        assert coords and all(math.isfinite(c) for c in coords)
 
     def test_rendering_is_deterministic(self):
         a = render_line_plot(two_series(), title="t", xlabel="x", ylabel="y")
