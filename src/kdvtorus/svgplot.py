@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 __all__ = ["LineSeries", "render_line_plot", "write_line_plot"]
 
@@ -41,19 +40,17 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _transform(lo, hi, pix_lo, pix_hi, log, value):
-    if log:
-        value, lo, hi = math.log10(value), math.log10(lo), math.log10(hi)
-    if hi == lo:
-        return 0.5 * (pix_lo + pix_hi)
-    return pix_lo + (value - lo) / (hi - lo) * (pix_hi - pix_lo)
-
-
 def _axis(lo, hi, pix_lo, pix_hi, log):
-    """One axis's value -> pixel map; a span past the largest double maps at half scale."""
-    if hi - lo < math.inf:
-        return partial(_transform, lo, hi, pix_lo, pix_hi, log)
-    return lambda value: _transform(0.5 * lo, 0.5 * hi, pix_lo, pix_hi, log, 0.5 * value)
+    """One axis's value -> pixel map: log10 of each value, or half of it on a linear axis.
+
+    Halving a normal double is exact, so the ratio keeps every bit and a span past the
+    largest double stays finite.
+    """
+    scale = math.log10 if log else (0.5).__mul__
+    lo, hi = scale(lo), scale(hi)
+    if hi == lo:
+        return lambda value: 0.5 * (pix_lo + pix_hi)
+    return lambda value: pix_lo + (scale(value) - lo) / (hi - lo) * (pix_hi - pix_lo)
 
 
 def _ticks(lo: float, hi: float, log: bool):
@@ -62,20 +59,12 @@ def _ticks(lo: float, hi: float, log: bool):
         hi_e = math.ceil(math.log10(hi))
         step = max(1, (hi_e - lo_e) // 6)
         return [10.0**e for e in range(lo_e, hi_e + 1, step) if e <= sys.float_info.max_10_exp]
-    raw = (hi - lo) / 5.0 if hi - lo < math.inf else hi / 5.0 - lo / 5.0
+    raw = (0.5 * hi - 0.5 * lo) / 2.5  # (hi - lo) / 5 bit for bit, and finite past the max
     mag = 10.0 ** math.floor(math.log10(raw)) if raw > 0.0 else 0.0
     if mag == 0.0:  # hi == lo, or a span whose tick step underflows
         return [lo]
-    for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
-        if raw <= mult * mag:
-            step = mult * mag
-            break
-    out = []
-    t = math.ceil(lo / step) * step
-    while t <= min(hi + 1e-9 * step, _MAX):
-        out.append(0.0 if abs(t) < 1e-12 * step else t)
-        t += step
-    return out
+    step = next(mult * mag for mult in (1.0, 2.0, 2.5, 5.0, 10.0) if raw <= mult * mag)
+    return [i * step for i in range(math.ceil(lo / step), math.floor(hi / step) + 1)]
 
 
 def _data_range(values, log: bool):

@@ -2,12 +2,23 @@
 
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
 from xml.dom import minidom
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from kdvtorus.svgplot import LineSeries, render_line_plot, write_line_plot
+import kdvtorus
+from kdvtorus.svgplot import LineSeries, _axis, _ticks, render_line_plot, write_line_plot
+
+# Halving is exact for 0 and for magnitudes from 2**-1021 up; below that, the halves of two
+# neighbouring doubles can round to one value, and the linear map then puts both mid-axis.
+_HALVES_EXACTLY = st.floats(allow_nan=False, allow_infinity=False).filter(
+    lambda x: x == 0.0 or abs(x) >= 2.0**-1021)
 
 
 def two_series():
@@ -101,6 +112,36 @@ class TestRenderLinePlot:
                    .getAttribute("points").split() for c in pt.split(",")]
         assert coords and all(math.isfinite(c) for c in coords)
 
+    def test_a_narrow_range_far_from_zero_gets_a_few_ticks(self):
+        """Step 1 on (1e16, 1e16 + 4): adding the step to a tick can leave it where it was.
+
+        Run in a child under a 1 GiB address-space cap, so a tick list that never ends
+        fails the test instead of filling memory.
+        """
+        code = ("import resource\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from kdvtorus.svgplot import LineSeries, render_line_plot\n"
+                "print(render_line_plot([LineSeries('s', (0.0, 1.0), (1e16, 1e16 + 4))]))\n")
+        src = os.path.dirname(os.path.dirname(kdvtorus.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        minidom.parseString(proc.stdout)
+        assert 1 <= proc.stdout.count('text-anchor="end"') <= 12  # the y axis's tick labels
+
+    def test_a_tick_at_zero_is_exactly_zero(self):
+        """On (-0.7, 0.3), -0.6 plus three steps of 0.2 misses 0 by 1.1e-16; 0 * step does not."""
+        ticks = _ticks(-0.7, 0.3, False)
+        assert ticks[3] == 0.0 and math.copysign(1.0, ticks[3]) == 1.0
+        svg = render_line_plot([LineSeries("s", (0.0, 1.0), (-0.3, 0.7))])
+        assert svg.count(">0</text>") == 2 and "e-16" not in svg
+
+    def test_a_range_that_ends_on_a_multiple_of_the_step_keeps_its_last_tick(self):
+        """On (-0.08, 0.02), -0.08 plus four steps of 0.02 lands past 0.02; 1 * step does not."""
+        assert _ticks(-0.08, 0.02, False) == [-0.08, -0.06, -0.04, -0.02, 0.0, 0.02]
+
     def test_rendering_is_deterministic(self):
         a = render_line_plot(two_series(), title="t", xlabel="x", ylabel="y")
         b = render_line_plot(two_series(), title="t", xlabel="x", ylabel="y")
@@ -124,3 +165,21 @@ class TestRenderLinePlot:
         """Every byte of the markup: element order, attributes, number formats."""
         svg = pinned_plots()[name]
         assert hashlib.sha256(svg.encode("utf-8")).hexdigest() == sha256
+
+
+class TestAxis:
+    """One map per axis: its ends are scaled once, each point costs one scaling."""
+
+    @given(st.lists(_HALVES_EXACTLY, min_size=3, max_size=3))
+    def test_linear_map_keeps_every_bit(self, values):
+        lo, v, hi = sorted(values)
+        assume(lo < hi and hi - lo < math.inf)
+        assert _axis(lo, hi, 72, 622, False)(v) == 72 + (v - lo) / (hi - lo) * (622 - 72)
+
+    @given(st.lists(st.floats(min_value=5e-324, allow_infinity=False), min_size=3, max_size=3))
+    def test_log_map_keeps_every_bit(self, values):
+        lo, v, hi = sorted(values)
+        assume(lo < hi)
+        log = math.log10
+        assert (_axis(lo, hi, 368, 42, True)(v)
+                == 368 + (log(v) - log(lo)) / (log(hi) - log(lo)) * (42 - 368))

@@ -62,11 +62,12 @@ MUTANTS = [
     Mutant("src/kdvtorus/integrator.py", "tol = 1e-9 * max(1.0, abs(t_final))",
            "tol = 1e-6 * max(1.0, abs(t_final))",
            "evolve's sample-time tolerance 1e-9 loosened to 1e-6"),
-    Mutant("src/kdvtorus/svgplot.py", "abs(t) < 1e-12 * step", "abs(t) < 1e-6 * step",
-           "svgplot's tick snapping to 0 widened from 1e-12 to 1e-6 of a step",
-           equivalent="a tick near 0 misses it by at most 4.4e-16 of a step (two ulps), so "
-                      "both thresholds snap the same ticks; 1,000,000 random ranges gave "
-                      "no tick list that differs"),
+    Mutant("src/kdvtorus/svgplot.py", "(0.5).__mul__", "(1.0).__mul__",
+           "svgplot's linear map at full scale instead of half"),
+    Mutant("src/kdvtorus/svgplot.py", "math.floor(hi / step) + 1)", "math.floor(hi / step))",
+           "svgplot's linear tick range without its last multiple"),
+    Mutant("src/kdvtorus/svgplot.py", "(0.5 * hi - 0.5 * lo) / 2.5", "(0.5 * hi - 0.5 * lo) / 2.0",
+           "svgplot's raw tick step span/5 moved to span/4"),
     Mutant("src/kdvtorus/normal_form.py",
            "if 4 * int(np.max(np.abs(ks), initial=0)) > v.cutoff:",
            "if 4 * int(np.max(np.abs(ks), initial=0)) > v.cutoff + 1:",
@@ -103,6 +104,19 @@ MUTANTS = [
     Mutant("src/kdvtorus/normal_form.py", "!= (k1 + mu) * (k1 + lam)",
            "!= (k1 + mu) * (k1 - lam)",
            "one broken term in check_identities' factorization identity"),
+    Mutant("src/kdvtorus/normal_form.py", "_mirrored(_b4_rows, -1.0, w)",
+           "_mirrored(_b4_rows, 1.0, w)",
+           "B4's mirror sign -1 flipped to +1"),
+    Mutant("src/kdvtorus/normal_form.py", "+ 0.5 * beta * _row_spectrum",
+           "+ 0.25 * beta * _row_spectrum",
+           "_b4_rows' half weight on the beta * beta * W(s) term moved to a quarter"),
+    Mutant("src/kdvtorus/normal_form.py", "    pair[2 * reach] = 0.0\n", "",
+           "_b4_rows keeps W(0), the resonant channel k3 + k4 = 0"),
+    Mutant("src/kdvtorus/normal_form.py", "np.abs(v.coeffs[nz]) ** 2",
+           "np.abs(v.coeffs[nz]) ** 3",
+           "resonant_term's |v_k|^2 raised to |v_k|^3"),
+    Mutant("src/kdvtorus/normal_form.py", "pos[0] = 0.5 * (pos[0] + neg[0])", "pos[0] = pos[0]",
+           "_mirrored's row 0 takes the K >= 0 reading alone, not the mean of both"),
 ]
 
 
