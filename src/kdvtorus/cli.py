@@ -41,7 +41,7 @@ from .normal_form import (
     normal_form_residual,
     ratio_census,
 )
-from .shallow_water import GRAVITY, PhysicalParams, dimensionless, validate_regime
+from .shallow_water import GRAVITY, dimensionless, validate_regime
 from .svgplot import LineSeries, write_line_plot
 
 __all__ = ["run", "main", "load_config", "ENV_OUTPUT_ROOT", "PROFILES"]
@@ -446,7 +446,7 @@ def _cmd_shallow_water(cfg: dict, outdir: Path):
     if any(d is not None for d in dims):
         if any(d is None for d in dims):
             raise ValueError("dimensional input needs all three of a_phys, h0, l")
-        regime = dimensionless(PhysicalParams(a=dims[0], h0=dims[1], l=dims[2], g=cfg["g"]))
+        regime = dimensionless(a=dims[0], h0=dims[1], l=dims[2], g=cfg["g"])
         lines += [
             f"alpha        {regime.alpha:.6g}",
             f"beta         {regime.beta:.6g}",

@@ -7,6 +7,13 @@ alpha ~ beta << 1; the width-modified scaling a -> a/sqrt(eps),
 l -> eps*l trades smallness for frequency content and pays for it with
 the mismatch term alpha_eps + beta_eps^2/alpha_eps. A ratio that is not
 finite in double precision raises ValueError rather than reading inf.
+
+The map onto the torus equation: xi = l*x, t = (l/c0)*s and eta = a*u turn the
+surface KdV eta_t + (3c0/2h0)*eta*eta_xi + (c0*h0^2/6)*eta_xixixi = 0 (in the
+frame moving at c0) into u_s + (3*alpha/2)*u*u_x + (beta/6)*u_xxx = 0; after the
+reflection x -> -x, ``KdvParams``' coefficients are (beta/6, 3*alpha/2), so
+``pullback``'s (1/6, 3/2) is alpha = beta = 1. A validity window s ~ 1/alpha is
+the horizon l/(c0*alpha) seconds that ``dimensionless`` reports.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "GRAVITY",
-    "PhysicalParams",
     "ShallowWaterRegime",
     "dimensionless",
     "RegimeReport",
@@ -26,33 +32,6 @@ __all__ = [
 
 #: Standard gravitational acceleration in m/s^2.
 GRAVITY = 9.81
-
-
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Dimensional scales of a shallow-water configuration.
-
-    Attributes:
-        a: Characteristic surface amplitude in meters.
-        h0: Rest depth in meters.
-        l: Characteristic wavelength in meters.
-        g: Gravitational acceleration in m/s^2.
-    """
-
-    a: float
-    h0: float
-    l: float
-    g: float = GRAVITY
-
-    def __post_init__(self) -> None:
-        for name in ("a", "h0", "l", "g"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not self.a < self.h0:
-            raise ValueError(
-                f"small-amplitude regime requires a < h0, got a = {self.a}, h0 = {self.h0}"
-            )
 
 
 @dataclass(frozen=True)
@@ -73,22 +52,28 @@ class ShallowWaterRegime:
     t_phys_scale: float
 
 
-def dimensionless(p: PhysicalParams) -> ShallowWaterRegime:
+def dimensionless(*, a: float, h0: float, l: float, g: float = GRAVITY) -> ShallowWaterRegime:
     """Reduce physical scales to the dimensionless regime parameters.
 
     Args:
-        p: Validated physical configuration.
+        a: Characteristic surface amplitude in meters; below ``h0``.
+        h0: Rest depth in meters.
+        l: Characteristic wavelength in meters.
+        g: Gravitational acceleration in m/s^2. Each scale must be finite and positive.
 
     Returns:
         The regime summary; the time horizon converts the dimensionless
         validity window t ~ 1/alpha back to seconds through the travel
         time l/c0 of one wavelength.
     """
-    def ratios():
-        alpha, c0 = p.a / p.h0, math.sqrt(p.g * p.h0)
-        return alpha, p.h0**2 / p.l**2, c0, p.l / (c0 * alpha)
-
-    return ShallowWaterRegime(*_finite(f"the regime of {p}", ratios))
+    for name, value in (("a", a), ("h0", h0), ("l", l), ("g", g)):
+        if not math.isfinite(value) or value <= 0.0:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
+    if not a < h0:
+        raise ValueError(f"small-amplitude regime requires a < h0, got a = {a}, h0 = {h0}")
+    alpha, c0 = a / h0, math.sqrt(g * h0)
+    return ShallowWaterRegime(*_finite(f"the regime of a = {a}, h0 = {h0}, l = {l}, g = {g}",
+                                       lambda: (alpha, h0**2 / l**2, c0, l / (c0 * alpha))))
 
 
 def _finite(what: str, ratios: Callable[[], tuple]) -> tuple:

@@ -41,12 +41,14 @@ def _fmt(x: float) -> str:
 
 
 def _axis(lo, hi, pix_lo, pix_hi, log):
-    """One axis's value -> pixel map: log10 of each value, or half of it on a linear axis.
+    """One axis's value -> pixel map: log10 of each value, or on a linear axis its product
+    with the power of two that brings the larger end into [0.5, 1).
 
-    Halving a normal double is exact, so the ratio keeps every bit and a span past the
-    largest double stays finite.
+    That product is exact for subnormal ends too, so each position is the plain ratio's, and
+    a span past the largest double stays finite.
     """
-    scale = math.log10 if log else (0.5).__mul__
+    e = math.frexp(max(abs(lo), abs(hi)))[1]
+    scale = math.log10 if log else lambda v: math.ldexp(v, -e)
     lo, hi = scale(lo), scale(hi)
     if hi == lo:
         return lambda value: 0.5 * (pix_lo + pix_hi)

@@ -32,7 +32,7 @@ from kdvtorus.normal_form import (
     ratio_census,
     resonant_term,
 )
-from kdvtorus.shallow_water import PhysicalParams, dimensionless, validate_regime
+from kdvtorus.shallow_water import dimensionless, validate_regime
 
 pytestmark = pytest.mark.gate
 
@@ -261,7 +261,7 @@ def test_criterion_08_multilinearity_and_census():
 def test_criterion_09_shallow_water_mismatch():
     """validate_regime(0.01, 0.4).mismatch = 0.263 +/- 0.001; reference triple gives 0.01."""
     value = validate_regime(0.01, 0.4).mismatch
-    regime = dimensionless(PhysicalParams(a=1.0, h0=100.0, l=1000.0))
+    regime = dimensionless(a=1.0, h0=100.0, l=1000.0)
     ok_mismatch = abs(value - 0.263) <= 1e-3
     ok_triple = regime.alpha == 0.01 and regime.beta == 0.01
     _criterion(

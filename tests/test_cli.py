@@ -434,6 +434,8 @@ class TestSimulate:
         written = {p.name for p in tmp_path.iterdir()}
         assert written == set(read_manifest(tmp_path)["artifacts"]) | {"manifest.json"}
         assert len(written) == 7
+        svg = (tmp_path / "deviation_vs_t.svg").read_text(encoding="utf-8")
+        assert 'points="72.00,205.00 622.00,205.00"' in svg  # the axis's two ends, not mid-axis
 
     @pytest.mark.parametrize("samples", ["0", "1"])
     def test_fewer_than_two_samples_is_a_config_error(self, tmp_path, capsys, samples):

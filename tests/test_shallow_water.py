@@ -2,22 +2,23 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
+from kdvtorus import cli
 from kdvtorus.shallow_water import (
     GRAVITY,
-    PhysicalParams,
     dimensionless,
     validate_regime,
 )
 
 
-class TestPhysicalParams:
+class TestDimensionless:
     def test_reference_configuration(self):
         """1 m waves on 100 m depth with 1 km wavelength: both ratios 0.01."""
-        regime = dimensionless(PhysicalParams(a=1.0, h0=100.0, l=1000.0))
+        regime = dimensionless(a=1.0, h0=100.0, l=1000.0)
         assert regime.alpha == 0.01
         assert regime.beta == 0.01
         assert regime.c0 == pytest.approx(math.sqrt(GRAVITY * 100.0), rel=1e-15)
@@ -25,20 +26,55 @@ class TestPhysicalParams:
         assert regime.t_phys_scale == pytest.approx(3192.75, abs=0.5)
 
     def test_horizon_formula(self):
-        p = PhysicalParams(a=0.5, h0=20.0, l=300.0)
-        regime = dimensionless(p)
+        regime = dimensionless(a=0.5, h0=20.0, l=300.0)
         assert regime.t_phys_scale == pytest.approx(
-            p.l / (regime.c0 * regime.alpha), rel=1e-15
+            300.0 / (regime.c0 * regime.alpha), rel=1e-15
         )
 
     def test_amplitude_must_stay_below_depth(self):
         with pytest.raises(ValueError, match="a < h0"):
-            PhysicalParams(a=100.0, h0=100.0, l=1000.0)
+            dimensionless(a=100.0, h0=100.0, l=1000.0)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
     def test_scales_must_be_positive_and_finite(self, bad):
         with pytest.raises(ValueError, match="finite and positive"):
-            PhysicalParams(a=1.0, h0=100.0, l=bad)
+            dimensionless(a=1.0, h0=100.0, l=bad)
+
+    def test_scales_are_keyword_only(self):
+        """Two lengths in metres cannot be swapped by position."""
+        with pytest.raises(TypeError):
+            dimensionless(1.0, 100.0, 1000.0)
+
+    def test_non_finite_refusal_names_the_scales(self):
+        message = ("the regime of a = 1.0, h0 = 1e+200, l = 1.0, g = 9.81: "
+                   "not finite in double precision")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dimensionless(a=1.0, h0=1e200, l=1.0)
+
+
+class TestTorusMap:
+    """Surface KdV in xi = l*x, t = (l/c0)*s, eta = a*u, reflected: KdvParams' (a, b)."""
+
+    @staticmethod
+    def torus_coefficients(alpha, beta):
+        """The torus equation's (a, b) for the smallness ratios (alpha, beta)."""
+        return beta / 6.0, 1.5 * alpha
+
+    def test_the_substitution_gives_the_map(self):
+        """eta_t + (3c0/2h0)*eta*eta_xi + (c0*h0^2/6)*eta_xixixi = 0, scaled term by term."""
+        a, h0, l = 0.5, 20.0, 300.0
+        regime = dimensionless(a=a, h0=h0, l=l)
+        nonlinear, dispersive = 3.0 * regime.c0 / (2.0 * h0), regime.c0 * h0**2 / 6.0
+        # eta_t = (a*c0/l)*u_s, eta*eta_xi = (a^2/l)*u*u_x, eta_xixixi = (a/l^3)*u_xxx; divide
+        # by a*c0/l, then x -> -x moves both spatial terms to the right-hand side unchanged.
+        b_torus = nonlinear * (a**2 / l) / (a * regime.c0 / l)
+        a_torus = dispersive * (a / l**3) / (a * regime.c0 / l)
+        assert (a_torus, b_torus) == pytest.approx(
+            self.torus_coefficients(regime.alpha, regime.beta), rel=1e-14)
+
+    def test_pullback_defaults_are_the_map_at_unit_ratios(self):
+        defaults = cli._DEFAULTS["pullback"]
+        assert (defaults["a"], defaults["b"]) == self.torus_coefficients(1.0, 1.0)
 
 
 class TestModifiedRatios:
@@ -73,9 +109,9 @@ class TestRatiosOutOfRange:
             lambda: validate_regime(1e300, 1e-10),
             lambda: validate_regime(0.01, 1e-200),
             lambda: validate_regime(0.01, 1e-100),
-            lambda: dimensionless(PhysicalParams(a=1.0, h0=1e200, l=1.0)),
-            lambda: dimensionless(PhysicalParams(a=1e-300, h0=1e10, l=1e-200)),
-            lambda: dimensionless(PhysicalParams(a=5e-324, h0=1e10, l=1.0)),
+            lambda: dimensionless(a=1.0, h0=1e200, l=1.0),
+            lambda: dimensionless(a=1e-300, h0=1e10, l=1e-200),
+            lambda: dimensionless(a=5e-324, h0=1e10, l=1.0),
         ],
         ids=["beta-eps-inf", "eps-squared-underflows", "mismatch-overflows",
              "beta-overflows", "l-squared-underflows", "alpha-underflows"],

@@ -62,8 +62,8 @@ MUTANTS = [
     Mutant("src/kdvtorus/integrator.py", "tol = 1e-9 * max(1.0, abs(t_final))",
            "tol = 1e-6 * max(1.0, abs(t_final))",
            "evolve's sample-time tolerance 1e-9 loosened to 1e-6"),
-    Mutant("src/kdvtorus/svgplot.py", "(0.5).__mul__", "(1.0).__mul__",
-           "svgplot's linear map at full scale instead of half"),
+    Mutant("src/kdvtorus/svgplot.py", "math.ldexp(v, -e)", "v",
+           "svgplot's linear map unscaled instead of by the larger end's power of two"),
     Mutant("src/kdvtorus/svgplot.py", "math.floor(hi / step) + 1)", "math.floor(hi / step))",
            "svgplot's linear tick range without its last multiple"),
     Mutant("src/kdvtorus/svgplot.py", "(0.5 * hi - 0.5 * lo) / 2.5", "(0.5 * hi - 0.5 * lo) / 2.0",
@@ -80,13 +80,18 @@ MUTANTS = [
            "the deviation audit's tolerance 1e-12 loosened to 1e-6"),
     Mutant("src/kdvtorus/experiments.py", "SNAPSHOT_TIME = 0.2", "SNAPSHOT_TIME = 0.25",
            "the return test's snapshot time 0.2 moved to 0.25"),
-    Mutant("src/kdvtorus/shallow_water.py", "p.l / (c0 * alpha)", "p.l / c0",
+    Mutant("src/kdvtorus/shallow_water.py", "l / (c0 * alpha)", "l / c0",
            "dimensionless' time horizon l/(c0*alpha) without alpha"),
+    Mutant("src/kdvtorus/shallow_water.py", "if not a < h0:", "if not a <= h0:",
+           "dimensionless' refusal a < h0 loosened to a <= h0"),
     Mutant("src/kdvtorus/integrator.py", "(2 * p.cutoff) // 3", "(2 * p.cutoff + 1) // 3",
            "evolve's dealiasing mask (2K)//3 moved to (2K+1)//3"),
     Mutant("src/kdvtorus/normal_form.py", "_linear_phase(v.wavenumbers(), 1.0)(-t)",
            "_linear_phase(v.wavenumbers(), 1.0)(t)",
            "_at_time's diagonal phase with its sign flipped"),
+    Mutant("src/kdvtorus/normal_form.py", "(1.0 / 6.0) * b2(w, tau)",
+           "(1.0 / 5.0) * b2(w, tau)",
+           "the residual chain's B2 coefficient 1/6 moved to 1/5"),
     Mutant("src/kdvtorus/normal_form.py", "(1.0 / 18.0) * b3(w, tau)",
            "(1.0 / 17.0) * b3(w, tau)",
            "the residual chain's B3 coefficient 1/18 moved to 1/17"),
@@ -104,6 +109,9 @@ MUTANTS = [
     Mutant("src/kdvtorus/normal_form.py", "!= (k1 + mu) * (k1 + lam)",
            "!= (k1 + mu) * (k1 - lam)",
            "one broken term in check_identities' factorization identity"),
+    Mutant("src/kdvtorus/normal_form.py", "_mirrored(_b3_rows, 1.0, w)",
+           "_mirrored(_b3_rows, -1.0, w)",
+           "B3's mirror sign +1 flipped to -1"),
     Mutant("src/kdvtorus/normal_form.py", "_mirrored(_b4_rows, -1.0, w)",
            "_mirrored(_b4_rows, 1.0, w)",
            "B4's mirror sign -1 flipped to +1"),
