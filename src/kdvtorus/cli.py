@@ -1,13 +1,12 @@
-"""Command-line driver: subcommands, config files, and artifact emission.
+"""Command-line driver: subcommands, their flags, and artifact emission.
 
 Every key is declared once, in ``_KEYS`` (parser or choices, help); its flag
-is ``--`` plus the key with dashes, and config-file values go through the
-same parser. Precedence for every key: built-in defaults < profile < config
-file < explicit flags. Artifacts (CSV/JSON/SVG plus a manifest) land in
---out, or under $KDVTORUS_OUTPUT_ROOT/<subcommand> when --out is absent; a
-run writes into a stage beside it, moved in only once the run finishes.
-CSV payloads are byte-identical across reruns of the same configuration;
-the manifest additionally records wall time and version.
+is ``--`` plus the key with dashes. A run's settings are its subcommand's
+defaults with the given flags on top. Artifacts (CSV/JSON/SVG plus a
+manifest) land in --out, or under $KDVTORUS_OUTPUT_ROOT/<subcommand> when
+--out is absent; a run writes into a stage beside it, moved in only once the
+run finishes. CSV payloads are byte-identical across reruns of the same
+configuration; the manifest additionally records wall time and version.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .experiments import (
     return_experiment,
 )
 from .fields import _write_csv, grid_points, l2_norm, random_real_field, synthesize, write_field_csv
-from .integrator import InstabilityError, KdvParams, Scheme, desk_params, paper_params
+from .integrator import InstabilityError, KdvParams, Scheme
 from .normal_form import (
     CENSUS_SEED,
     check_identities,
@@ -44,37 +43,22 @@ from .normal_form import (
 from .shallow_water import GRAVITY, dimensionless, validate_regime
 from .svgplot import LineSeries, write_line_plot
 
-__all__ = ["run", "main", "load_config", "ENV_OUTPUT_ROOT", "PROFILES"]
+__all__ = ["run", "main", "ENV_OUTPUT_ROOT"]
 
 ENV_OUTPUT_ROOT = "KDVTORUS_OUTPUT_ROOT"
-
-#: Scheme/step presets; at T = 0.25 "paper" matched "desk" to 7 digits in 15x the time.
-PROFILES = {
-    name: {"scheme": p.scheme.value, "dt": p.dt}
-    for name, p in (("desk", desk_params()), ("paper", paper_params()))
-}
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
-        raise ValueError(f"cannot parse {text!r} as a comma-separated float list") from exc
+        raise argparse.ArgumentTypeError(
+            f"cannot parse {text!r} as a comma-separated float list") from exc
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"cannot parse {text!r} as a boolean")
-
-
-# Every key once: (parser, or tuple of choices; help). _parse_bool keys
-# become --key/--no-key flags.
+# Every key once: (parser, or tuple of choices; help). bool keys become
+# --key/--no-key flags.
 _KEYS: dict[str, tuple] = {
-    "profile": (tuple(sorted(PROFILES)), "scheme/step preset"),
     "epsilon": (float, "width epsilon, in (0, 1]"),
     "amplitude": (float, "odd-Gaussian amplitude"),
     "epsilons": (_parse_float_list, "comma-separated widths, e.g. 0.4,0.2,0.1"),
@@ -82,9 +66,9 @@ _KEYS: dict[str, tuple] = {
     "b": (float, "nonlinearity coefficient"),
     "m": (int, "grid size (power of two)"),
     "t_final": (float, "final time"),
-    "dt": (float, "time step (overrides profile)"),
-    "scheme": (tuple(s.value for s in Scheme), "time stepper (overrides profile)"),
-    "dealias": (_parse_bool, "2/3-rule dealiasing of the quadratic term"),
+    "dt": (float, "time step"),
+    "scheme": (tuple(s.value for s in Scheme), "time stepper"),
+    "dealias": (bool, "2/3-rule dealiasing of the quadratic term"),
     "samples": (int, "number of sample times"),
     "support": (int, "residual-probe field support"),
     "cutoff": (int, "residual-probe field cutoff"),
@@ -103,8 +87,9 @@ _KEYS: dict[str, tuple] = {
     "g": (float, "gravity (m/s^2)"),
 }
 
-# The keys every stepping subcommand shares; dt/scheme come from the profile.
-_RUN = {"profile": "desk", "b": 1.0, "m": 512, "dt": None, "scheme": None, "dealias": True}
+# The keys every stepping subcommand shares; dt and scheme are KdvParams' defaults.
+_RUN = {"b": 1.0, "m": 512, "dt": KdvParams.dt, "scheme": KdvParams.scheme.value,
+        "dealias": True}
 
 # Per-subcommand keys and defaults.
 _DEFAULTS: dict[str, dict] = {
@@ -127,61 +112,12 @@ _DEFAULTS: dict[str, dict] = {
 }
 
 
-def _parse_value(key: str, raw: str):
-    """Parse a config-file value the way its flag is parsed."""
-    kind = _KEYS[key][0]
-    if isinstance(kind, tuple):
-        if raw not in kind:
-            raise ValueError(f"config key {key}: {raw!r} is not one of {list(kind)}")
-        return raw
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ValueError(f"config key {key}: {exc}") from exc
-
-
-def load_config(path, allowed) -> dict:
-    """Parse a flat key=value config file (# comments, blank lines allowed).
-
-    `allowed` holds the subcommand's key names: unknown keys raise
-    ValueError naming the key, and each value is parsed like its flag.
-    """
-    cfg: dict = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"cannot read config file {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        if key not in allowed:
-            raise ValueError(f"unknown config key: {key}")
-        cfg[key] = _parse_value(key, raw)
-    return cfg
-
-
 def _resolve(command: str, args: argparse.Namespace) -> dict:
-    """Merge defaults, profile, config file, and explicit flags."""
+    """The subcommand's defaults with the given flags on top."""
     defaults = _DEFAULTS[command]
-    file_cfg = load_config(args.config, allowed=defaults) if args.config else {}
-    flag_cfg = {
-        key: value
-        for key, value in vars(args).items()
-        if key in defaults and value is not None
-    }
-    cfg = dict(defaults)
-    if "profile" in defaults:
-        profile = flag_cfg.get("profile") or file_cfg.get("profile") or cfg["profile"]
-        cfg.update(PROFILES[profile])
-    cfg.update(file_cfg)
-    cfg.update(flag_cfg)
-    return cfg
+    given = {key: value for key, value in vars(args).items()
+             if key in defaults and value is not None}
+    return {**defaults, **given}
 
 
 def _outdir(args: argparse.Namespace, command: str) -> Path:
@@ -480,12 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command")
     for command, (_, command_help) in _COMMANDS.items():
         sub = subs.add_parser(command, help=command_help, allow_abbrev=False)
-        sub.add_argument("--config", help="flat key=value config file")
         sub.add_argument("--out", "-o", help="output directory (default: "
                          f"${ENV_OUTPUT_ROOT}/<subcommand>)")
         for key in _DEFAULTS[command]:
             kind, key_help = _KEYS[key]
-            if kind is _parse_bool:
+            if kind is bool:
                 option = {"action": argparse.BooleanOptionalAction}
             elif isinstance(kind, tuple):
                 option = {"choices": kind}

@@ -1,4 +1,4 @@
-"""Command-line entry points: config resolution, artifacts, exit codes."""
+"""Command-line entry points: flags over defaults, artifacts, exit codes."""
 
 import json
 import math
@@ -18,7 +18,6 @@ from kdvtorus.cli import (
     ENV_OUTPUT_ROOT,
     _parse_float_list,
     _write_json,
-    load_config,
     run,
 )
 from kdvtorus.integrator import _linear_phase
@@ -170,70 +169,20 @@ class TestShallowWater:
             _write_json(tmp_path / "report.json", {"g": value})
 
 
-class TestConfigFile:
-    def test_file_values_overridden_by_flags(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("# comment line\ndelta = 0.02\nepsilon = 0.5\n")
-        outdir = tmp_path / "out"
-        rc = run([
-            "shallow-water", "--config", str(cfg), "--epsilon", "0.4",
-            "--out", str(outdir),
-        ])
-        assert rc == 0
-        manifest = read_manifest(outdir)
-        assert manifest["parameters"]["delta"] == 0.02  # from file
-        assert manifest["parameters"]["epsilon"] == 0.4  # flag wins
-
-    def test_unknown_key_is_rejected(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("bogus = 3\n")
-        rc = run(["shallow-water", "--config", str(cfg), "--out", str(tmp_path)])
-        assert rc == 1
-        assert "unknown config key: bogus" in capsys.readouterr().err
-
-    def test_profile_key_switches_the_scheme(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("profile = paper\n")
-        outdir = tmp_path / "out"
-        rc = run([
-            "simulate", "--config", str(cfg), "--m", "64", "--dt", "1e-3",
-            "--t-final", "0.05", "--samples", "2", "--out", str(outdir),
-        ])
-        assert rc == 0
-        params = read_manifest(outdir)["parameters"]
-        assert params["profile"] == "paper"
-        assert params["scheme"] == "fornberg-whitham"
-
-    def test_unparsable_float_list_is_refused(self, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("epsilons = 0.4,abc\n")
-        outdir = tmp_path / "out"
-        rc = run(["sweep", "--config", str(cfg), "--out", str(outdir)])
-        line = assert_refused(rc, capsys.readouterr(), outdir)
-        assert line == ("error: config key epsilons: cannot parse '0.4,abc' as a "
-                        "comma-separated float list")
-
-    def test_missing_file_is_refused(self, tmp_path, capsys):
-        missing = tmp_path / "absent.cfg"
-        outdir = tmp_path / "out"
-        rc = run(["sweep", "--config", str(missing), "--out", str(outdir)])
-        line = assert_refused(rc, capsys.readouterr(), outdir)
-        assert line.startswith(f"error: cannot read config file {missing}: ")
-
-    def test_malformed_line_is_reported(self, tmp_path):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("delta 0.02\n")
-        with pytest.raises(ValueError, match="expected key=value"):
-            load_config(cfg, allowed={"delta": 0.01})
-
-
 # Names that are not keys: (subcommand, base flags, name, value). eps and
 # identity_limit were second names of epsilon and limit; return-test has no
-# a, and --a must not pass for an abbreviation of --amplitude.
+# a, and --a must not pass for an abbreviation of --amplitude. No subcommand
+# takes a profile preset or a config file: flags are a run's only settings.
+# Stepping subcommands get a small grid and step, so that a tree which still
+# takes the flag fails in seconds rather than stepping the default run.
+SMALL_RUN = ["--m", "32", "--dt", "1e-2"]
 NOT_KEYS = [
     ("shallow-water", [], "eps", "0.4"),
     ("normalform-check", [], "identity_limit", "3"),
-    ("return-test", ["--m", "32", "--dt", "1e-2"], "a", "1"),
+    ("return-test", SMALL_RUN, "a", "1"),
+    *((command, SMALL_RUN if "dt" in keys else [], name, value)
+      for name, value in (("profile", "paper"), ("config", "run.cfg"))
+      for command, keys in _DEFAULTS.items()),
 ]
 NOT_KEY_IDS = [f"{command}-{key}" for command, _, key, _ in NOT_KEYS]
 
@@ -246,15 +195,6 @@ class TestOneKeyPerQuantity:
         assert run([command, *base, flag, value, "--out", str(outdir)]) == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not outdir.exists()
-
-    @pytest.mark.parametrize("command, base, key, value", NOT_KEYS, ids=NOT_KEY_IDS)
-    def test_config_key_is_unknown(self, tmp_path, capsys, command, base, key, value):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"{key} = {value}\n")
-        outdir = tmp_path / "out"
-        rc = run([command, *base, "--config", str(cfg), "--out", str(outdir)])
-        line = assert_refused(rc, capsys.readouterr(), outdir)
-        assert line == f"error: unknown config key: {key}"
 
     def test_every_key_belongs_to_a_subcommand(self):
         assert set(_KEYS) == {key for defaults in _DEFAULTS.values() for key in defaults}
@@ -269,21 +209,21 @@ class TestOneKeyPerQuantity:
 # Every key of every subcommand, each with a small run's non-default value.
 KEY_VALUES = {
     "simulate": {
-        "profile": "paper", "epsilon": 0.3, "amplitude": 0.5, "a": 0.5, "b": 0.5,
+        "epsilon": 0.3, "amplitude": 0.5, "a": 0.5, "b": 0.5,
         "m": 64, "t_final": 0.01, "dt": 1e-3, "scheme": "if-rk4", "dealias": False,
         "samples": 2,
     },
     "return-test": {
-        "profile": "desk", "epsilon": 0.3, "amplitude": 0.5, "b": 0.5,
+        "epsilon": 0.3, "amplitude": 0.5, "b": 0.5,
         "m": 32, "dt": 2e-3, "scheme": "fornberg-whitham", "dealias": False,
     },
     "pullback": {
-        "profile": "paper", "epsilon": 0.3, "amplitude": 0.5, "a": 0.5, "b": 1.0,
+        "epsilon": 0.3, "amplitude": 0.5, "a": 0.5, "b": 1.0,
         "m": 64, "t_final": 0.01, "dt": 1e-3, "scheme": "fornberg-whitham",
         "dealias": True,
     },
     "sweep": {
-        "profile": "paper", "epsilons": (0.4, 0.3, 0.2), "a": 0.5, "b": 0.5,
+        "epsilons": (0.4, 0.3, 0.2), "a": 0.5, "b": 0.5,
         "m": 64, "t_final": 0.01, "dt": 1e-3, "scheme": "if-rk4", "dealias": False,
     },
     "normalform-check": {
@@ -299,37 +239,25 @@ KEY_VALUES = {
 }
 
 
-def as_text(value):
-    if isinstance(value, tuple):
-        return ",".join(repr(v) for v in value)
-    return str(value).lower() if isinstance(value, bool) else str(value)
-
-
 def as_flags(values):
     argv = []
     for key, value in values.items():
         flag = key.replace("_", "-")
         if isinstance(value, bool):
             argv.append(f"--{flag}" if value else f"--no-{flag}")
+        elif isinstance(value, tuple):
+            argv += [f"--{flag}", ",".join(repr(v) for v in value)]
         else:
-            argv += [f"--{flag}", as_text(value)]
+            argv += [f"--{flag}", str(value)]
     return argv
 
 
 class TestKeySources:
-    @pytest.mark.parametrize("source", ["flag", "config"])
     @pytest.mark.parametrize("command", sorted(KEY_VALUES))
-    def test_every_key_lands_in_the_manifest(self, command, source, tmp_path):
-        """A key set by flag or by config file is parsed the same way."""
+    def test_every_key_lands_in_the_manifest(self, command, tmp_path):
+        """Each flag's parsed value, not its default, is the manifest's parameter."""
         values = KEY_VALUES[command]
-        argv = [command, "--out", str(tmp_path / "out")]
-        if source == "config":
-            cfg = tmp_path / "run.cfg"
-            cfg.write_text("".join(f"{k} = {as_text(v)}\n" for k, v in values.items()))
-            argv += ["--config", str(cfg)]
-        else:
-            argv += as_flags(values)
-        assert run(argv) == 0
+        assert run([command, "--out", str(tmp_path / "out"), *as_flags(values)]) == 0
         params = read_manifest(tmp_path / "out")["parameters"]
         assert params == {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
@@ -368,28 +296,22 @@ class TestKeySources:
         assert rows[0] == "t,deviation"
         assert float(rows[-1].split(",")[0]) == pytest.approx(2 * math.pi, rel=1e-12)
 
-    @pytest.mark.parametrize("command", ["identities", "normalform-check", "shallow-water"])
-    def test_profile_is_unknown_without_profiles(self, command, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("profile = paper\n")
-        assert run([command, "--config", str(cfg), "--out", str(tmp_path)]) == 1
-        assert "unknown config key: profile" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
-        "line, message",
+        "argv, message",
         [
-            ("scheme = euler", "config key scheme: 'euler' is not one of"),
-            ("profile = nonsense", "config key profile: 'nonsense' is not one of"),
-            ("dealias = maybe", "config key dealias: cannot parse 'maybe' as a boolean"),
-            ("m = 1e3", "config key m:"),
+            (["simulate", "--scheme", "euler"], "argument --scheme: invalid choice: 'euler'"),
+            (["simulate", "--m", "1e3"], "argument --m: invalid int value: '1e3'"),
+            (["sweep", "--epsilons", "0.4,abc"],
+             "argument --epsilons: cannot parse '0.4,abc' as a comma-separated float list"),
         ],
-        ids=["scheme", "profile", "dealias", "m"],
+        ids=["scheme", "m", "epsilons"],
     )
-    def test_bad_values_are_rejected(self, line, message, tmp_path, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(line + "\n")
-        assert run(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-        assert message in capsys.readouterr().err
+    def test_bad_values_are_rejected(self, argv, message, tmp_path, capsys):
+        """A value its flag cannot parse is a usage error naming the flag."""
+        outdir = tmp_path / "out"
+        assert run([*argv, "--out", str(outdir)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not outdir.exists()
 
 
 class TestSimulate:

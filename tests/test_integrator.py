@@ -24,7 +24,6 @@ from kdvtorus.integrator import (
     desk_params,
     evolve,
     linear_propagator,
-    paper_params,
 )
 from kdvtorus.normal_form import b2, b3, b4
 from oracles import nonlinear_term
@@ -41,9 +40,7 @@ def coeff_rows(rec) -> np.ndarray:
 class TestParams:
     def test_profiles_pick_scheme_and_step(self):
         desk = desk_params()
-        paper = paper_params()
         assert desk.scheme is Scheme.INTEGRATING_FACTOR_RK4 and desk.dt == 1e-5
-        assert paper.scheme is Scheme.FORNBERG_WHITHAM and paper.dt == 1e-7
         assert desk.m == 512
 
     def test_scheme_accepts_names_and_values(self):

@@ -18,7 +18,10 @@ def test_each_old_text_occurs_exactly_once(mutant):
 
 
 def test_the_first_failure_names_the_test():
-    output = ("F\n=== short test summary info ===\n"
-              "FAILED tests/test_cli.py::TestIdentities::test_x[3] - AssertionError: boom\n"
-              "!!! stopping after 1 failures !!!\n1 failed, 12 passed in 1.0s\n")
-    assert mutants._first_failure(output) == "tests/test_cli.py::TestIdentities::test_x[3]"
+    """The test id and the failure's first line; later lines of the message are left out."""
+    first = "FAILED tests/test_cli.py::TestIdentities::test_x[3] - AssertionError: boom"
+    for rest in ("", "\nassert 1 == 2\n +  where 1 = f()"):
+        output = ("F\n=== short test summary info ===\n" + first + rest
+                  + "\n!!! stopping after 1 failures !!!\n1 failed, 12 passed in 1.0s\n")
+        assert mutants._first_failure(output) == (
+            "tests/test_cli.py::TestIdentities::test_x[3] - AssertionError: boom")

@@ -9,8 +9,10 @@ occur exactly once in its file) is replaced there by its new text, and
 ``python -m pytest -m "not gate" -x -q`` runs in the copy with the copy's
 ``src`` first on ``PYTHONPATH``, leaving out ``tests/test_mutants.py``, whose
 check that each old text occurs once would kill every mutant. One line per
-mutant says ``killed by <test>`` or ``survived``. The checkout itself is
-never edited.
+mutant says ``survived`` or ``killed by <test> - <message>``, with the first
+line of the killing failure as pytest's summary prints it (``COLUMNS`` is set
+wide so that pytest does not cut it short). The checkout itself is never
+edited.
 
 A mutant that survives is either a gap in the tests, closed by a fast-loop
 test that kills it, or equivalent to the original, which its ``equivalent``
@@ -49,6 +51,8 @@ MUTANTS = [
            "normalform-check's order window 1.5..2.5 widened to 1.0..3.0"),
     Mutant("src/kdvtorus/cli.py", "small < 1.0e-6", "small < 1.0e-3",
            "normalform-check's small-dt bound 1e-6 loosened to 1e-3"),
+    Mutant("src/kdvtorus/cli.py", "return {**defaults, **given}", "return {**given, **defaults}",
+           "_resolve lets the subcommand's defaults win over the given flags"),
     Mutant("src/kdvtorus/experiments.py", "TAIL_TOLERANCE = 1.0e-12", "TAIL_TOLERANCE = 1.0e-10",
            "the Hermite tail warning's threshold 1e-12 loosened to 1e-10"),
     Mutant("src/kdvtorus/experiments.py", "_DEGENERATE_ERROR = 1.0e-13",
@@ -134,10 +138,10 @@ def occurrences(root: Path, mutant: Mutant) -> int:
 
 
 def _first_failure(output: str) -> str:
-    """The test named on pytest's first FAILED or ERROR summary line."""
+    """Pytest's first FAILED or ERROR summary line: the test, then its failure's first line."""
     for line in output.splitlines():
         if line.startswith(("FAILED ", "ERROR ")):
-            return line.split(" ", 1)[1].split(" - ", 1)[0]
+            return line.split(" ", 1)[1]
     return "an error outside any test (see pytest's output)"
 
 
@@ -150,7 +154,7 @@ def run_mutant(mutant: Mutant) -> str | None:
         path = copy / mutant.file
         path.write_text(path.read_text(encoding="utf-8").replace(mutant.old, mutant.new),
                         encoding="utf-8")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        env = {**os.environ, "COLUMNS": "1000", "PYTHONPATH": os.pathsep.join(
             filter(None, [str(copy / "src"), os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(PYTEST, cwd=copy, env=env, capture_output=True, text=True)
     return None if proc.returncode == 0 else _first_failure(proc.stdout + proc.stderr)
