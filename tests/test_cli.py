@@ -262,6 +262,15 @@ class TestKeySources:
         assert params == {k: list(v) if isinstance(v, tuple) else v for k, v in values.items()}
 
     @pytest.mark.parametrize("command", sorted(KEY_VALUES))
+    def test_a_flag_overrides_only_its_own_key(self, command):
+        """No flag resolves to the defaults; one flag changes its key and no other."""
+        parser = cli.build_parser()
+        assert cli._resolve(command, parser.parse_args([command])) == _DEFAULTS[command]
+        for key, value in KEY_VALUES[command].items():
+            args = parser.parse_args([command, *as_flags({key: value})])
+            assert cli._resolve(command, args) == {**_DEFAULTS[command], key: value}, key
+
+    @pytest.mark.parametrize("command", sorted(KEY_VALUES))
     def test_manifest_lists_exactly_the_files_written(self, command, tmp_path):
         """artifacts plus manifest.json is the directory; every CSV line ends in \\n.
 
