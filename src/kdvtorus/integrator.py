@@ -29,7 +29,8 @@ for very long runs. The leapfrog step's two roots, exp(-i*theta) and
 -exp(i*theta) with theta = a*k^3*dt, meet where cos(theta) = 0. No masked
 mode reaches that collision while dt < pi/(2*|a|*mask^3), mask being the
 quadratic term's cutoff (2K/3, or K without dealiasing): 3.2e-7 at m = 512
-and a = 1. Nothing checks the bound.
+and a = 1. Nothing refuses a step past the bound, but a leapfrog blow-up past
+it names the collision rather than advising a smaller dt.
 
 The quadratic term is ``_Workspace.nl``, masked at one cutoff: 2K/3 (the 2/3
 rule) or K in ``evolve``, K itself on the residual probe's wider grid; its
@@ -438,9 +439,14 @@ def evolve(phi, p: KdvParams, sample_times):
         if not math.isfinite(norms[j]):
             return InstabilityError(f"field {j} overflowed double precision at "
                                     f"t = {idx * dt_eff:.6g} (b = {p.b:g})")
+        advice = "reduce dt or the grid cutoff"
+        if not rk4 and abs(p.a) * mask_cutoff**3 * dt_eff >= 0.5 * math.pi:
+            advice = ("leapfrog's two roots can meet at this step (|a|*mask^3*dt >= pi/2), "
+                      "so a smaller dt may not help unless it is below "
+                      f"{0.5 * math.pi / (abs(p.a) * mask_cutoff**3):.3g}")
         return InstabilityError(
             f"l2 norm of field {j} exceeded {BLOWUP_FACTOR:.0e} times its initial value "
-            f"at t = {idx * dt_eff:.6g}; reduce dt or the grid cutoff"
+            f"at t = {idx * dt_eff:.6g}; {advice}"
         )
 
     A_prev, A = None, A0.copy()  # IF-RK4 steps v, leapfrog steps u

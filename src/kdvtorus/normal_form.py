@@ -333,9 +333,12 @@ def _b4_rows(v: FourierField) -> np.ndarray:
     top = min(v.cutoff, 4 * reach)
     n = _fft_length(4 * reach + top + 1)
     beta = _row_spectrum(top, reach, n, False, vals)  # the shape: see _b3_rows
-    spectral = beta * (_row_spectrum(top, reach, n, False, w)
-                       * _row_spectrum(top, 2 * reach, n, True, pair_modes * pair)
-                       + 0.5 * beta * _row_spectrum(top, 2 * reach, n, True, pair))
+    spectral = (_row_spectrum(top, reach, n, False, w)
+                * _row_spectrum(top, 2 * reach, n, True, pair_modes * pair))
+    # gamma's fill runs before 0.5 * beta exists, so at most four grids are live;
+    # spectral + (temporary) is elided into the temporary, and a + b is b + a bitwise
+    gamma = _row_spectrum(top, 2 * reach, n, True, pair)
+    spectral = beta * (spectral + 0.5 * beta * gamma)
     return np.mean(spectral, axis=-1)
 
 

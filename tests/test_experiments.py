@@ -364,3 +364,20 @@ class TestEpsilonSweep:
         res = epsilon_sweep([0.4, 0.3, 0.2], KdvParams(m=64, dt=1e-3, b=1e-10), 0.1)
         assert res.errors_at_t == pytest.approx((9.53e-12, 7.26e-12, 4.51e-12), rel=1e-2)
         assert res.fitted_slope == pytest.approx(2.24, abs=0.01)
+
+    @pytest.mark.parametrize("widths", [(0.35, 0.27, 0.18, 0.12), (0.33, 0.21, 0.14)])
+    def test_the_slope_is_the_least_squares_line_through_the_log_log_points(self, widths):
+        """np.polyfit, the reference here, agrees to rounding (1.4e-15 relative on these)."""
+        res = epsilon_sweep(widths, KdvParams(m=64, dt=1e-3), 0.1)
+        want = np.polyfit(np.log(res.hm_norms), np.log(res.errors_at_t), 1)[0]
+        assert res.fitted_slope == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_the_fit_makes_no_lapack_call(self, monkeypatch):
+        """The first LAPACK call of a process adds 1 MB of RSS, which set the sweep's peak."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep's fit called LAPACK")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        res = epsilon_sweep([0.4, 0.3, 0.2], KdvParams(m=64, dt=1e-3), 0.1)
+        assert math.isfinite(res.fitted_slope)

@@ -298,6 +298,30 @@ class TestEvolveNonlinear:
         with pytest.raises(InstabilityError, match="exceeded"):
             evolve(phi, p, sample_times=[50.0])
 
+    def test_a_leapfrog_blow_up_past_the_root_collision_bound_names_it(self):
+        """At m = 64 (mask 20) the bound is pi/(2*20^3) = 1.963e-4.
+
+        dt = 2e-4 lies above it: leapfrog blows up where IF-RK4 and leapfrog at
+        1.9e-4 run clean, so the message names the collision, not a smaller dt.
+        """
+        phi = random_real_field(1, support=20, cutoff=31)
+        p = KdvParams(dt=2e-4, t_final=0.1, m=64, scheme=Scheme.FORNBERG_WHITHAM)
+        with pytest.raises(InstabilityError, match="exceeded") as exc:
+            evolve(phi, p, sample_times=[0.1])
+        line = str(exc.value)
+        assert "two roots can meet" in line and "unless it is below 0.000196" in line
+        assert "reduce dt" not in line
+        evolve(phi, replace(p, scheme=Scheme.INTEGRATING_FACTOR_RK4), sample_times=[0.1])
+        evolve(phi, replace(p, dt=1.9e-4), sample_times=[0.1])
+
+    def test_a_leapfrog_blow_up_below_the_bound_advises_a_smaller_dt(self):
+        """At dt = 1e-4, half the bound, no root collision: the data is too large for dt."""
+        phi = 20.0 * random_real_field(1, support=20, cutoff=31)
+        p = KdvParams(dt=1e-4, t_final=0.1, m=64, scheme=Scheme.FORNBERG_WHITHAM)
+        with pytest.raises(InstabilityError, match="reduce dt or the grid cutoff$") as exc:
+            evolve(phi, p, sample_times=[0.1])
+        assert "roots" not in str(exc.value)
+
     @pytest.mark.parametrize("scheme", list(Scheme))
     @pytest.mark.parametrize("b", [1e150, 1e300])
     def test_overflow_is_refused_without_a_warning(self, scheme, b):

@@ -1,6 +1,8 @@
 """The mutant list of tools/mutants.py stays applicable to the source it mutates."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,3 +27,23 @@ def test_the_first_failure_names_the_test():
                   + "\n!!! stopping after 1 failures !!!\n1 failed, 12 passed in 1.0s\n")
         assert mutants._first_failure(output) == (
             "tests/test_cli.py::TestIdentities::test_x[3] - AssertionError: boom")
+
+
+def test_each_entry_names_a_fast_loop_killer_or_an_equivalence():
+    """Each stored killer is a test the fast loop collects, so it is run first, not skipped."""
+    assert all(m.killer or m.equivalent for m in mutants.MUTANTS)
+    killers = sorted({m.killer for m in mutants.MUTANTS if m.killer})
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-m", "not gate", *killers],
+        cwd=mutants.ROOT, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert set(killers) <= set(proc.stdout.splitlines())
+
+
+def test_a_failure_reruns_its_own_test_or_else_the_fast_loop():
+    """A collection error reruns its file; a failure with no test id, the whole fast loop."""
+    node = "tests/test_cli.py::TestIdentities::test_x[3]"
+    assert mutants._rerun(node + " - AssertionError: boom") == [node]
+    assert mutants._rerun(node) == [node]
+    assert mutants._rerun("tests/test_fields.py - ImportError: x") == ["tests/test_fields.py"]
+    assert mutants._rerun(mutants.OUTSIDE) == mutants.FAST_LOOP

@@ -475,8 +475,8 @@ class TestRowGrids:
 
     @pytest.mark.parametrize(
         "op, v, t, rows, n, grids",
-        [(b4, random_real_field(1, 32, cutoff=128), 0.0, 129, 270, 5.0),
-         (b4, hermite_initial(HermiteSpec(0.1), 512), 0.37, 256, 1280, 5.0),
+        [(b4, random_real_field(1, 32, cutoff=128), 0.0, 129, 270, 4.25),
+         (b4, hermite_initial(HermiteSpec(0.1), 512), 0.37, 256, 1280, 4.25),
          (b3, hermite_initial(HermiteSpec(0.1), 512), 0.37, 256, 1024, 2.5)],
         ids=["b4-census", "b4-full", "b3-full"],
     )
@@ -484,8 +484,10 @@ class TestRowGrids:
         """Each spectrum used once is built inside the product that consumes it.
 
         b4 then holds at most four grids and b3 two (a name for every spectrum
-        would hold six and three); the rest of the peak is the fills'
-        column-slice products. The bound relies on NumPy's temporary elision
+        would hold six and three). b4 builds its last spectrum before its
+        fourth grid exists, so the fills' column-slice products never ride on
+        four grids (forming it after ``0.5 * beta`` peaks at 4.76 census grids).
+        The bound relies on NumPy's temporary elision
         reusing a spectrum's buffer; checked with CPython 3.11.7 and NumPy
         2.4.6 (CI runs Python 3.11).
         """
