@@ -87,18 +87,20 @@ _KEYS: dict[str, tuple] = {
     "g": (float, "gravity (m/s^2)"),
 }
 
-# The keys every stepping subcommand shares; dt and scheme are KdvParams' defaults.
-_RUN = {"b": 1.0, "m": 512, "dt": KdvParams.dt, "scheme": KdvParams.scheme.value,
-        "dealias": True}
+# The keys every stepping subcommand shares, at KdvParams' defaults.
+_RUN = {"b": KdvParams.b, "m": KdvParams.m, "dt": KdvParams.dt,
+        "scheme": KdvParams.scheme.value, "dealias": KdvParams.dealias}
 
 # Per-subcommand keys and defaults.
 _DEFAULTS: dict[str, dict] = {
-    "simulate": {**_RUN, "a": 1.0, "epsilon": 0.4, "amplitude": 1.0, "t_final": 1.0, "samples": 9},
+    "simulate": {**_RUN, "a": KdvParams.a, "epsilon": 0.4, "amplitude": 1.0,
+                 "t_final": KdvParams.t_final, "samples": 9},
     "return-test": {**_RUN, "epsilon": 0.1, "amplitude": 1.0},
     # defaults reproduce the shallow-water-normalized figure pair
     "pullback": {**_RUN, "a": 1.0 / 6.0, "b": 1.5, "epsilon": 0.4, "amplitude": 4.5,
-                 "t_final": 1.0},
-    "sweep": {**_RUN, "a": 1.0, "epsilons": (0.4, 0.2, 0.1), "t_final": 1.0},
+                 "t_final": KdvParams.t_final},
+    "sweep": {**_RUN, "a": KdvParams.a, "epsilons": (0.4, 0.2, 0.1),
+              "t_final": KdvParams.t_final},
     "normalform-check": {
         "support": 4, "cutoff": 16, "seed": 7, "t": 0.37,
         "dts": (1.0e-3, 5.0e-4, 2.5e-4), "small_dt": 1.0e-5,

@@ -23,7 +23,6 @@ pseudospectral product against.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cache
@@ -38,7 +37,6 @@ __all__ = [
     "l2_norm",
     "sobolev_norm",
     "write_field_csv",
-    "read_field_csv",
     "random_real_field",
 ]
 
@@ -340,48 +338,6 @@ def write_field_csv(fld: FourierField, path) -> None:
     ks = range(-fld.cutoff, fld.cutoff + 1)
     _write_csv(path, ["k", "re", "im"],
                zip(ks, fld.coeffs.real.tolist(), fld.coeffs.imag.tolist()))
-
-
-def read_field_csv(path) -> FourierField:
-    """Read a field written by :func:`write_field_csv`.
-
-    Raises ``ValueError`` on a bad header, a row without exactly three
-    cells or with a cell that does not parse (both naming the line), no rows,
-    a repeated k, or rows that are not exactly the modes -K..K up to the
-    largest |k| = K (checked before the field is allocated, so a stray huge
-    k cannot size it), or a field that is not finite, zero-mean and real.
-    """
-    modes: dict[int, complex] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["k", "re", "im"]:
-            raise ValueError(f"unexpected field CSV header: {header!r}")
-        for row in reader:
-            if len(row) != 3:
-                raise ValueError(
-                    f"field CSV line {reader.line_num} has {len(row)} cells, not 3: {row!r}"
-                )
-            try:
-                k, value = int(row[0]), float(row[1]) + 1j * float(row[2])
-            except ValueError as exc:
-                raise ValueError(f"field CSV line {reader.line_num}: {exc}") from exc
-            if k in modes:
-                raise ValueError(f"field CSV repeats mode k = {k}")
-            modes[k] = value
-    if not modes:
-        raise ValueError("field CSV contains no rows")
-    cutoff = max(abs(k) for k in modes)
-    if len(modes) != 2 * cutoff + 1:
-        raise ValueError(
-            f"field CSV has {len(modes)} rows, not the {2 * cutoff + 1} modes "
-            f"-K..K up to its largest |k| = K = {cutoff}"
-        )
-    fld = FourierField.from_modes(modes, cutoff=max(cutoff, 1))
-    fld.require_real()
-    if fld.mode(0) != 0.0:
-        raise ValueError(f"field CSV has nonzero mean u_0 = {fld.mode(0)}")
-    return fld
 
 
 # ---------------------------------------------------------------------------

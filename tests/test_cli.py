@@ -20,7 +20,10 @@ from kdvtorus.cli import (
     _write_json,
     run,
 )
-from kdvtorus.integrator import _linear_phase
+from kdvtorus.experiments import HermiteSpec, hermite_initial, near_linearity_report
+from kdvtorus.integrator import KdvParams, _linear_phase
+from test_fields import parse_spectrum_csv
+from test_normal_form import assert_same_bits
 
 
 def read_manifest(outdir):
@@ -346,6 +349,19 @@ class TestSimulate:
         assert run(args + ["--out", str(out_b)]) == 0
         for name in ("trajectory.csv", "spectrum_initial.csv", "spectrum_final.csv"):
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_final_spectrum_csv_holds_every_bit_at_the_default_grid(self, tmp_path):
+        """At m = 512, spectrum_final.csv read by ``float`` is the report's last snapshot."""
+        rc = run(["simulate", "--t-final", "1e-3", "--samples", "2", "--out", str(tmp_path)])
+        assert rc == 0
+        defaults = _DEFAULTS["simulate"]
+        phi = hermite_initial(HermiteSpec(defaults["epsilon"], defaults["amplitude"]), 512)
+        report = near_linearity_report(phi, KdvParams(t_final=1e-3), np.array([0.0, 1e-3]))
+        want = report.record.snapshot(-1)
+        ks, re, im = parse_spectrum_csv(tmp_path / "spectrum_final.csv")
+        assert ks == list(range(-255, 256))
+        assert_same_bits(re, want.coeffs.real)
+        assert_same_bits(im, want.coeffs.imag)
 
     def test_identity_audit_bound_scales_with_the_data(self, tmp_path):
         """The exact linear flow at amplitude 1e5: the audit's rounding grows with |phi|."""

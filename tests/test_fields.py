@@ -1,5 +1,6 @@
 """Fourier-side container, transforms, norms, and serialization."""
 
+import csv
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from kdvtorus.fields import (
     half_spectrum,
     l2_norm,
     random_real_field,
-    read_field_csv,
     sobolev_norm,
     synthesize,
     write_field_csv,
@@ -295,85 +295,31 @@ class TestConvolveExact:
             assert np.allclose(got, signs * expect, atol=1e-13)
 
 
+def parse_spectrum_csv(path):
+    """A spectrum CSV read with the stdlib: its ``k`` column, then ``re`` and ``im`` by ``float``."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["k", "re", "im"]
+    ks = [int(row[0]) for row in rows[1:]]
+    re = np.array([float(row[1]) for row in rows[1:]])
+    im = np.array([float(row[2]) for row in rows[1:]])
+    return ks, re, im
+
+
 class TestSerialization:
-    def test_csv_round_trip_preserves_every_bit(self, tmp_path):
-        rng = np.random.default_rng(11)
-        f = random_real_field(rng, support=8, cutoff=12)
+    def test_the_csv_gives_back_every_bit_of_the_coefficients(self, tmp_path):
+        """``repr`` floats round-trip through ``float``: random draws, -0.0 and the extremes."""
+        f = random_real_field(np.random.default_rng(11), support=8, cutoff=12)
+        coeffs = np.array(f.coeffs)
+        coeffs[[0, 1, 2]] = [complex(-0.0, 5e-324), complex(1.7976931348623157e308, -0.0),
+                             complex(2.2250738585072014e-308, 1e-300)]
+        f = FourierField(coeffs)
         path = tmp_path / "field.csv"
         write_field_csv(f, path)
-        g = read_field_csv(path)
-        assert g.cutoff == f.cutoff
-        assert np.array_equal(g.coeffs, f.coeffs)
-
-    def test_csv_header_is_validated(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError, match="header"):
-            read_field_csv(path)
-
-    def test_csv_with_only_its_header_is_rejected(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("k,re,im\n")
-        with pytest.raises(ValueError, match="contains no rows"):
-            read_field_csv(path)
-
-    def test_csv_with_nonzero_mean_is_rejected(self, tmp_path):
-        path = tmp_path / "mean.csv"
-        path.write_text("k,re,im\n-1,1.0,-2.0\n0,5.0,0.0\n1,1.0,2.0\n")
-        with pytest.raises(ValueError, match="mean"):
-            read_field_csv(path)
-
-    def test_csv_with_reality_defect_is_rejected(self, tmp_path):
-        path = tmp_path / "complex.csv"
-        path.write_text("k,re,im\n-1,1.0,0.0\n0,0.0,0.0\n1,0.0,3.0\n")
-        with pytest.raises(ValueError, match="reality"):
-            read_field_csv(path)
-
-    def test_csv_with_repeated_mode_is_rejected(self, tmp_path):
-        path = tmp_path / "repeat.csv"
-        path.write_text("k,re,im\n-1,1.0,0.0\n0,0.0,0.0\n1,1.0,0.0\n1,2.0,0.0\n")
-        with pytest.raises(ValueError, match="repeats mode k = 1"):
-            read_field_csv(path)
-
-    @pytest.mark.parametrize(
-        "body",
-        [
-            "k,re,im\n-1000000000000,1.0,0.0\n1000000000000,1.0,0.0\n",
-            "k,re,im\n-3,1.0,0.0\n0,0.0,0.0\n3,1.0,0.0\n",
-        ],
-        ids=["huge-k", "gaps"],
-    )
-    def test_csv_without_every_mode_up_to_its_cutoff_is_rejected(self, tmp_path, body):
-        """Rows must be exactly -K..K, so the largest k cannot size a huge array."""
-        path = tmp_path / "sparse.csv"
-        path.write_text(body)
-        with pytest.raises(ValueError, match="not the [0-9]+ modes -K..K"):
-            read_field_csv(path)
-
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_csv_with_non_finite_mode_is_rejected(self, tmp_path, value):
-        path = tmp_path / "nonfinite.csv"
-        path.write_text(f"k,re,im\n-1,{value},0.0\n0,0.0,0.0\n1,{value},0.0\n")
-        with pytest.raises(ValueError, match="non-finite"):
-            read_field_csv(path)
-
-    @pytest.mark.parametrize(
-        "line, body",
-        [
-            (3, "k,re,im\n-1,1.0,0.0\n0,0.0\n1,1.0,0.0\n"),
-            (3, "k,re,im\n-1,1.0,0.0\n\n1,1.0,0.0\n"),
-            (4, "k,re,im\n-1,1.0,0.0\n0,0.0,0.0\n1,1.0,0.0,9.0\n"),
-            (3, "k,re,im\n-1,1.0,0.0\n1.5,0.0,0.0\n1,1.0,0.0\n"),
-            (4, "k,re,im\n-1,1.0,0.0\n0,0.0,0.0\n1,abc,0.0\n"),
-        ],
-        ids=["short-row", "blank-line", "fourth-cell", "fractional-k", "text-re"],
-    )
-    def test_csv_row_without_three_cells_is_rejected(self, tmp_path, line, body):
-        """A malformed row is refused with its line named, whatever is wrong with it."""
-        path = tmp_path / "cells.csv"
-        path.write_text(body)
-        with pytest.raises(ValueError, match=f"line {line}[ :]"):
-            read_field_csv(path)
+        ks, re, im = parse_spectrum_csv(path)
+        assert ks == list(range(-12, 13))
+        assert_same_bits(re, f.coeffs.real)
+        assert_same_bits(im, f.coeffs.imag)
 
 
 class TestRandomRealField:

@@ -122,22 +122,24 @@ MUTANTS = [
     Mutant("src/kdvtorus/normal_form.py", "_linear_phase(v.wavenumbers(), 1.0)(-t)",
            "_linear_phase(v.wavenumbers(), 1.0)(t)",
            "_at_time's diagonal phase with its sign flipped",
-           killer="tests/test_cli.py::TestKeySources::test_every_key_lands_in_the_manifest[normalform-check]"),
+           killer="tests/test_normal_form.py::TestOperatorStructure::"
+                  "test_time_dependent_b2_b3_match_per_term_phases"),
     Mutant("src/kdvtorus/normal_form.py", "(1.0 / 6.0) * b2(w, tau)",
            "(1.0 / 5.0) * b2(w, tau)",
            "the residual chain's B2 coefficient 1/6 moved to 1/5",
-           killer="tests/test_cli.py::TestKeySources::test_every_key_lands_in_the_manifest[normalform-check]"),
+           killer="tests/test_normal_form.py::TestResidual::test_residual_shrinks_at_second_order"),
     Mutant("src/kdvtorus/normal_form.py", "(1.0 / 18.0) * b3(w, tau)",
            "(1.0 / 17.0) * b3(w, tau)",
            "the residual chain's B3 coefficient 1/18 moved to 1/17",
-           killer="tests/test_cli.py::TestKeySources::test_every_key_lands_in_the_manifest[normalform-check]"),
+           killer="tests/test_normal_form.py::TestResidual::test_residual_shrinks_at_second_order"),
     Mutant("src/kdvtorus/normal_form.py", "(1.0j / 18.0) * b4(v, t)", "(1.0j / 17.0) * b4(v, t)",
            "the residual chain's B4 coefficient i/18 moved to i/17",
-           killer="tests/test_cli.py::TestKeySources::test_every_key_lands_in_the_manifest[normalform-check]"),
+           killer="tests/test_normal_form.py::TestResidual::test_residual_shrinks_at_second_order"),
     Mutant("src/kdvtorus/integrator.py", "incr = na + 2.0 * (self.Ec",
            "incr = na + 2.5 * (self.Ec",
            "the RK4 weight 2 on the middle stages moved to 2.5",
-           killer="tests/test_cli.py::TestKeySources::test_every_key_lands_in_the_manifest[normalform-check]"),
+           killer="tests/test_normal_form.py::TestResidual::"
+                  "test_probe_step_matches_the_exact_sum_step[0.001-4]"),
     Mutant("src/kdvtorus/integrator.py", "+ 2.0 * self.dt * self.nl(A_cur)",
            "+ self.dt * self.nl(A_cur)",
            "leapfrog's step 2*dt halved to dt",
@@ -145,30 +147,30 @@ MUTANTS = [
     Mutant("src/kdvtorus/normal_form.py", "!= 3 * (k1 + k2) * k1 * k2",
            "!= 3 * (k1 - k2) * k1 * k2",
            "one broken term in check_identities' cube identity",
-           killer="tests/test_cli.py::TestIdentities::test_writes_report_and_manifest"),
+           killer="tests/test_normal_form.py::TestPhases::test_both_identities_hold"),
     Mutant("src/kdvtorus/normal_form.py", "!= (k1 + mu) * (k1 + lam)",
            "!= (k1 + mu) * (k1 - lam)",
            "one broken term in check_identities' factorization identity",
-           killer="tests/test_cli.py::TestIdentities::test_writes_report_and_manifest"),
+           killer="tests/test_normal_form.py::TestPhases::test_both_identities_hold"),
     Mutant("src/kdvtorus/normal_form.py", "_mirrored(_b3_rows, 1.0, w)",
            "_mirrored(_b3_rows, -1.0, w)",
            "B3's mirror sign +1 flipped to -1",
-           killer="tests/test_cli.py::TestKeySources::test_every_key_lands_in_the_manifest[normalform-check]"),
+           killer="tests/test_normal_form.py::TestKernelsAgainstOracles::test_random_fields[4-0.0-b3]"),
     Mutant("src/kdvtorus/normal_form.py", "_mirrored(_b4_rows, -1.0, w)",
            "_mirrored(_b4_rows, 1.0, w)",
            "B4's mirror sign -1 flipped to +1",
-           killer="tests/test_cli.py::TestKeySources::test_every_key_lands_in_the_manifest[normalform-check]"),
+           killer="tests/test_normal_form.py::TestKernelsAgainstOracles::test_random_fields[4-0.0-b4]"),
     Mutant("src/kdvtorus/normal_form.py", "+ 0.5 * beta * gamma",
            "+ 0.25 * beta * gamma",
            "_b4_rows' half weight on the beta * beta * W(s) term moved to a quarter",
-           killer="tests/test_cli.py::TestKeySources::test_every_key_lands_in_the_manifest[normalform-check]"),
+           killer="tests/test_normal_form.py::TestKernelsAgainstOracles::test_random_fields[4-0.0-b4]"),
     Mutant("src/kdvtorus/normal_form.py", "    pair[2 * reach] = 0.0\n", "",
            "_b4_rows keeps W(0), the resonant channel k3 + k4 = 0",
-           killer="tests/test_cli.py::TestKeySources::test_every_key_lands_in_the_manifest[normalform-check]"),
+           killer="tests/test_normal_form.py::TestKernelsAgainstOracles::test_random_fields[4-0.0-b4]"),
     Mutant("src/kdvtorus/normal_form.py", "np.abs(v.coeffs[nz]) ** 2",
            "np.abs(v.coeffs[nz]) ** 3",
            "resonant_term's |v_k|^2 raised to |v_k|^3",
-           killer="tests/test_cli.py::TestKeySources::test_every_key_lands_in_the_manifest[normalform-check]"),
+           killer="tests/test_normal_form.py::TestClosedForms::test_resonant_term_closed_form"),
     Mutant("src/kdvtorus/normal_form.py", "pos[0] = 0.5 * (pos[0] + neg[0])", "pos[0] = pos[0]",
            "_mirrored's row 0 takes the K >= 0 reading alone, not the mean of both",
            killer="tests/test_normal_form.py::TestMirror::test_real_input_gives_exactly_real_output[0.0]"),
@@ -180,6 +182,18 @@ MUTANTS = [
            "the blow-up message's root-collision bound pi/2 moved to pi",
            killer="tests/test_integrator.py::TestEvolveNonlinear::"
                   "test_a_leapfrog_blow_up_past_the_root_collision_bound_names_it"),
+    Mutant("src/kdvtorus/normal_form.py", "w = _dense_support(v)[2]",
+           "w = _dense_support(v)[1]",
+           "B2 reads the bare amplitudes instead of their 1/k weights",
+           killer="tests/test_normal_form.py::TestKernelsAgainstOracles::test_random_fields[1-0.0-b2]"),
+    Mutant("src/kdvtorus/normal_form.py", "_row_spectrum(top, reach, n, True, w) * beta * beta",
+           "_row_spectrum(top, reach, n, True, vals) * beta * beta",
+           "B3's alpha = beta/k spectrum built from the bare amplitudes",
+           killer="tests/test_normal_form.py::TestKernelsAgainstOracles::test_random_fields[4-0.0-b3]"),
+    Mutant("src/kdvtorus/fields.py", "repr(float(c))", 'f"{float(c):.15g}"',
+           "the CSV's floats written to 15 significant digits instead of by repr",
+           killer="tests/test_fields.py::TestSerialization::"
+                  "test_the_csv_gives_back_every_bit_of_the_coefficients"),
 ]
 
 
