@@ -363,6 +363,17 @@ class TestSimulate:
         assert_same_bits(re, want.coeffs.real)
         assert_same_bits(im, want.coeffs.imag)
 
+    def test_initial_spectrum_csv_holds_every_bit_at_the_default_grid(self, tmp_path):
+        """At m = 512, spectrum_initial.csv read by ``float`` is the Hermite data itself."""
+        rc = run(["simulate", "--t-final", "1e-5", "--samples", "2", "--out", str(tmp_path)])
+        assert rc == 0
+        defaults = _DEFAULTS["simulate"]
+        phi = hermite_initial(HermiteSpec(defaults["epsilon"], defaults["amplitude"]), 512)
+        ks, re, im = parse_spectrum_csv(tmp_path / "spectrum_initial.csv")
+        assert ks == list(range(-255, 256))
+        assert_same_bits(re, phi.coeffs.real)
+        assert_same_bits(im, phi.coeffs.imag)
+
     def test_identity_audit_bound_scales_with_the_data(self, tmp_path):
         """The exact linear flow at amplitude 1e5: the audit's rounding grows with |phi|."""
         rc = run([

@@ -321,6 +321,40 @@ class TestSerialization:
         assert_same_bits(re, f.coeffs.real)
         assert_same_bits(im, f.coeffs.imag)
 
+    @pytest.mark.parametrize(
+        "value",
+        [0.0, -0.0, 0.1, 1.0 / 3.0, 2.0, 1e16, 1e-7, 5e-324, 1.7976931348623157e308],
+        ids=["zero", "minus-zero", "tenth", "third", "two", "1e16", "1e-7",
+             "least-subnormal", "largest"],
+    )
+    def test_each_cell_is_the_shortest_repr(self, tmp_path, value):
+        """The file's bytes: the header, ``\\n`` line ends, each cell as ``repr`` spells it."""
+        path = tmp_path / "field.csv"
+        write_field_csv(FourierField.from_modes({1: complex(value, -value)}, cutoff=1), path)
+        assert path.read_bytes() == (
+            f"k,re,im\n-1,0.0,0.0\n0,0.0,0.0\n1,{value!r},{-value!r}\n".encode()
+        )
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 12, 255])
+    def test_rows_run_from_minus_to_plus_cutoff(self, tmp_path, cutoff):
+        """One row per stored mode, in increasing k with no gap, each three cells long."""
+        path = tmp_path / "field.csv"
+        write_field_csv(random_real_field(cutoff, support=1, cutoff=cutoff), path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines[0] == "k,re,im" and lines[-1] == ""
+        rows = [line.split(",") for line in lines[1:-1]]
+        assert [row[0] for row in rows] == [str(k) for k in range(-cutoff, cutoff + 1)]
+        assert {len(row) for row in rows} == {3}
+
+    def test_a_real_field_is_written_conjugate_symmetric(self, tmp_path):
+        """Rows -k and k of a real field: the same ``re``, opposite ``im``, and row 0 is zero."""
+        path = tmp_path / "field.csv"
+        write_field_csv(random_real_field(7, support=9, cutoff=12), path)
+        ks, re, im = parse_spectrum_csv(path)
+        assert np.array_equal(re, re[::-1])
+        assert np.array_equal(im, -im[::-1])
+        assert (re[12], im[12]) == (0.0, 0.0)
+
 
 class TestRandomRealField:
     def test_same_seed_reproduces_the_field(self):
