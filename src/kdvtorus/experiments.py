@@ -32,13 +32,9 @@ __all__ = [
     "TailAliasWarning",
     "HermiteSpec",
     "hermite_initial",
-    "NearLinearityReport",
     "near_linearity_report",
-    "ReturnReport",
     "return_experiment",
-    "PullbackReport",
     "pullback_comparison",
-    "SweepResult",
     "epsilon_sweep",
 ]
 

@@ -65,7 +65,6 @@ __all__ = [
     "Scheme",
     "KdvParams",
     "TrajectoryRecord",
-    "desk_params",
     "linear_propagator",
     "evolve",
     "InstabilityError",
@@ -134,7 +133,11 @@ class KdvParams:
 
 
 def desk_params(**overrides) -> KdvParams:
-    """The desk run, the ``KdvParams`` defaults: IF-RK4 at dt = 1e-5 (minutes per run)."""
+    """``KdvParams(**overrides)``: the desk run is the defaults, IF-RK4 at dt = 1e-5.
+
+    Not public and called nowhere in the package, kept here while
+    ``perfbench/reference.py`` imports it by name.
+    """
     return KdvParams(**overrides)
 
 

@@ -24,9 +24,7 @@ from dataclasses import dataclass
 
 __all__ = [
     "GRAVITY",
-    "ShallowWaterRegime",
     "dimensionless",
-    "RegimeReport",
     "validate_regime",
 ]
 

@@ -20,7 +20,7 @@ from kdvtorus.experiments import (
     return_experiment,
 )
 from kdvtorus.fields import FourierField, l2_norm, random_real_field
-from kdvtorus.integrator import KdvParams, Scheme, desk_params, evolve
+from kdvtorus.integrator import KdvParams, Scheme, evolve
 from kdvtorus.normal_form import (
     ResonanceClass,
     b2,
@@ -150,7 +150,7 @@ def test_criterion_01_linear_periodicity():
 
 def test_criterion_02_return_experiment_baseline():
     """eps = 0.1 desk-profile full period: frozen baseline + exact identity."""
-    report = return_experiment(HermiteSpec(0.1), desk_params())
+    report = return_experiment(HermiteSpec(0.1), KdvParams())
     baseline = baseline_value("return_error_eps0.1_desk")
     ok_baseline = within_window("return_error_eps0.1_desk", report.return_error_rel)
     ok_identity = report.run.identity_defect_max <= 1e-12
@@ -165,7 +165,7 @@ def test_criterion_02_return_experiment_baseline():
 
 def test_criterion_03_epsilon_sweep_scaling():
     """Deviation at T = 1 shrinks with the width; log-log slope >= 0.8."""
-    result = epsilon_sweep([0.4, 0.2, 0.1], desk_params(), t_final=1.0)
+    result = epsilon_sweep([0.4, 0.2, 0.1], KdvParams(), t_final=1.0)
     errs = result.errors_at_t
     ok_monotone = errs[0] > errs[1] > errs[2]
     ok_slope = result.fitted_slope >= 0.8  # NaN, a degenerate fit, compares False
@@ -228,7 +228,7 @@ def test_criterion_06_integer_identities():
 def test_criterion_07_conservation():
     """Momentum identically zero; energy drift < 1e-8 (dt = 1e-5, T = 1)."""
     phi = hermite_initial(HermiteSpec(0.4), 512)
-    p = desk_params(t_final=1.0)
+    p = KdvParams(t_final=1.0)
     rec = evolve(phi, p, sample_times=np.linspace(0.0, 1.0, 5))
     momentum = rec.max_momentum()
     drift = rec.energy_drift()

@@ -26,7 +26,6 @@ from kdvtorus.integrator import (
     KdvParams,
     Scheme,
     _linear_phase,
-    desk_params,
     evolve,
     linear_propagator,
 )
@@ -287,7 +286,7 @@ class TestReturnExperiment:
     def test_snapshot_sup_ratio_matches_frozen_baseline(self):
         """The desk return run's early snapshot, stepped only up to SNAPSHOT_TIME."""
         phi = hermite_initial(HermiteSpec(0.1), 512)
-        record = evolve(phi, desk_params(t_final=SNAPSHOT_TIME), [SNAPSHOT_TIME])
+        record = evolve(phi, KdvParams(t_final=SNAPSHOT_TIME), [SNAPSHOT_TIME])
         snap, initial = (np.max(np.abs(synthesize(f, 512))) for f in (record.snapshot(-1), phi))
         assert within_window("snapshot_sup_ratio_eps0.1_desk", float(snap / initial))
 
@@ -349,7 +348,7 @@ class TestEpsilonSweep:
             # the desk profile's size, where per-step rounding of the linear
             # flow would otherwise pile up above the degeneracy threshold
             pytest.param(
-                desk_params(b=0.0, t_final=0.1), (0.4, 0.2, 0.1), 0.1, id="desk"
+                KdvParams(b=0.0, t_final=0.1), (0.4, 0.2, 0.1), 0.1, id="desk"
             ),
         ],
     )

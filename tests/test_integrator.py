@@ -21,7 +21,6 @@ from kdvtorus.integrator import (
     _linear_phase,
     _phase_table,
     _Workspace,
-    desk_params,
     evolve,
     linear_propagator,
 )
@@ -38,8 +37,8 @@ def coeff_rows(rec) -> np.ndarray:
 
 
 class TestParams:
-    def test_profiles_pick_scheme_and_step(self):
-        desk = desk_params()
+    def test_defaults_are_the_desk_run(self):
+        desk = KdvParams()
         assert desk.scheme is Scheme.INTEGRATING_FACTOR_RK4 and desk.dt == 1e-5
         assert desk.m == 512
 
@@ -434,6 +433,14 @@ class TestEvolveBookkeeping:
         for got, coeffs in zip(batch.initial, want):
             assert np.array_equal(got.coeffs, coeffs)
 
+    def test_a_step_count_one_rounding_past_an_integer_is_that_integer(self):
+        """0.9 / 0.03 is 30.000000000000004 in double precision: 30 steps land on 0.9."""
+        phi = random_real_field(5, support=4, cutoff=8)
+        p = KdvParams(b=0.0, dt=0.03, t_final=0.9, m=64)
+        rec = evolve(phi, p, [0.0, 0.9])
+        assert rec.steps_total == 30
+        assert rec.times[-1] == 0.9
+
     def test_step_count_that_cannot_be_counted_is_refused(self):
         """t_final / dt overflows to inf: refused, naming both, before any step."""
         phi = random_real_field(5, support=4, cutoff=8)
@@ -505,7 +512,9 @@ class TestRecordedInvariants:
     A row read back through ``snapshot`` and ``half_spectrum`` is the row
     stored: m is a power of two, so the /m and *m between them are exact
     (the FFTs' rounding keeps every entry far above the subnormal range).
-    Each snapshot is real and zero-mean to the bit, and momentum is 0.
+    Each snapshot is real and zero-mean to the bit, and momentum is 0. The
+    recorded energy is the snapshot's squared l2 norm to 1e-14, a factor on
+    it included, which no drift check sees.
     """
 
     M = 512
@@ -528,6 +537,19 @@ class TestRecordedInvariants:
                 assert snap.reality_defect() == 0.0
                 assert snap.mode(0) == 0
             assert np.all(rec.momentum_series == 0.0)
+
+    @pytest.mark.parametrize("scheme, dt", [(Scheme.INTEGRATING_FACTOR_RK4, 1e-5),
+                                            (Scheme.FORNBERG_WHITHAM, 1e-6)])
+    def test_energy_is_the_squared_l2_norm_of_each_snapshot(self, scheme, dt):
+        """The absolute energy, not only its drift: trajectory.csv writes this column."""
+        fields = [random_real_field(seed, support=170, cutoff=255) for seed in range(3)]
+        p = KdvParams(dt=dt, t_final=self.STEPS * dt, m=self.M, scheme=scheme)
+        times = np.arange(self.STEPS + 1) * dt
+        for phi in (fields[0], fields):
+            rec = evolve(phi, p, times)
+            for key in np.ndindex(rec.energy_series.shape):
+                assert rec.energy_series[key] == pytest.approx(
+                    l2_norm(rec.snapshot(key)) ** 2, rel=1e-14, abs=0.0)
 
 
 class TestEvolveBatch:

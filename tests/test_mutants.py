@@ -20,13 +20,32 @@ def test_each_old_text_occurs_exactly_once(mutant):
 
 
 def test_the_first_failure_names_the_test():
-    """The test id and the failure's first line; later lines of the message are left out."""
+    """The test id and the failure's first line; later lines of the message are left out.
+
+    A message on the line after ``AssertionError: ``, as NumPy's testing functions
+    write it, is read from that test's own failure section.
+    """
     first = "FAILED tests/test_cli.py::TestIdentities::test_x[3] - AssertionError: boom"
     for rest in ("", "\nassert 1 == 2\n +  where 1 = f()"):
         output = ("F\n=== short test summary info ===\n" + first + rest
                   + "\n!!! stopping after 1 failures !!!\n1 failed, 12 passed in 1.0s\n")
         assert mutants._first_failure(output) == (
             "tests/test_cli.py::TestIdentities::test_x[3] - AssertionError: boom")
+    numpy_output = "\n".join([
+        "F", "=== FAILURES ===",
+        "___ TestBits.test_other ___", "", ">       assert_same_bits(a, b)",
+        "E       AssertionError: ", "E       Arrays differ elsewhere", "",
+        "___ TestBits.test_bits[1] ___", "", ">       assert_same_bits(a, b)", "",
+        "tests/test_x.py:7: ", "_ _ _ _ _ _ _ _", "",
+        ">       np.testing.assert_array_equal(got, want)",
+        "E       AssertionError: ", "E       Arrays are not equal", "E       ",
+        "E       Mismatched elements: 1 / 2 (50%)", "",
+        "tests/test_x.py:9: AssertionError", "=== short test summary info ===",
+        "FAILED tests/test_x.py::TestBits::test_bits[1] - AssertionError: ",
+        "!!! stopping after 1 failures !!!", "1 failed, 12 passed in 1.0s", "",
+    ])
+    assert mutants._first_failure(numpy_output) == (
+        "tests/test_x.py::TestBits::test_bits[1] - AssertionError: Arrays are not equal")
 
 
 def test_each_entry_names_a_fast_loop_killer_or_an_equivalence():

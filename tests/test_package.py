@@ -1,10 +1,13 @@
 """The package API: ``kdvtorus.__all__`` is the union of the library modules' lists.
 
-Also: the acceptance gate needs nothing but the package to load, the
-baseline freezer writes the table the gate reads, and the suite's own pytest
-settings let a failing property test fail alone.
+Every public name is one that code outside its module writes, and every name
+``perfbench/`` takes from the package resolves. Also: the acceptance gate
+needs nothing but the package to load, the baseline freezer writes the table
+the gate reads, and the suite's own pytest settings let a failing property
+test fail alone.
 """
 
+import ast
 import importlib.util
 import os
 import subprocess
@@ -15,7 +18,7 @@ import pytest
 
 import kdvtorus
 import test_acceptance
-from kdvtorus import experiments, fields, integrator, normal_form, shallow_water
+from kdvtorus import cli, experiments, fields, integrator, normal_form, shallow_water, svgplot
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,6 +37,55 @@ def test_each_listed_name_is_the_module_object(module):
     for name in module.__all__:
         assert hasattr(module, name), f"{module.__name__}.__all__ lists missing {name}"
         assert getattr(kdvtorus, name) is getattr(module, name)
+
+
+def _parsed(*folders: str) -> dict[Path, ast.Module]:
+    """The syntax tree of every ``.py`` file under the given folders of the checkout."""
+    return {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for folder in folders for path in sorted((ROOT / folder).rglob("*.py"))}
+
+
+def _written(tree: ast.Module) -> set[str]:
+    """Every identifier the code writes: names, attributes and imported names."""
+    return {getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+
+
+def test_every_public_name_is_written_outside_its_module():
+    """A name in ``__all__`` that no other file under src, tests, tools or perfbench
+    writes is reached only through a call that returns it, and is not API.
+
+    The library modules and the two that the package does not re-export, alike.
+    """
+    written = {path.resolve(): _written(tree)
+               for path, tree in _parsed("src", "tests", "tools", "perfbench").items()}
+    unwritten = [
+        f"{module.__name__}.{name}"
+        for module in (*MODULES, cli, svgplot) for name in module.__all__
+        if not any(name in names for path, names in written.items()
+                   if path != Path(module.__file__).resolve())
+    ]
+    assert not unwritten, f"public, yet written nowhere outside its module: {unwritten}"
+
+
+def test_every_name_perfbench_imports_from_the_package_resolves():
+    """Nothing runs perfbench/reference.py, so a name it imports that the package
+    dropped would go unseen; each ``from kdvtorus... import`` must resolve."""
+    imports = [(node.module, alias.name)
+               for tree in _parsed("perfbench").values() for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module
+               and node.module.split(".")[0] == "kdvtorus"
+               for alias in node.names]
+    assert imports
+    missing = [f"{module}.{name}" for module, name in imports if not _resolves(module, name)]
+    assert not missing, f"perfbench imports names the package lacks: {missing}"
+
+
+def _resolves(module: str, name: str) -> bool:
+    """``from module import name`` finds an attribute, or else a submodule of a package."""
+    source = importlib.import_module(module)
+    return hasattr(source, name) or (
+        hasattr(source, "__path__") and importlib.util.find_spec(f"{module}.{name}") is not None)
 
 
 _LOAD = """

@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from kdvtorus.experiments import HermiteSpec, pullback_comparison, return_experiment
-from kdvtorus.integrator import KdvParams, desk_params
+from kdvtorus.integrator import KdvParams
 from kdvtorus.normal_form import CENSUS_SEED, ratio_census
 
 OUT = Path(__file__).resolve().parents[1] / "tests" / "baselines.json"
@@ -26,7 +26,7 @@ def main() -> None:
     entries = {}
 
     started = time.perf_counter()
-    report = return_experiment(HermiteSpec(epsilon=0.1), desk_params())
+    report = return_experiment(HermiteSpec(epsilon=0.1), KdvParams())
     print(f"return run done in {time.perf_counter() - started:.1f} s: "
           f"error = {report.return_error_rel:.6e}")
     config = {

@@ -20,7 +20,10 @@ the copy, with the copy's ``src`` first on ``PYTHONPATH``, pytest runs as
 One line per mutant says ``survived``, ``unstable: <test> - <message>`` or
 ``killed by <test> - <message>``, with the first line of the killing failure
 as pytest's summary prints it (``COLUMNS`` is set wide so that pytest does
-not cut it short). The checkout itself is never edited.
+not cut it short); a summary that ends at ``AssertionError: ``, because the
+message starts on a new line as NumPy's testing messages do, is completed by
+the message's first line from the test's failure section. The checkout itself
+is never edited.
 
 A mutant that survives is either a gap in the tests, closed by a fast-loop
 test that kills it, or equivalent to the original, which its ``equivalent``
@@ -194,6 +197,44 @@ MUTANTS = [
            "the CSV's floats written to 15 significant digits instead of by repr",
            killer="tests/test_fields.py::TestSerialization::"
                   "test_the_csv_gives_back_every_bit_of_the_coefficients"),
+    Mutant("src/kdvtorus/integrator.py", "2.0 * np.sum(np.abs(A[..., 1:]) ** 2, axis=-1)",
+           "np.sum(np.abs(A[..., 1:]) ** 2, axis=-1)",
+           "the energy counts each mode k >= 1 once instead of with its mirror -k",
+           killer="tests/test_integrator.py::TestRecordedInvariants::"
+                  "test_energy_is_the_squared_l2_norm_of_each_snapshot"
+                  "[Scheme.INTEGRATING_FACTOR_RK4-1e-05]"),
+    Mutant("src/kdvtorus/integrator.py", "math.ceil(t_final / p.dt - 1e-12)",
+           "math.ceil(t_final / p.dt)",
+           "evolve's step count without its slack for a ratio one rounding past an integer",
+           killer="tests/test_integrator.py::TestEvolveBookkeeping::"
+                  "test_a_step_count_one_rounding_past_an_integer_is_that_integer"),
+    Mutant("src/kdvtorus/integrator.py", "BLOWUP_FACTOR = 1.0e6", "BLOWUP_FACTOR = 1.0e9",
+           "the blow-up guard's factor 1e6 raised to 1e9",
+           killer="tests/test_integrator.py::TestEvolveBatch::"
+                  "test_one_unstable_field_stops_the_batch[Scheme.INTEGRATING_FACTOR_RK4]"),
+    Mutant("src/kdvtorus/integrator.py", "divmod(i, span)", "divmod(i + 1, span)",
+           "_phase_table reads step i + 1's phase at step i",
+           killer="tests/test_integrator.py::TestStepWorkspace::"
+                  "test_table_phases_match_the_direct_phase[1.0-1000]"),
+    Mutant("src/kdvtorus/integrator.py",
+           "A_prev, A = A, ws.phase(dt_eff) * ws.rk4_v_step(A, ws.phase(0.0))",
+           "A_prev, A = A, ws.rk4_v_step(A, ws.phase(0.0))",
+           "the leapfrog bootstrap keeps v and leaves out the phase that turns it into u",
+           killer="tests/test_integrator.py::TestEvolveNonlinear::"
+                  "test_one_step_is_the_same_under_both_schemes"),
+    Mutant("src/kdvtorus/experiments.py", "np.conj(phase[:cutoff:-1], out=phase[:cutoff])",
+           "np.copyto(phase[:cutoff], phase[:cutoff:-1])",
+           "the audit mirrors its phase onto k < 0 without the conjugate",
+           killer="tests/test_experiments.py::TestNearLinearity::"
+                  "test_linear_flow_shows_no_deviation"),
+    Mutant("src/kdvtorus/experiments.py", "np.abs(x) < 40.0 * eps", "np.abs(x) < 4.0 * eps",
+           "hermite_initial's window 40 eps, where the Gaussian underflows, cut to 4 eps",
+           killer="tests/test_experiments.py::TestHermiteInitial::"
+                  "test_wide_profile_warns_about_periodization"),
+    Mutant("src/kdvtorus/normal_form.py", "if 4 * int(np.max(np.abs(ks), initial=0))",
+           "if 3 * int(np.max(np.abs(ks), initial=0))",
+           "the residual probe's quarter rule 4*max|k| > K tightened to 3*max|k| > K",
+           killer="tests/test_normal_form.py::TestResidual::test_guard_rails"),
 ]
 
 
@@ -203,11 +244,34 @@ def occurrences(root: Path, mutant: Mutant) -> int:
 
 
 def _first_failure(output: str) -> str:
-    """Pytest's first FAILED or ERROR summary line: the test, then its failure's first line."""
-    for line in output.splitlines():
+    """Pytest's first FAILED or ERROR summary line: the test, then its failure's first line.
+
+    A message that starts on a new line, as NumPy's testing messages do, leaves
+    the summary line at ``AssertionError: ``; its first non-empty line is then
+    read from that test's failure section.
+    """
+    lines = output.splitlines()
+    for line in lines:
         if line.startswith(("FAILED ", "ERROR ")):
-            return line.split(" ", 1)[1]
+            failure = line.split(" ", 1)[1]
+            if failure.endswith(": "):
+                failure += _message_line(lines, *failure.split(" - ", 1))
+            return failure
     return OUTSIDE
+
+
+def _message_line(lines: list[str], node: str, summary: str) -> str:
+    """The first non-empty ``E`` line past ``summary`` in the failure section of ``node``."""
+    head = f" {node.split('::', 1)[-1].replace('::', '.')} "
+    start = next((i for i, line in enumerate(lines) if line.startswith("_") and head in line),
+                 len(lines))
+    for line in lines[start + 1:]:
+        if line.startswith(("__", "==")):  # the next section; "_ _ _" separates frames
+            break
+        text = line[1:].strip() if line.startswith("E ") else ""
+        if text and text != summary.strip():
+            return text
+    return ""
 
 
 def _rerun(failure: str) -> list[str]:
