@@ -217,6 +217,11 @@ def _row_spectrum(top: int, reach: int, n: int, shifted: bool, a: np.ndarray) ->
     return np.fft.fft(grid, axis=-1, out=grid)
 
 
+def _times(beta: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``beta * g`` in g's buffer, returned as the caller's temporary if it names no g."""
+    return np.multiply(beta, g, out=g)
+
+
 def _mirrored(rows: Callable, sign: float, v: FourierField) -> FourierField:
     """Rows K >= 0 from ``rows(v)``, rows K < 0 from ``sign * conj(rows(v~))``.
 
@@ -307,6 +312,9 @@ def _b3_rows(v: FourierField) -> np.ndarray:
     # their buffers; the operand order stays fixed, since with FMA complex a*b
     # and b*a can differ in the last bit. ``x * (temporary)`` is elided to
     # ``temporary * x`` above the threshold only, so a name or out= moves digits.
+    # On b4's rows for TestSeedBits' fields, an out= chain in the elided order moves
+    # 3-49 doubles per field below the threshold (nothing swapped there), and the
+    # all-operator ``beta * (spectral + beta * gamma)`` 73-147 above it (swapped).
     return np.mean(_row_spectrum(top, reach, n, True, w) * beta * beta, axis=-1)
 
 
@@ -335,11 +343,13 @@ def _b4_rows(v: FourierField) -> np.ndarray:
     beta = _row_spectrum(top, reach, n, False, vals)  # the shape: see _b3_rows
     spectral = (_row_spectrum(top, reach, n, False, w)
                 * _row_spectrum(top, 2 * reach, n, True, pair_modes * pair))
-    # gamma's fill runs before 0.5 * beta exists, so at most four grids are live;
-    # spectral + (temporary) is elided into the temporary, and a + b is b + a bitwise
-    gamma = _row_spectrum(top, 2 * reach, n, True, pair)
-    spectral = beta * (spectral + 0.5 * beta * gamma)
-    return np.mean(spectral, axis=-1)
+    # Halving is exact through the fill and the FFT, so beta * (0.5 * gamma) has the
+    # bits of (0.5 * beta) * gamma. Formed in gamma's unnamed buffer, it is the temporary
+    # spectral + (...) is elided into (a + b is b + a bitwise): three grids live. The
+    # outer beta * (...) stays an operator, ordered by elision as in tests/oracles.py.
+    return np.mean(
+        beta * (spectral + _times(beta, _row_spectrum(top, 2 * reach, n, True, 0.5 * pair))),
+        axis=-1)
 
 
 def resonant_term(v: FourierField) -> FourierField:

@@ -463,6 +463,36 @@ class TestSeedBits:
         want = _at_time(self.SEEDS[name], v, 0.37)
         assert_same_bits(getattr(normal_form, name)(v, 0.37).coeffs, want.coeffs)
 
+    def test_b4_fields_hold_row_grids_on_both_sides_of_the_elision_threshold(self, monkeypatch):
+        """NumPy elides a temporary only from 256 KiB on, and swaps a product's factors then.
+
+        ``_b4_rows`` keeps its bits only if its products are ordered right in both
+        regimes, so FIELDS must give b4 a row grid below that size and one above it:
+        (32, 64) makes 208,000-byte grids and (32, 128) 557,280-byte ones.
+        """
+        def elided(shape):  # (a + a) * a reuses the sum's buffer: one grid, not two
+            a = np.ones(shape, dtype=np.complex128)
+            tracemalloc.start()
+            try:
+                (a + a) * a
+                return tracemalloc.get_traced_memory()[1] < 1.5 * a.nbytes
+            finally:
+                tracemalloc.stop()
+
+        shapes = set()
+        row_spectrum = normal_form._row_spectrum
+
+        def recording(top, reach, n, shifted, a):
+            shapes.add((top + 1, n))
+            return row_spectrum(top, reach, n, shifted, a)
+
+        monkeypatch.setattr(normal_form, "_row_spectrum", recording)
+        for i, (support, cutoff) in enumerate(self.FIELDS):
+            b4(random_real_field(40 + i, support, cutoff), 0.0)
+        grids = sorted(shapes, key=math.prod)
+        assert 16 * math.prod(grids[0]) < 256 * 1024 <= 16 * math.prod(grids[-1])
+        assert not elided(grids[0]) and elided(grids[-1])
+
 
 class TestRowGrids:
     """The (top+1, n) complex row grids of b3 and b4: their length n and how many live at once."""
@@ -475,18 +505,19 @@ class TestRowGrids:
 
     @pytest.mark.parametrize(
         "op, v, t, rows, n, grids",
-        [(b4, random_real_field(1, 32, cutoff=128), 0.0, 129, 270, 4.25),
-         (b4, hermite_initial(HermiteSpec(0.1), 512), 0.37, 256, 1280, 4.25),
+        [(b4, random_real_field(1, 32, cutoff=128), 0.0, 129, 270, 4.0),
+         (b4, hermite_initial(HermiteSpec(0.1), 512), 0.37, 256, 1280, 3.25),
          (b3, hermite_initial(HermiteSpec(0.1), 512), 0.37, 256, 1024, 2.5)],
         ids=["b4-census", "b4-full", "b3-full"],
     )
     def test_traced_peak_stays_below_its_grid_count(self, op, v, t, rows, n, grids):
         """Each spectrum used once is built inside the product that consumes it.
 
-        b4 then holds at most four grids and b3 two (a name for every spectrum
-        would hold six and three). b4 builds its last spectrum before its
-        fourth grid exists, so the fills' column-slice products never ride on
-        four grids (forming it after ``0.5 * beta`` peaks at 4.76 census grids).
+        b4 then holds at most three grids and b3 two (a name for every spectrum
+        would hold six and three): b4's last spectrum carries the half weight
+        and takes beta's product in its own buffer. On top of the grids, each
+        fill's column-slice product allocates NumPy's ufunc buffers (three of
+        128 KiB), 0.71 of a census grid and 0.07 of a full-field one.
         The bound relies on NumPy's temporary elision
         reusing a spectrum's buffer; checked with CPython 3.11.7 and NumPy
         2.4.6 (CI runs Python 3.11).

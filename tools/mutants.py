@@ -163,10 +163,13 @@ MUTANTS = [
            "_mirrored(_b4_rows, 1.0, w)",
            "B4's mirror sign -1 flipped to +1",
            killer="tests/test_normal_form.py::TestKernelsAgainstOracles::test_random_fields[4-0.0-b4]"),
-    Mutant("src/kdvtorus/normal_form.py", "+ 0.5 * beta * gamma",
-           "+ 0.25 * beta * gamma",
+    Mutant("src/kdvtorus/normal_form.py", "0.5 * pair", "0.25 * pair",
            "_b4_rows' half weight on the beta * beta * W(s) term moved to a quarter",
            killer="tests/test_normal_form.py::TestKernelsAgainstOracles::test_random_fields[4-0.0-b4]"),
+    Mutant("src/kdvtorus/normal_form.py", "np.multiply(beta, g, out=g)",
+           "np.multiply(g, beta, out=g)",
+           "_b4_rows' in-place product beta * gamma with its operands swapped",
+           killer="tests/test_normal_form.py::TestSeedBits::test_random_fields_keep_their_bits[0.0-b4]"),
     Mutant("src/kdvtorus/normal_form.py", "    pair[2 * reach] = 0.0\n", "",
            "_b4_rows keeps W(0), the resonant channel k3 + k4 = 0",
            killer="tests/test_normal_form.py::TestKernelsAgainstOracles::test_random_fields[4-0.0-b4]"),
